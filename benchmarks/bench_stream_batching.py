@@ -8,9 +8,8 @@ cell's stream through three :class:`~repro.stream.service
 
 * **unbatched** — the incumbent one-event-at-a-time incremental loop;
 * **batched** — the same service with ``--batch-window`` armed, so
-  maximal runs of consecutive queries dispatch through the window
-  cache (:class:`~repro.core.winner_determination.SubsetWindowSolver`
-  / the persistent :class:`~repro.auction.batch.RhtaluBatchPlanner`);
+  maximal runs of consecutive queries dispatch as one window (one
+  journal fsync, one capture-refresh check);
 * **rebuild** — the rebuild-per-control-event oracle.
 
 Every cell must be **trace-diff-empty** (:func:`repro.stream
@@ -27,6 +26,11 @@ rate is the honest metric.  The headline cell (method ``rh`` at the
 largest population) gates ``--min-speedup``; the committed
 ``BENCH_stream_batch.json`` pins batched >= 2x unbatched there, with
 ``tests/test_bench_artifacts.py`` holding the structure and verdicts.
+That artifact is the PR-8 measurement: its gap was the window-scoped
+subset cache, which since PR 12 is keyed on membership
+(:meth:`~repro.core.winner_determination.SubsetSolver.for_membership`)
+and serves the unbatched loop too — re-running this script today
+shows the two in-memory ``rh`` sides close together.
 
 Run::
 

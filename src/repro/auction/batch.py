@@ -49,11 +49,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.revenue import RevenueMatrix, click_bid_revenue_matrix
+from repro.core.revenue import RevenueMatrix
+from repro.core.winner_determination import SubsetSolver
 from repro.lang.formula import Atom
 from repro.lang.predicates import ClickPredicate
-from repro.matching.reduction import ReducedGraph, reduce_graph
-from repro.probability.click_models import TabularClickModel
+from repro.matching.slot_lists import SlotLists
 from repro.strategies.roi_equalizer import SimpleROIPacer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -433,19 +433,19 @@ class ShardEvalState:
 
     The separation the multi-process runtime (:mod:`repro.runtime`)
     builds on: everything *per-advertiser* — pacer state, click rows,
-    revenue/weight buffers, the per-slot top-k scan — lives here and
-    needs no view of the rest of the population; everything *global* —
-    the merged reduction, matching, user, pricing, accounts — lives
-    with the coordinator's :class:`~repro.auction.settlement
-    .AuctionSettler`.  Advertiser ids are shard-local (``0..m-1``);
-    callers translate with the shard's offset.
+    weight buffers, the per-slot top-list scan — lives here and needs
+    no view of the rest of the population; everything *global* — the
+    merged lists, matching, user, pricing, accounts — lives with the
+    coordinator's :class:`~repro.auction.settlement.AuctionSettler`.
+    Advertiser ids are shard-local (``0..m-1``); callers translate
+    with the shard's offset.
 
     The kernels are the exact per-row operations of the single-process
-    batched pipeline (:class:`PacerArrays` evaluation and notification
-    folds, ``click_bid_revenue_matrix`` rows, ``reduce_graph``'s
-    per-slot selection restricted to the shard), so a row of a shard
-    computes the same floats it would compute inside the full arrays —
-    the per-shard half of the runtime's bit-identity argument.
+    service (:class:`PacerArrays` evaluation and notification folds,
+    the :class:`~repro.core.winner_determination.SubsetSolver` weight
+    refresh and slot-list scan restricted to the shard), so a row of a
+    shard computes the same floats it would compute inside the full
+    arrays — the per-shard half of the runtime's bit-identity argument.
     """
 
     def __init__(self, programs: list[SimpleROIPacer],
@@ -471,14 +471,11 @@ class ShardEvalState:
         else:
             raise ValueError("need programs or a keyword universe")
         self.arrays = arrays
-        self.click_model = TabularClickModel(click_rows)
+        self.click_rows = np.asarray(click_rows, dtype=float)
         self.num_slots = click_rows.shape[1]
         self.top_depth = top_depth
         self.bid_out = np.zeros(num_local)
-        self.revenue = RevenueMatrix(
-            assigned=np.zeros((num_local, self.num_slots)),
-            unassigned=np.zeros(num_local))
-        self.adjusted = np.zeros((num_local, self.num_slots))
+        self._solver: SubsetSolver | None = None
 
     def fold_win(self, advertiser: int, keyword: str, clicked: bool,
                  charge: float) -> None:
@@ -500,36 +497,24 @@ class ShardEvalState:
         """
         self.arrays = PacerArrays.from_capture(self.arrays.capture())
 
-    def scan(self) -> ReducedGraph:
-        """Revenue rows plus the shard-local per-slot top-list scan.
+    def scan(self) -> SlotLists:
+        """The shard-local per-slot top lists of the last evaluation.
 
-        The returned graph's per-slot lists have ``top_depth`` entries
-        (``num_slots + 1`` in the runtime, so the coordinator can both
-        pick global top-k candidates and GSP-price from the merged
-        lists); its ``weights`` rows are fresh copies safe to ship
-        across a process boundary.
+        Lists are ``top_depth`` deep (``num_slots + 1`` in the runtime,
+        so the coordinator can both match on the global top-k and
+        GSP-price from the merged lists), in shard-local ids; the
+        blocks are fresh arrays safe to ship across a process boundary.
 
         Rows whose program has left (streaming churn) are excluded
         from the scan entirely — a departed advertiser must never be
         allocated, and zero-weight edges *can* enter a maximum
         matching — so ids in the result always refer to live rows.
         """
-        click_bid_revenue_matrix(self.bid_out, self.click_model,
-                                 out=self.revenue)
-        self.revenue.adjusted(out=self.adjusted)
-        present = self.arrays.present
-        if present.all():
-            return reduce_graph(self.adjusted, backend="numpy",
-                                top_k=self.top_depth)
-        live = np.flatnonzero(present)
-        reduced = reduce_graph(self.adjusted[live], backend="numpy",
-                               top_k=self.top_depth)
-        return ReducedGraph(
-            candidates=tuple(int(live[row])
-                             for row in reduced.candidates),
-            weights=reduced.weights,
-            per_slot=tuple(tuple(int(live[row]) for row in slot_rows)
-                           for slot_rows in reduced.per_slot))
+        self._solver = SubsetSolver.for_membership(
+            self._solver, self.click_rows, self.arrays.present)
+        lists = self._solver.scan(self.bid_out, self.top_depth)
+        return SlotLists(ids=self._solver.active[lists.ids],
+                         values=lists.values)
 
 
 @dataclass

@@ -180,26 +180,6 @@ class AuctionEngine:
             planner.arrays.sync_to_programs()
         return records
 
-    def run_planned_auction(self, planner) -> AuctionRecord:
-        """One auction through ``planner``'s batched pipeline.
-
-        :meth:`run_batch` owns a fixed-count loop and the planner's
-        lifecycle; the streaming micro-batcher instead holds a planner
-        across query windows and asks for auctions one at a time.
-        Eager callers own the :meth:`~repro.auction.batch.PacerArrays
-        .sync_to_programs` barrier that :meth:`run_batch` applies
-        after its loop.
-        """
-        from repro.auction.batch import RhtaluBatchPlanner
-
-        if isinstance(planner, RhtaluBatchPlanner):
-            record = self._run_batched_rhtalu(planner)
-        else:
-            record = self._run_batched_auction(planner)
-        if self.interaction_log is not None:
-            self.interaction_log.record_outcome(record.outcome)
-        return record
-
     def _run_batched_rhtalu(self, planner) -> AuctionRecord:
         """One RHTALU auction inside a planned batch.
 

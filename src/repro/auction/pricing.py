@@ -133,6 +133,11 @@ class SlotListSecondPrice:
     quote *exactly* (same floats — the rival score is an element of the
     column either way).  ``tests/auction/test_pricing.py`` holds the
     two implementations to equality on random instances.
+
+    Every served ``rh`` path prices this way — the in-process service
+    holds the same lists the sharded coordinator merges (the
+    :mod:`repro.matching.slot_lists` kernel), so no path reads a full
+    weight column after the selection scan.
     """
 
     @staticmethod
@@ -145,20 +150,24 @@ class SlotListSecondPrice:
 
         ``slot_values[j]`` / ``slot_ids[j]`` are slot ``j``'s top
         weights and the advertisers holding them, descending (ties
-        toward the lower id), depth >= ``min(n, k + 1)``.  ``bids`` and
+        toward the lower id), depth >= ``min(n, k + 1)`` and the same
+        for every slot (a :class:`~repro.matching.slot_lists.SlotLists`
+        block).  ``bids`` and
         ``click_probs`` are indexed by the same advertiser ids the
         lists and ``matching`` use.
         """
         winners = sorted(matching.pairs, key=lambda pair: pair[1])
+        slot_ids = np.asarray(slot_ids).tolist()
+        slot_values = np.asarray(slot_values).tolist()
         excluded: set[int] = set()
         quotes = []
         for advertiser, col in winners:
             # Rivals: everyone not placed in this slot or above.
             excluded.add(advertiser)
             rival_best = 0.0
-            for value, rival in zip(slot_values[col], slot_ids[col]):
-                if int(rival) not in excluded:
-                    rival_best = max(float(value), 0.0)
+            for rival, value in zip(slot_ids[col], slot_values[col]):
+                if rival not in excluded:
+                    rival_best = max(value, 0.0)
                     break
             w = float(click_probs[advertiser, col])
             if w <= 0.0:

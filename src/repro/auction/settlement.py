@@ -86,7 +86,7 @@ class AuctionSettler:
 
     def settle(self, auction_id: int, query: Query,
                slot_of: Mapping[int, int], matching: MatchingResult,
-               expected_revenue: float, weights: np.ndarray,
+               expected_revenue: float, weights: np.ndarray | None,
                bids: np.ndarray, eval_seconds: float,
                wd_seconds: float, num_candidates: int,
                notify_fn: NotifyFn,
@@ -101,9 +101,10 @@ class AuctionSettler:
         rows) may be candidate-local when ``id_map`` translates rows to
         advertiser ids — the RHTALU and sharded leaf-scan paths — or
         global when ``id_map`` is ``None``.  ``quote_fn``, when given,
-        replaces ``self.pricing.quote`` (the sharded coordinator prices
-        from merged per-slot rival lists instead of a full matrix); it
-        must produce quotes equal to the pricing rule's.  ``wd_stats``
+        replaces ``self.pricing.quote`` (the served ``rh`` paths price
+        from per-slot rival lists instead of a full matrix, and the
+        sharded coordinator holds no ``weights`` at all); it must
+        produce quotes equal to the pricing rule's.  ``wd_stats``
         is stamped on the record for the phase profiler (parallel
         winner-determination accounting).
         """

@@ -37,6 +37,7 @@ from repro.core.validation import (
 from repro.core.winner_determination import (
     METHODS,
     Method,
+    SubsetSolver,
     SubsetWdResult,
     WdResult,
     allocation_from_matching,
@@ -65,6 +66,7 @@ __all__ = [
     "exact_slot_only_wd",
     "expected_revenue_of_allocation",
     "parallel_speedup_model",
+    "SubsetSolver",
     "SubsetWdResult",
     "results_agree",
     "solve_on_subset",

@@ -18,6 +18,10 @@ RHTALU (method four of the experiments) is not a solver of this module:
 it changes how the *candidates and bids* are produced (Section IV) and
 lives in :mod:`repro.evaluation.evaluator`; its final matching step is
 the same reduced Hungarian.
+
+Every ``rh`` solve here — :func:`solve`, :class:`SubsetSolver` — is the
+slot-list kernel of :mod:`repro.matching.slot_lists`: one vectorised
+top-list scan, then the Hungarian driven by those lists.
 """
 
 from __future__ import annotations
@@ -33,11 +37,12 @@ from repro.lang.predicates import AdvertiserId
 from repro.matching.brute_force import brute_force_matching
 from repro.matching.hungarian import max_weight_matching
 from repro.matching.lp import lp_matching
-from repro.matching.reduction import (
-    reduced_matching,
-    reduced_matching_columns,
-)
 from repro.matching.greedy_separable import separable_matching
+from repro.matching.slot_lists import (
+    SlotLists,
+    match_slot_lists,
+    select_slot_lists,
+)
 from repro.matching.types import MatchingResult
 from repro.probability.click_models import ClickModel
 from repro.probability.separable import NotSeparableError, factorize
@@ -82,12 +87,12 @@ def solve(revenue: RevenueMatrix, method: Method = "rh",
                                        backend="python")
     elif method == "rh":
         # The top-k scan is the trivially-parallel part of RH (the paper
-        # distributes it over a tree network); the vectorised backend is
-        # our single-process stand-in for that.  The heap backend — the
-        # paper's O(nk log k) scan — is exercised by the reduction
+        # distributes it over a tree network); the vectorised selection
+        # is our single-process stand-in for that.  The heap backend —
+        # the paper's O(nk log k) scan — is exercised by the reduction
         # ablation bench and the matching tests.
-        matching = reduced_matching(adjusted, select_backend="numpy",
-                                    hungarian_backend="auto")
+        matching = match_slot_lists(select_slot_lists(
+            np.asarray(adjusted, dtype=float).T, revenue.num_slots))
     elif method == "separable":
         matching = _separable_solve(adjusted)
     elif method == "brute":
@@ -125,7 +130,10 @@ class SubsetWdResult:
     / ``click_rows`` / ``candidate_bids``); ``slot_of`` and ``id_map``
     carry the translation back to global advertiser ids — exactly the
     candidate-local shape :meth:`repro.auction.settlement
-    .AuctionSettler.settle` consumes.
+    .AuctionSettler.settle` consumes.  ``slot_lists`` (method ``rh``
+    only) are the ``k + 1``-deep top lists the matching was solved
+    from, in subset-local ids — what GSP prices from.  The arrays alias
+    solver-owned buffers valid until its next solve.
     """
 
     weights: np.ndarray
@@ -135,75 +143,41 @@ class SubsetWdResult:
     id_map: list[int]
     candidate_bids: np.ndarray
     click_rows: np.ndarray
+    slot_lists: SlotLists | None = None
 
 
-def solve_on_subset(click_matrix: np.ndarray, bids: np.ndarray,
-                    active: np.ndarray,
-                    method: Method = "rh") -> SubsetWdResult:
-    """Solve one click-bid auction on the surviving population only.
+class SubsetSolver:
+    """Click-bid winner determination on one live advertiser subset.
 
     The online serving layer's winner-determination rule: departed
     advertisers are *excluded* from the candidate space (zero-weight
     edges can enter a maximum matching, so zeroing their bids is not
-    enough).  Both the in-process service and the sharded
-    coordinator's gather path route through this one function — their
-    bit-identity across execution modes depends on computing the
-    subset weights with the same float operations, so the logic lives
-    in exactly one place.  An empty subset yields an empty matching
-    without invoking a solver.
-    """
-    num_slots = click_matrix.shape[1]
-    if len(active) == 0:
-        return SubsetWdResult(
-            weights=np.zeros((0, num_slots)),
-            matching=MatchingResult(pairs=(), total_weight=0.0),
-            expected_revenue=0.0, slot_of={}, id_map=[],
-            candidate_bids=np.zeros(0),
-            click_rows=np.zeros((0, num_slots)))
-    # Same per-element ops as click_bid_revenue_matrix, on the subset.
-    weights = click_matrix[active] * bids[active][:, None]
-    revenue = RevenueMatrix(assigned=weights,
-                            unassigned=np.zeros(len(active)))
-    result = solve(revenue, method=method, adjusted=weights)
-    slot_of = {int(active[row]): col + 1
-               for row, col in result.matching.pairs}
-    return SubsetWdResult(
-        weights=weights,
-        matching=result.matching,
-        expected_revenue=result.expected_revenue,
-        slot_of=slot_of,
-        id_map=[int(advertiser) for advertiser in active],
-        candidate_bids=bids[active],
-        click_rows=click_matrix[active])
+    enough).  Everything that depends only on the membership — the id
+    map, the active click rows, the weight buffers — is computed at
+    construction, so a solver serves every query until the membership
+    moves; :meth:`for_membership` is how the in-process service and
+    the shard leaves keep one across queries.  The per-query work is
+    the weight refresh
+    (``click[i, j] * bid[i]``, the operand pairs of
+    ``click_bid_revenue_matrix``) and the solve; every execution
+    strategy routes through this class, which is what makes their
+    bit-identity structural.
 
-
-class SubsetWindowSolver:
-    """:func:`solve_on_subset` with membership-scoped caches.
-
-    The streaming micro-batcher dispatches maximal runs of consecutive
-    queries with **no membership change between them** (control events
-    flush the window; service-originated pauses invalidate it), so
-    everything that depends only on the active set — the id map, the
-    active click rows, the weight buffers — is computed once per
-    window instead of once per query.  The per-query work that remains
-    is exactly the arithmetic :func:`solve_on_subset` performs, in the
-    same float operations, so results are bit-identical to the
-    uncached path (the oracle suites assert this).
-
-    For method ``rh`` the weights are kept slot-major: the reduction's
-    per-slot scan then runs over contiguous rows
-    (:func:`repro.matching.reduction.reduce_graph_columns`), and the
-    row-major ``weights`` every downstream consumer sees is a
-    transposed *view* of the same buffer — identical values, zero
-    copies.
+    For method ``rh`` the weights are kept slot-major — the layout the
+    selection scan of :mod:`repro.matching.slot_lists` reads — and the
+    row-major ``weights`` downstream consumers see is a transposed
+    *view* of the same buffer.
     """
 
     def __init__(self, click_matrix: np.ndarray, active: np.ndarray,
                  method: Method = "rh"):
+        if method not in ("rh", "lp", "hungarian"):
+            raise ValueError(f"unsupported subset method {method!r}")
         self.method = method
         self.num_slots = click_matrix.shape[1]
-        self.active = np.asarray(active)
-        self.id_map = [int(advertiser) for advertiser in self.active]
+        self.active = np.asarray(active, dtype=np.int64)
+        self.present: np.ndarray | None = None
+        self.id_map: list[int] = self.active.tolist()
         self.click_rows = click_matrix[self.active]
         self._bids = np.empty(len(self.active))
         if method == "rh":
@@ -212,34 +186,54 @@ class SubsetWindowSolver:
         else:
             self._weights = np.empty_like(self.click_rows)
 
-    def solve(self, bids: np.ndarray) -> SubsetWdResult:
-        if len(self.active) == 0:
-            return solve_on_subset(self.click_rows.reshape(
-                (0, self.num_slots)), bids, self.active,
-                method=self.method)
+    @classmethod
+    def for_membership(cls, cached: "SubsetSolver | None",
+                       click_matrix: np.ndarray, present: np.ndarray,
+                       method: Method = "rh") -> "SubsetSolver":
+        """``cached`` if it was built for exactly this membership mask
+        (``present[i]`` = advertiser ``i`` is live), else a new solver.
+
+        Comparing masks costs O(n) bytes per query and needs no
+        invalidation hooks: whatever moved the membership — a join, a
+        pause landing mid-window, a restored capture — the next query
+        sees it."""
+        if cached is not None and np.array_equal(cached.present, present):
+            return cached
+        solver = cls(click_matrix, np.flatnonzero(present), method)
+        solver.present = present.copy()
+        return solver
+
+    def scan(self, bids: np.ndarray, depth: int) -> SlotLists:
+        """Refresh the weights from population-wide ``bids`` and select
+        every slot's top-``depth`` list (subset-local ids; ``rh``)."""
         np.take(bids, self.active, out=self._bids)
-        if self.method == "rh":
-            # weights_t[j, i] = click[i, j] * bid[i]: the same operand
-            # pairs as click_matrix[active] * bids[active][:, None],
-            # multiplied in the same order — transposed layout only.
-            np.multiply(self._click_cols, self._bids[None, :],
-                        out=self._weights_t)
+        # weights_t[j, i] = click[i, j] * bid[i]: the same operand
+        # pairs as click_matrix[active] * bids[active][:, None] —
+        # transposed layout only.
+        np.multiply(self._click_cols, self._bids[None, :],
+                    out=self._weights_t)
+        return select_slot_lists(self._weights_t, depth)
+
+    def solve(self, bids: np.ndarray) -> SubsetWdResult:
+        slot_lists = None
+        if len(self.active) == 0:
+            weights = np.zeros((0, self.num_slots))
+            matching = MatchingResult(pairs=(), total_weight=0.0)
+        elif self.method == "rh":
+            # k + 1 deep: the matching reads k, GSP's rival scan one more.
+            slot_lists = self.scan(bids, self.num_slots + 1)
             weights = self._weights_t.T
-            matching = reduced_matching_columns(
-                self._weights_t, hungarian_backend="auto")
+            matching = match_slot_lists(slot_lists, self.num_slots)
         else:
-            np.multiply(self.click_rows, self._bids[:, None],
-                        out=self._weights)
-            weights = self._weights
+            np.take(bids, self.active, out=self._bids)
+            weights = np.multiply(self.click_rows, self._bids[:, None],
+                                  out=self._weights)
             if self.method == "lp":
                 matching = lp_matching(weights).matching
-            elif self.method == "hungarian":
+            else:
                 matching = max_weight_matching(
                     weights, allow_unmatched=True, backend="python")
-            else:
-                raise ValueError(
-                    f"unsupported window method {self.method!r}")
-        slot_of = {int(self.active[row]): col + 1
+        slot_of = {self.id_map[row]: col + 1
                    for row, col in matching.pairs}
         # expected = baseline + weight; the subset baseline is an
         # all-zeros unassigned column, so the sum is exactly 0.0.
@@ -250,7 +244,16 @@ class SubsetWindowSolver:
             slot_of=slot_of,
             id_map=self.id_map,
             candidate_bids=self._bids,
-            click_rows=self.click_rows)
+            click_rows=self.click_rows,
+            slot_lists=slot_lists)
+
+
+def solve_on_subset(click_matrix: np.ndarray, bids: np.ndarray,
+                    active: np.ndarray,
+                    method: Method = "rh") -> SubsetWdResult:
+    """One auction on the surviving population: a single-use
+    :class:`SubsetSolver`."""
+    return SubsetSolver(click_matrix, active, method).solve(bids)
 
 
 def allocation_from_matching(matching: MatchingResult,

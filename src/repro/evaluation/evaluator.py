@@ -13,9 +13,10 @@ n·k expected revenues (method RH), RHTALU:
    keyword's merged bid walk — touching only a prefix of each, all
    slots fused into one block kernel
    (:func:`~repro.evaluation.threshold.product_top_k_all_slots`);
-3. runs the Hungarian algorithm on the union of the per-slot top-k
-   lists (the same reduced matching RH uses), refilling preallocated
-   weight and solver buffers in place.
+3. runs the list-driven Hungarian on the per-slot top-k lists — the
+   same :mod:`repro.matching.slot_lists` kernel method RH uses; the
+   candidate-aligned bid/click/weight rows pricing reads are refilled
+   in preallocated buffers.
 
 The result is equivalent to RH on eagerly-evaluated programs (same
 expected revenue; tests verify), at a per-auction cost that barely grows
@@ -35,7 +36,7 @@ from repro.evaluation.pacer_state import LazyPacerState
 from repro.evaluation.sorted_index import ColumnArgsortIndex
 from repro.evaluation.threshold import product_top_k_all_slots
 from repro.lang.outcome import Allocation
-from repro.matching.hungarian import HungarianScratch, max_weight_matching
+from repro.matching.slot_lists import SlotLists, match_slot_lists
 from repro.matching.types import MatchingResult
 
 
@@ -54,9 +55,9 @@ class RhtaluScanResult:
 
     keyword: str
     time: float
-    slot_ids: tuple[np.ndarray, ...]
+    slot_lists: SlotLists
     """Per slot, the top-``top_depth`` advertiser ids by bid x click
-    score (ties toward the lower id)."""
+    score (ties toward the lower id), with those scores."""
     candidates: np.ndarray
     """Ascending union of the per-slot lists."""
     candidate_bids: np.ndarray
@@ -69,8 +70,8 @@ class RhtaluAuctionResult:
     """One auction's outcome under RHTALU, with work accounting.
 
     ``candidate_bids`` / ``candidate_clicks`` / ``weights`` are the
-    candidate-aligned arrays the reduced matching was solved on (rows
-    follow ``candidates``); they alias evaluator-owned buffers and are
+    candidate-aligned arrays pricing reads (rows follow
+    ``candidates``); they alias evaluator-owned buffers and are
     valid until the next ``run_auction`` call — callers that need them
     longer must copy.
     """
@@ -137,7 +138,7 @@ class RhtaluEvaluator:
         self.slot_index = ColumnArgsortIndex(matrix,
                                              members=state.active_ids())
         # Preallocated per-auction buffers: TA score histories, the
-        # candidate mask, and the candidate-aligned matching inputs.
+        # candidate mask, and the candidate-aligned pricing inputs.
         n, k = matrix.shape
         capacity = max(1, min(n, k * self.top_depth))
         self._a_scores = np.empty((n, k))
@@ -146,8 +147,6 @@ class RhtaluEvaluator:
         self._clicks = np.empty((capacity, k))
         self._bids = np.empty(capacity)
         self._weights = np.empty((capacity, k))
-        self._scratch = HungarianScratch(min(capacity, k),
-                                         max(capacity, k))
 
     def scan_auction(self, keyword: str, time: float) -> RhtaluScanResult:
         """Advance state and select candidates by TA (no matching).
@@ -166,8 +165,7 @@ class RhtaluEvaluator:
             self._a_scores, self._b_scores)
 
         mask = self._candidate_mask
-        for slot_winners in selection.slot_ids:
-            mask[slot_winners] = True
+        mask[selection.slot_ids.ravel()] = True
         ordered = np.flatnonzero(mask)
         mask[ordered] = False
 
@@ -176,7 +174,8 @@ class RhtaluEvaluator:
         return RhtaluScanResult(
             keyword=keyword,
             time=time,
-            slot_ids=tuple(selection.slot_ids),
+            slot_lists=SlotLists(ids=selection.slot_ids,
+                                 values=selection.slot_values),
             candidates=ordered,
             candidate_bids=bids,
             sequential_count=selection.sequential_count,
@@ -195,20 +194,13 @@ class RhtaluEvaluator:
         weights = self._weights[:count]
         np.multiply(clicks, bids[:, None], out=weights)
 
-        matching = max_weight_matching(weights, allow_unmatched=True,
-                                       backend="auto",
-                                       scratch=self._scratch)
-        pairs = tuple(sorted((int(ordered[row]), col)
-                             for row, col in matching.pairs))
-        global_matching = MatchingResult(pairs=pairs,
-                                         total_weight=matching.total_weight)
-        allocation = allocation_from_matching(global_matching,
-                                              self.num_slots)
+        matching = match_slot_lists(scan.slot_lists, self.num_slots)
+        allocation = allocation_from_matching(matching, self.num_slots)
         return RhtaluAuctionResult(
             allocation=allocation,
-            matching=global_matching,
+            matching=matching,
             expected_revenue=matching.total_weight,
-            candidates=tuple(int(advertiser) for advertiser in ordered),
+            candidates=tuple(ordered.tolist()),
             sequential_count=scan.sequential_count,
             random_count=scan.random_count,
             candidate_bids=bids,

@@ -158,7 +158,8 @@ def product_aggregate(attributes: Sequence[float]) -> float:
 class SlotTopKResult:
     """Fused-kernel output: per-slot winners plus access accounting."""
 
-    slot_ids: list  # per slot, an int array of the top-k ids
+    slot_ids: np.ndarray  # (num_slots, depth): each slot's top-k ids
+    slot_values: np.ndarray  # their scores, aligned with ``slot_ids``
     stop_depth: np.ndarray  # rounds of sorted access walked per slot
     sequential_count: int
     random_count: int
@@ -210,10 +211,12 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
         raise ValueError(
             f"bid walk covers {len(bid_ids)} ids, click index {num_ids}; "
             "the threshold algorithm needs every id in every source")
-    if k <= 0:
-        return SlotTopKResult([np.empty(0, dtype=np.int64)] * num_slots,
+    depth = max(min(k, num_ids), 0)
+    slot_ids = np.empty((num_slots, depth), dtype=np.int64)
+    slot_values = np.empty((num_slots, depth))
+    if depth == 0:
+        return SlotTopKResult(slot_ids, slot_values,
                               np.zeros(num_slots, dtype=np.int64), 0, 0)
-    depth = min(k, num_ids)
     block = max(block, depth)
     if a_scores is None:
         a_scores = np.empty((num_ids, num_slots))
@@ -266,8 +269,9 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
     # depth (the block-granular stop rule quantizes depths, so most
     # slots share one): stack each group's click-walk and bid-walk
     # prefixes, mask bid-walk duplicates to -inf, and take every
-    # column's top ids with one lexsort over (score desc, id asc).
-    slot_ids: list[np.ndarray | None] = [None] * num_slots
+    # column's top ids with one lexsort over (score desc, id asc).  At
+    # least ``walked >= depth`` click-walk scores are finite, so the
+    # masked duplicates never surface.
     sequential_count = 0
     random_count = 0
     for walked in np.unique(stop_depth):
@@ -284,16 +288,13 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
              np.where(fresh, b_scores[:walked, :][:, cols], -np.inf)],
             axis=0)
         best = np.lexsort((ids_all, -scores_all), axis=0)[:depth]
-        winners = np.take_along_axis(ids_all, best, axis=0)
-        # Duplicates were masked to -inf; with fewer than ``depth``
-        # distinct positive-or-zero scores they can still surface, so
-        # trim them per column (rare: only when walked < depth).
-        kept = np.take_along_axis(scores_all, best, axis=0) > -np.inf
-        for slot, col in enumerate(cols):
-            slot_ids[col] = winners[kept[:, slot], slot]
+        slot_ids[cols] = np.take_along_axis(ids_all, best, axis=0).T
+        slot_values[cols] = np.take_along_axis(scores_all, best,
+                                               axis=0).T
         sequential_count += 2 * walked * len(cols)
         random_count += walked * len(cols) + int(np.count_nonzero(fresh))
-    return SlotTopKResult(slot_ids=slot_ids, stop_depth=stop_depth,
+    return SlotTopKResult(slot_ids=slot_ids, slot_values=slot_values,
+                          stop_depth=stop_depth,
                           sequential_count=sequential_count,
                           random_count=random_count)
 

@@ -3,9 +3,9 @@
 From-scratch implementations of every allocation algorithm the paper
 uses or compares against: the Hungarian algorithm (methods H and RH), the
 winner-determination LP with both HiGHS and a from-scratch simplex, the
-incumbent separable allocator, the top-k graph reduction, the simulated
-parallel tree network, brute-force oracles, and the Theorem 3 hardness
-gadget.
+incumbent separable allocator, the top-k graph reduction, the slot-list
+serving kernel built on it, the simulated parallel tree network,
+brute-force oracles, and the Theorem 3 hardness gadget.
 """
 
 from repro.matching.auction_algorithm import (
@@ -48,6 +48,12 @@ from repro.matching.simplex import (
     UnboundedError,
     solve_lp_maximize,
 )
+from repro.matching.slot_lists import (
+    SlotLists,
+    match_slot_lists,
+    merge_slot_lists,
+    select_slot_lists,
+)
 from repro.matching.tree_network import (
     TreeAggregationResult,
     TreeAggregationStats,
@@ -68,6 +74,7 @@ __all__ = [
     "ReducedGraph",
     "SimplexError",
     "SimplexResult",
+    "SlotLists",
     "TreeAggregationResult",
     "TreeAggregationStats",
     "UnboundedError",
@@ -79,13 +86,16 @@ __all__ = [
     "build_constraints",
     "enumerate_allocations",
     "lp_matching",
+    "match_slot_lists",
     "max_weight_matching",
     "max_weighted_forward_edges",
+    "merge_slot_lists",
     "merge_top_k",
     "min_cost_assignment",
     "optimality_slack",
     "reduce_graph",
     "reduced_matching",
+    "select_slot_lists",
     "separable_matching",
     "solve_lp_maximize",
     "top_advertisers",

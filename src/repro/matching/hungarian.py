@@ -52,42 +52,8 @@ class HungarianError(ValueError):
     """Raised for malformed inputs to the Hungarian solver."""
 
 
-class HungarianScratch:
-    """Caller-owned buffers for repeated solves up to a fixed size.
-
-    Hot loops (the RHTALU evaluator runs one reduced matching per
-    auction) can preallocate the solver's working set once — the signed
-    cost matrix with its dummy columns, the padded numpy-kernel matrix,
-    and the per-phase Dijkstra vectors — and pass it to
-    :func:`max_weight_matching` / :func:`min_cost_assignment`, turning
-    per-call allocations into in-place refills.  A scratch sized for
-    ``(max_rows, max_cols)`` serves any smaller problem; oversized
-    problems fall back to fresh allocations.  Only the numpy backend
-    uses the kernel buffers (the scalar backend works on lists), but
-    the cost buffer helps both.
-    """
-
-    def __init__(self, max_rows: int, max_cols: int):
-        # allow_unmatched appends one dummy column per row.
-        total = max_cols + max_rows
-        self.max_rows = max_rows
-        self.max_cols = total
-        self.cost = np.empty((max_rows, total))
-        self.padded = np.empty((max_rows + 1, total + 1))
-        self.u = np.empty(max_rows + 1)
-        self.v = np.empty(total + 1)
-        self.matched_row = np.empty(total + 1, dtype=np.int64)
-        self.way = np.empty(total + 1, dtype=np.int64)
-        self.minv = np.empty(total + 1)
-        self.used = np.empty(total + 1, dtype=bool)
-
-    def fits(self, rows: int, cols: int) -> bool:
-        return rows <= self.max_rows and cols <= self.max_cols
-
-
 def min_cost_assignment(cost: Sequence[Sequence[float]] | np.ndarray,
-                        backend: Backend = "auto",
-                        scratch: HungarianScratch | None = None
+                        backend: Backend = "auto"
                         ) -> tuple[list[int], float]:
     """Minimum-cost assignment of every row to a distinct column.
 
@@ -96,7 +62,6 @@ def min_cost_assignment(cost: Sequence[Sequence[float]] | np.ndarray,
 
     This is the raw Kuhn-Munkres/Jonker-Volgenant kernel; use
     :func:`max_weight_matching` for the maximisation/matching wrapper.
-    ``scratch`` lets callers own the numpy backend's working buffers.
     """
     matrix = np.asarray(cost, dtype=float)
     if matrix.ndim != 2:
@@ -113,7 +78,7 @@ def min_cost_assignment(cost: Sequence[Sequence[float]] | np.ndarray,
     if backend == "auto":
         backend = "numpy" if num_cols >= 128 else "python"
     if backend == "numpy":
-        assignment = _solve_numpy(matrix, scratch)
+        assignment = _solve_numpy(matrix)
     else:
         assignment = _solve_python(matrix.tolist(), num_rows, num_cols)
     total = float(sum(matrix[i, j] for i, j in enumerate(assignment)))
@@ -122,9 +87,7 @@ def min_cost_assignment(cost: Sequence[Sequence[float]] | np.ndarray,
 
 def max_weight_matching(weights: Sequence[Sequence[float]] | np.ndarray,
                         allow_unmatched: bool = True,
-                        backend: Backend = "auto",
-                        scratch: HungarianScratch | None = None
-                        ) -> MatchingResult:
+                        backend: Backend = "auto") -> MatchingResult:
     """Maximum-weight bipartite matching of a (left x right) weight matrix.
 
     Every left and right item is used at most once.  With
@@ -132,10 +95,6 @@ def max_weight_matching(weights: Sequence[Sequence[float]] | np.ndarray,
     edges with positive weight ever enter the matching; otherwise the
     smaller side is matched completely (a perfect-on-the-smaller-side
     assignment, possibly through negative edges).
-
-    ``scratch``, when given and large enough, receives the signed cost
-    matrix (and the numpy backend's working vectors) in place of fresh
-    per-call allocations; results are identical either way.
     """
     matrix = np.asarray(weights, dtype=float)
     if matrix.ndim != 2:
@@ -149,20 +108,12 @@ def max_weight_matching(weights: Sequence[Sequence[float]] | np.ndarray,
     oriented = matrix.T if transposed else matrix
     rows, cols = oriented.shape
 
-    total_cols = cols + rows if allow_unmatched else cols
-    if scratch is not None and scratch.fits(rows, total_cols):
-        cost = scratch.cost[:rows, :total_cols]
-        np.negative(oriented, out=cost[:, :cols])
-        if allow_unmatched:
-            # One dummy column per row: "match nothing" at cost 0.
-            cost[:, cols:] = 0.0
-    else:
-        cost = -oriented
-        if allow_unmatched:
-            cost = np.hstack([cost, np.zeros((rows, rows))])
+    cost = -oriented
+    if allow_unmatched:
+        # One dummy column per row: "match nothing" at cost 0.
+        cost = np.hstack([cost, np.zeros((rows, rows))])
 
-    assignment, _ = min_cost_assignment(cost, backend=backend,
-                                        scratch=scratch)
+    assignment, _ = min_cost_assignment(cost, backend=backend)
 
     pairs = []
     for row, col in enumerate(assignment):
@@ -228,39 +179,23 @@ def _solve_python(cost: list[list[float]], num_rows: int,
     return assignment
 
 
-def _solve_numpy(cost: np.ndarray,
-                 scratch: HungarianScratch | None = None) -> list[int]:
+def _solve_numpy(cost: np.ndarray) -> list[int]:
     """Vectorised variant: per-phase column scans as numpy operations."""
     num_rows, num_cols = cost.shape
-    if scratch is not None and scratch.fits(num_rows, num_cols):
-        u = scratch.u[:num_rows + 1]
-        v = scratch.v[:num_cols + 1]
-        matched_row = scratch.matched_row[:num_cols + 1]
-        way = scratch.way[:num_cols + 1]
-        padded = scratch.padded[:num_rows + 1, :num_cols + 1]
-        minv_buf = scratch.minv[:num_cols + 1]
-        used_buf = scratch.used[:num_cols + 1]
-        u[:] = 0.0
-        v[:] = 0.0
-        matched_row[:] = 0
-        way[:] = 0
-    else:
-        u = np.zeros(num_rows + 1)
-        v = np.zeros(num_cols + 1)
-        matched_row = np.zeros(num_cols + 1, dtype=np.int64)
-        way = np.zeros(num_cols + 1, dtype=np.int64)
-        padded = np.empty((num_rows + 1, num_cols + 1))
-        minv_buf = np.empty(num_cols + 1)
-        used_buf = np.empty(num_cols + 1, dtype=bool)
+    u = np.zeros(num_rows + 1)
+    v = np.zeros(num_cols + 1)
+    matched_row = np.zeros(num_cols + 1, dtype=np.int64)
+    way = np.zeros(num_cols + 1, dtype=np.int64)
+    padded = np.empty((num_rows + 1, num_cols + 1))
+    minv = np.empty(num_cols + 1)
+    used = np.empty(num_cols + 1, dtype=bool)
     # Pad a leading column so indices line up with the 1-based algorithm.
     padded[1:, 1:] = cost
 
     for i in range(1, num_rows + 1):
         matched_row[0] = i
         j0 = 0
-        minv = minv_buf
         minv[:] = _INF
-        used = used_buf
         used[:] = False
         while True:
             used[j0] = True

@@ -15,9 +15,14 @@ Two selection backends are provided:
 
 * ``heap`` — a size-k priority heap per slot, O(n k log k) total; this is
   the paper's stated bound and the backend the benchmarks use;
-* ``numpy`` — ``argpartition`` per slot, O(n k) with C constants, used by
-  the ablation bench to show the reduction itself (not the heap) is the
-  source of the win.
+* ``numpy`` — the vectorised scan of the serving kernel
+  (:func:`repro.matching.slot_lists.select_slot_lists`), O(n k) with C
+  constants, used by the ablation bench to show the reduction itself
+  (not the heap) is the source of the win.
+
+Both feed the *dense* Hungarian here — the paper's method RH as
+stated, and the reference the list-driven serving kernel
+(:mod:`repro.matching.slot_lists`) is tested against.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from repro.matching.hungarian import Backend, max_weight_matching
+from repro.matching.slot_lists import select_slot_lists
 from repro.matching.types import MatchingResult
 
 SelectBackend = Literal["heap", "numpy"]
@@ -60,28 +66,15 @@ class ReducedGraph:
         return len(self.candidates)
 
 
-def top_k_for_slot(column: Sequence[float] | np.ndarray, k: int,
-                   backend: SelectBackend = "heap") -> list[int]:
+def top_k_for_slot(column: Sequence[float] | np.ndarray,
+                   k: int) -> list[int]:
     """Advertisers with the k highest weights in one slot's column.
 
     Descending weight order; ties break toward the lower advertiser id.
+    The paper's size-k heap scan, one column at a time.
     """
     if k <= 0:
         return []
-    if backend == "numpy":
-        col = np.asarray(column, dtype=float)
-        k_eff = min(k, len(col))
-        if k_eff == 0:
-            return []
-        # argpartition finds the top-k *values*; ties at the k-th value
-        # are arbitrary, so resolve the boundary deterministically toward
-        # lower advertiser ids (matching the heap backend).
-        part = np.argpartition(-col, k_eff - 1)[:k_eff]
-        kth_value = float(col[part].min())
-        above = np.flatnonzero(col > kth_value).tolist()
-        ties = sorted(np.flatnonzero(col == kth_value).tolist())
-        chosen = above + ties[:k_eff - len(above)]
-        return sorted(chosen, key=lambda i: (-col[i], i))
     heap: list[tuple[float, int]] = []
     for index, weight in enumerate(column):
         entry = (float(weight), -index)
@@ -130,9 +123,8 @@ def reduce_graph(weights: Sequence[Sequence[float]] | np.ndarray,
             per_slot.append(ids)
             survivors.update(ids)
     else:
-        for j in range(num_slots):
-            ids = tuple(top_k_for_slot(matrix[:, j], k, backend="numpy"))
-            per_slot.append(ids)
+        for ids in select_slot_lists(matrix.T, k).ids.tolist():
+            per_slot.append(tuple(ids))
             survivors.update(ids)
 
     candidates = tuple(sorted(survivors))
@@ -148,87 +140,6 @@ def reduced_matching(weights: Sequence[Sequence[float]] | np.ndarray,
                      ) -> MatchingResult:
     """Method RH: reduce, run the Hungarian, translate ids back."""
     reduced = reduce_graph(weights, backend=select_backend)
-    local = max_weight_matching(reduced.weights, allow_unmatched=True,
-                                backend=hungarian_backend)
-    pairs = tuple(sorted((reduced.candidates[row], col)
-                         for row, col in local.pairs))
-    return MatchingResult(pairs=pairs, total_weight=local.total_weight)
-
-
-def _top_k_of_row(row: np.ndarray, k_eff: int) -> tuple[int, ...]:
-    """Top-``k_eff`` indices of one *contiguous* weight row, in the
-    numpy backend's exact order (descending weight, ties toward the
-    lower index).  Partitioning at ``k_eff`` (not ``k_eff - 1``) puts
-    the first *excluded* value at the boundary position, so whether a
-    tie group straddles the cut is a single comparison — the full-row
-    fixup scan only runs when it actually does."""
-    if k_eff >= row.size:
-        chosen = range(row.size)
-    else:
-        part = np.argpartition(-row, k_eff)
-        selected = part[:k_eff]
-        kth_value = float(row[selected].min())
-        if float(row[part[k_eff]]) == kth_value:
-            # Ties at the k-th value straddle the partition boundary
-            # and argpartition chose arbitrarily among them; resolve
-            # toward lower indices exactly as top_k_for_slot does.
-            above = np.flatnonzero(row > kth_value).tolist()
-            ties = sorted(np.flatnonzero(row == kth_value).tolist())
-            chosen = above + ties[:k_eff - len(above)]
-        else:
-            chosen = selected.tolist()
-    return tuple(sorted(chosen, key=lambda i: (-row[i], i)))
-
-
-def reduce_graph_columns(weights_t: np.ndarray,
-                         top_k: int | None = None) -> ReducedGraph:
-    """The top-k reduction on a **slot-major** ``(k, n)`` weight matrix.
-
-    Identical output to ``reduce_graph(weights_t.T, backend="numpy")``
-    — same candidates, same per-slot order (descending weight, ties
-    toward the lower advertiser id), same sub-matrix values — but each
-    slot's scan runs over a contiguous row instead of a strided
-    column, which is what makes the streaming micro-batch path's
-    per-query selection cheap at large populations.  Callers that hold
-    the transposed weights (``weights_t[j, i] = weight of advertiser i
-    in slot j``) avoid the layout copy entirely.
-    """
-    matrix_t = np.asarray(weights_t, dtype=float)
-    if matrix_t.ndim != 2:
-        raise ValueError(
-            f"weights_t must be 2-D, got shape {matrix_t.shape}")
-    num_slots, num_advertisers = matrix_t.shape
-    k = num_slots if top_k is None else top_k
-    k_eff = min(k, num_advertisers)
-
-    per_slot: list[tuple[int, ...]] = []
-    survivors: set[int] = set()
-    if k_eff <= 0:
-        per_slot = [() for _ in range(num_slots)]
-    else:
-        for j in range(num_slots):
-            ids = _top_k_of_row(matrix_t[j], k_eff)
-            per_slot.append(ids)
-            survivors.update(ids)
-
-    candidates = tuple(sorted(survivors))
-    reduced = matrix_t.T[list(candidates), :] if candidates else \
-        np.empty((0, num_slots))
-    return ReducedGraph(candidates=candidates, weights=reduced,
-                        per_slot=tuple(per_slot))
-
-
-def reduced_matching_columns(weights_t: np.ndarray,
-                             hungarian_backend: Backend = "python"
-                             ) -> MatchingResult:
-    """Method RH from a slot-major ``(k, n)`` weight matrix.
-
-    Bit-identical to ``reduced_matching(weights_t.T,
-    select_backend="numpy", ...)``: the reduction yields the same
-    sub-matrix values, so the Hungarian sees the same instance and the
-    translated pairs sort identically.
-    """
-    reduced = reduce_graph_columns(weights_t)
     local = max_weight_matching(reduced.weights, allow_unmatched=True,
                                 backend=hungarian_backend)
     pairs = tuple(sorted((reduced.candidates[row], col)

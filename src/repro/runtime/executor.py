@@ -35,6 +35,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import time as time_module
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -55,12 +56,10 @@ from repro.core.winner_determination import (
     solve,
     solve_on_subset,
 )
-from repro.matching.hungarian import max_weight_matching
-from repro.matching.types import MatchingResult
+from repro.matching.slot_lists import match_slot_lists, merge_slot_lists
 from repro.runtime.messages import (
     ControlNotice,
     GatherReply,
-    RhtaluScanReply,
     ScanReply,
     ShardTask,
     Shutdown,
@@ -88,13 +87,14 @@ from repro.workloads.paper_workload import (
 
 _LOG = logging.getLogger(__name__)
 
-SCAN_METHODS = frozenset({"rh"})
-"""Methods whose per-slot top-list scan distributes over shards."""
+SCAN_METHODS = frozenset({"rh", "rhtalu"})
+"""Methods whose per-slot top-list scan distributes over shards (an
+eager leaf scan for ``rh``, a shard-sized TA walk for ``rhtalu``)."""
 
 _POLL_TICK = 0.05
 """Seconds between liveness checks while waiting on a worker pipe."""
 
-_ROUND_REPLIES = (ScanReply, GatherReply, RhtaluScanReply)
+_ROUND_REPLIES = (ScanReply, GatherReply)
 
 
 class ShardedAuctionRuntime:
@@ -439,8 +439,6 @@ class ShardedAuctionRuntime:
         replies = self._lockstep_round(query.text, now)
         if self.method in SCAN_METHODS:
             return self._merge_scan(query, now, replies)
-        if self.method == "rhtalu":
-            return self._merge_rhtalu(query, now, replies)
         return self._merge_gather(query, now, replies)
 
     def _lockstep_round(self, keyword: str, now: float) -> list:
@@ -572,46 +570,6 @@ class ShardedAuctionRuntime:
 
         return notify
 
-    def _merge_slot_lists(self, replies: Sequence,
-                          value_of) -> tuple[list[np.ndarray],
-                                             list[np.ndarray], int]:
-        """Merge per-shard slot lists into global descending top lists.
-
-        ``value_of(slots, ids)`` maps flat (slot, id) pairs to their
-        scores; the global order per slot is (score desc, id asc) — the
-        tie rule every selection backend in the repo uses, which is
-        what makes the merged prefix equal the single-process scan's
-        list.  Returns per-slot values, per-slot ids, and the merge
-        work (entries touched) for the parallel-WD accounting.
-        """
-        num_replies = len(replies)
-        flat_parts = [reply.slot_ids[slot] for slot in
-                      range(self.num_slots) for reply in replies]
-        counts = [len(part) for part in flat_parts]
-        slot_totals = [sum(counts[slot * num_replies:
-                               (slot + 1) * num_replies])
-                       for slot in range(self.num_slots)]
-        ids = np.concatenate(flat_parts)
-        slots = np.repeat(np.arange(self.num_slots, dtype=np.int64),
-                          slot_totals)
-        values = value_of(slots, ids)
-        # One lexsort for every slot at once: grouped by slot, then
-        # (score desc, id asc) within — the repo-wide selection order.
-        order = np.lexsort((ids, -values, slots))
-        ids = ids[order]
-        values = values[order]
-        slots = slots[order]
-        starts = np.searchsorted(slots,
-                                 np.arange(self.num_slots + 1))
-        merged_values: list[np.ndarray] = []
-        merged_ids: list[np.ndarray] = []
-        for slot in range(self.num_slots):
-            lo = starts[slot]
-            hi = min(starts[slot + 1], lo + self.top_depth)
-            merged_ids.append(ids[lo:hi])
-            merged_values.append(values[lo:hi])
-        return merged_values, merged_ids, len(order)
-
     def _wd_stats(self, leaf_work_max: int, merge_work: int) -> dict:
         return {
             "num_leaves": self.plan.num_shards,
@@ -624,54 +582,43 @@ class ShardedAuctionRuntime:
 
     def _merge_scan(self, query: Query, now: float,
                     replies: Sequence[ScanReply]) -> AuctionRecord:
-        """Method ``rh``: merge leaf top lists, match, price from lists."""
+        """Methods ``rh`` / ``rhtalu``: merge the leaves' slot lists,
+        match and price from them — the slot-list kernel
+        (:mod:`repro.matching.slot_lists`) with its scan distributed."""
         start = time_module.perf_counter()
-        ids_all = np.concatenate([reply.ids for reply in replies])
-        rows_all = np.vstack([reply.rows for reply in replies])
-        bids_all = np.concatenate([reply.bids for reply in replies])
-
-        def value_of(slots: np.ndarray, ids: np.ndarray) -> np.ndarray:
-            return rows_all[np.searchsorted(ids_all, ids), slots]
-
-        merged_values, merged_ids, merge_work = self._merge_slot_lists(
-            replies, value_of)
-        # Candidates are the union of the top-k prefixes (reduce_graph's
-        # rule); the k+1-deep lists exist for GSP's rival scans.
-        k = self.num_slots
-        candidates = np.unique(np.concatenate(
-            [ids[:k] for ids in merged_ids]))
-        sub = rows_all[np.searchsorted(ids_all, candidates)]
-        local = max_weight_matching(sub, allow_unmatched=True,
-                                    backend="auto")
-        pairs = tuple(sorted((int(candidates[row]), col)
-                             for row, col in local.pairs))
-        matching = MatchingResult(pairs=pairs,
-                                  total_weight=local.total_weight)
+        lists = merge_slot_lists([reply.lists for reply in replies],
+                                 self.top_depth)
+        # The k+1-deep lists exist for GSP's rival scans; the matching
+        # reads the top-k prefixes (the reduction's rule).
+        matching = match_slot_lists(lists, self.num_slots)
         allocation = allocation_from_matching(matching, self.num_slots)
         expected = 0.0 + matching.total_weight  # zero unassigned baseline
 
         bids = self._bids_buf
-        bids[:] = 0.0
-        bids[ids_all] = bids_all
-
-        def quote_fn(global_matching: MatchingResult):
-            return SlotListSecondPrice.quote_from_lists(
-                merged_values, merged_ids, bids, self.click_matrix,
-                global_matching)
+        for reply in replies:
+            bids[reply.lists.ids] = reply.slot_bids
+        quote_fn = partial(SlotListSecondPrice.quote_from_lists,
+                           lists.values, lists.ids, bids,
+                           self.click_matrix)
 
         eval_seconds = max(reply.eval_seconds for reply in replies)
         scan_seconds = max(reply.scan_seconds for reply in replies)
         leaf_work_max = max(reply.leaf_work for reply in replies)
+        merge_work = sum(reply.lists.ids.size for reply in replies)
         wd_seconds = (scan_seconds
                       + time_module.perf_counter() - start)
-        active = self._active_ids()
-        population = (self.num_advertisers if active is None
-                      else len(active))
+        if self.method == "rhtalu":
+            # TA's candidates: whoever made any slot's list.
+            num_candidates = len(np.unique(lists.ids))
+        else:
+            active = self._active_ids()
+            num_candidates = (self.num_advertisers if active is None
+                              else len(active))
         return self.settler.settle(
             self.auction_id, query, allocation.slot_of, matching,
-            expected, weights=sub, bids=bids,
+            expected, weights=None, bids=bids,
             eval_seconds=eval_seconds, wd_seconds=wd_seconds,
-            num_candidates=population,
+            num_candidates=num_candidates,
             notify_fn=self._route_notify(query, now),
             quote_fn=quote_fn,
             wd_stats=self._wd_stats(leaf_work_max, merge_work))
@@ -728,57 +675,6 @@ class ShardedAuctionRuntime:
             notify_fn=self._route_notify(query, now),
             id_map=id_map, click_rows=click_rows,
             wd_stats=self._wd_stats(leaf_work_max, coordinator_scan))
-
-    def _merge_rhtalu(self, query: Query, now: float,
-                      replies: Sequence[RhtaluScanReply]
-                      ) -> AuctionRecord:
-        """Method ``rhtalu``: merge shard TA scans, match, price."""
-        start = time_module.perf_counter()
-        cand_ids_all = np.concatenate(
-            [reply.cand_ids for reply in replies])
-        cand_bids_all = np.concatenate(
-            [reply.cand_bids for reply in replies])
-
-        def value_of(slots: np.ndarray, ids: np.ndarray) -> np.ndarray:
-            bids = cand_bids_all[np.searchsorted(cand_ids_all, ids)]
-            return self.click_matrix[ids, slots] * bids
-
-        _, merged_ids, merge_work = self._merge_slot_lists(
-            replies, value_of)
-        candidates = np.unique(np.concatenate(merged_ids))
-        clicks = self.click_matrix[candidates, :]
-        bids = cand_bids_all[np.searchsorted(cand_ids_all, candidates)]
-        weights = np.multiply(clicks, bids[:, None])
-        local = max_weight_matching(weights, allow_unmatched=True,
-                                    backend="auto")
-        pairs = tuple(sorted((int(candidates[row]), col)
-                             for row, col in local.pairs))
-        global_matching = MatchingResult(
-            pairs=pairs, total_weight=local.total_weight)
-        allocation = allocation_from_matching(global_matching,
-                                              self.num_slots)
-        # Settlement prices candidate-aligned rows (the engine's RHTALU
-        # path does the same): translate pairs back to local rows.
-        local_index = {int(advertiser): row
-                       for row, advertiser in enumerate(candidates)}
-        local_pairs = tuple((local_index[advertiser], col)
-                            for advertiser, col in pairs)
-        local_matching = MatchingResult(
-            pairs=local_pairs, total_weight=local.total_weight)
-
-        scan_seconds = max(reply.scan_seconds for reply in replies)
-        leaf_work_max = max(reply.leaf_work for reply in replies)
-        wd_seconds = (scan_seconds
-                      + time_module.perf_counter() - start)
-        return self.settler.settle(
-            self.auction_id, query, allocation.slot_of, local_matching,
-            expected_revenue=global_matching.total_weight,
-            weights=weights, bids=bids, eval_seconds=0.0,
-            wd_seconds=wd_seconds, num_candidates=len(candidates),
-            id_map=[int(advertiser) for advertiser in candidates],
-            click_rows=clicks,
-            notify_fn=self._route_notify(query, now),
-            wd_stats=self._wd_stats(leaf_work_max, merge_work))
 
 
 class StreamShardedRuntime(ShardedAuctionRuntime):

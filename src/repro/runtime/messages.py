@@ -5,7 +5,7 @@ One lockstep round per auction: the coordinator sends every worker a
 previous auction's wins routed to that shard** (piggybacked so a round
 is exactly one send and one receive per worker), and each worker
 answers with its protocol's reply.  All payloads are small — per-slot
-top lists, candidate rows, a bid slice — and advertiser ids on the wire
+top lists with their bids, a bid slice — and advertiser ids on the wire
 are always **global**; workers translate with their shard offset.
 
 Messages are plain picklable dataclasses; NumPy arrays cross the pipe
@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.matching.slot_lists import SlotLists
 
 
 @dataclass(frozen=True)
@@ -86,21 +88,24 @@ class ShardTask:
 
 @dataclass(frozen=True)
 class ScanReply:
-    """Eager leaf-scan protocol (method ``rh``): the shard's leaf data.
+    """Slot-list protocol (methods ``rh`` and ``rhtalu``): the shard's
+    leaf of the tree network.
 
-    ``ids`` (ascending global), ``rows`` (the matching weight rows),
-    and ``bids`` cover every advertiser in any of the shard's per-slot
-    top-``top_depth`` lists; ``slot_ids[j]`` is slot ``j``'s shard-local
-    top list in descending-weight order.  ``leaf_work`` counts the
-    entries the shard's scan touched (``m x k``), feeding the records'
-    parallel-WD accounting.
+    ``lists`` are the shard's per-slot top-``top_depth`` lists in
+    *global* ids — an eager leaf scan (``rh``) or a shard-sized
+    threshold-algorithm walk (``rhtalu``) — and ``slot_bids`` the
+    per-click bids aligned with ``lists.ids`` (the cap GSP needs for
+    whoever wins).  The coordinator merges the lists, matches and
+    prices from them; no weight row ever crosses the pipe.
+    ``leaf_work`` counts the entries the shard's scan touched (``m x
+    k`` eager, sorted + random accesses for TA — execution-shape
+    dependent: a sharded TA stops each shard's walk locally), feeding
+    the records' parallel-WD accounting.
     """
 
     auction_id: int
-    ids: np.ndarray
-    rows: np.ndarray
-    bids: np.ndarray
-    slot_ids: tuple[np.ndarray, ...]
+    lists: SlotLists
+    slot_bids: np.ndarray
     eval_seconds: float
     scan_seconds: float
     leaf_work: int
@@ -119,33 +124,6 @@ class GatherReply:
     auction_id: int
     bids: np.ndarray
     eval_seconds: float
-    leaf_work: int
-    epoch: int = 0
-    """Echo of the task's epoch (stale replies are discarded)."""
-    metrics: dict | None = None
-    """Piggybacked worker-side observability counters (see
-    :class:`ScanReply`)."""
-
-
-@dataclass(frozen=True)
-class RhtaluScanReply:
-    """RHTALU protocol: the shard evaluator's TA scan.
-
-    ``cand_ids`` (ascending global) and ``cand_bids`` cover the shard's
-    candidate union; ``slot_ids[j]`` is slot ``j``'s top list.  Access
-    counts aggregate into the run's work accounting (they are
-    execution-shape dependent: a sharded TA stops each shard's walk
-    locally, so totals legitimately differ from the single-process
-    scan's).
-    """
-
-    auction_id: int
-    cand_ids: np.ndarray
-    cand_bids: np.ndarray
-    slot_ids: tuple[np.ndarray, ...]
-    scan_seconds: float
-    sequential_count: int
-    random_count: int
     leaf_work: int
     epoch: int = 0
     """Echo of the task's epoch (stale replies are discarded)."""

@@ -43,10 +43,10 @@ from multiprocessing.connection import Connection
 import numpy as np
 
 from repro.auction.batch import PacerArrays, ShardEvalState
+from repro.matching.slot_lists import SlotLists
 from repro.runtime.messages import (
     ControlNotice,
     GatherReply,
-    RhtaluScanReply,
     ScanReply,
     ShardTask,
     Shutdown,
@@ -210,18 +210,13 @@ class EagerScanShard(_EagerChurnMixin):
             self.apply_control(control)
         self.state.evaluate(task.keyword, task.time)
         eval_done = time_module.process_time()
-        reduced = self.state.scan()
+        lists = self.state.scan()
         scan_done = time_module.process_time()
-        ids = np.asarray(reduced.candidates, dtype=np.int64)
-        bids = self.state.bid_out[ids]
         return ScanReply(
             auction_id=task.auction_id,
-            ids=ids + self.offset,
-            rows=reduced.weights,
-            bids=bids,
-            slot_ids=tuple(
-                np.asarray(per_slot, dtype=np.int64) + self.offset
-                for per_slot in reduced.per_slot),
+            lists=SlotLists(ids=lists.ids + self.offset,
+                            values=lists.values),
+            slot_bids=self.state.bid_out[lists.ids],
             eval_seconds=eval_done - start,
             scan_seconds=scan_done - eval_done,
             leaf_work=self.num_local * self.num_slots,
@@ -317,24 +312,22 @@ class RhtaluShard:
             self.evaluator.state.capture(), self.offset)
         return SnapshotReply(shard=self.shard, state=capture)
 
-    def handle(self, task: ShardTask) -> RhtaluScanReply:
+    def handle(self, task: ShardTask) -> ScanReply:
         start = time_module.process_time()
         for win in task.wins:
             self.fold(win)
         for control in task.controls:
             self.apply_control(control)
         scan = self.evaluator.scan_auction(task.keyword, task.time)
-        return RhtaluScanReply(
+        lists = scan.slot_lists
+        return ScanReply(
             auction_id=task.auction_id,
-            cand_ids=np.asarray(scan.candidates,
-                                dtype=np.int64) + self.offset,
-            cand_bids=scan.candidate_bids.copy(),
-            slot_ids=tuple(
-                np.asarray(per_slot, dtype=np.int64) + self.offset
-                for per_slot in scan.slot_ids),
+            lists=SlotLists(ids=lists.ids + self.offset,
+                            values=lists.values),
+            slot_bids=scan.candidate_bids[
+                np.searchsorted(scan.candidates, lists.ids)],
+            eval_seconds=0.0,
             scan_seconds=time_module.process_time() - start,
-            sequential_count=scan.sequential_count,
-            random_count=scan.random_count,
             leaf_work=scan.sequential_count + scan.random_count,
         )
 
@@ -350,9 +343,6 @@ class EmptyShard:
         self.shard = shard
         self.num_slots = num_slots
         self.method = method
-        self._empty_ids = np.empty(0, dtype=np.int64)
-        self._empty_rows = np.empty((0, num_slots))
-        self._empty_bids = np.empty(0)
 
     def fold(self, win: WinNotice) -> None:  # pragma: no cover - routed
         raise AssertionError("wins cannot route to an empty shard")
@@ -365,18 +355,14 @@ class EmptyShard:
         return SnapshotReply(shard=self.shard, state={})
 
     def handle(self, task: ShardTask):
-        slots = tuple(self._empty_ids for _ in range(self.num_slots))
-        if self.method == "rh":
-            return ScanReply(task.auction_id, self._empty_ids,
-                             self._empty_rows, self._empty_bids, slots,
-                             eval_seconds=0.0, scan_seconds=0.0,
-                             leaf_work=0)
-        if self.method == "rhtalu":
-            return RhtaluScanReply(task.auction_id, self._empty_ids,
-                                   self._empty_bids, slots,
-                                   scan_seconds=0.0, sequential_count=0,
-                                   random_count=0, leaf_work=0)
-        return GatherReply(task.auction_id, self._empty_bids,
+        if self.method in ("rh", "rhtalu"):
+            empty = np.empty((self.num_slots, 0))
+            return ScanReply(
+                task.auction_id,
+                SlotLists(ids=empty.astype(np.int64), values=empty),
+                slot_bids=empty, eval_seconds=0.0, scan_seconds=0.0,
+                leaf_work=0)
+        return GatherReply(task.auction_id, np.empty(0),
                            eval_seconds=0.0, leaf_work=0)
 
 

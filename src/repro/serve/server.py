@@ -66,6 +66,7 @@ from repro.stream.events import (
     EventLog,
     QueryArrival,
     event_kind,
+    non_finite_field,
 )
 from repro.stream.service import (
     SERVICE_METHODS,
@@ -127,6 +128,14 @@ class _Connection:
 def _numeric(value) -> bool:
     return isinstance(value, (int, float)) \
         and not isinstance(value, bool)
+
+
+def _non_finite_error(event: Event) -> str | None:
+    """``json.loads`` parses ``NaN`` / ``Infinity``; the service's
+    sorted structures cannot hold them (see
+    :func:`~repro.stream.events.non_finite_field`)."""
+    name = non_finite_field(event)
+    return None if name is None else f"{name} must be finite"
 
 
 class AuctionWireServer:
@@ -210,9 +219,6 @@ class AuctionWireServer:
         server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port)
         self.port = server.sockets[0].getsockname()[1]
-        if self.config.port_file:
-            Path(self.config.port_file).write_text(
-                f"{self.port}\n", encoding="utf-8")
         for signum in (signal.SIGTERM, signal.SIGINT):
             # Only available on the main thread; the in-process test
             # harness drives shutdown() directly instead.
@@ -220,6 +226,11 @@ class AuctionWireServer:
                                      RuntimeError, ValueError):
                 self._loop.add_signal_handler(
                     signum, self.shutdown, signal.Signals(signum).name)
+        # The port file is the readiness signal: it lands only once a
+        # SIGTERM would drain instead of killing the process.
+        if self.config.port_file:
+            Path(self.config.port_file).write_text(
+                f"{self.port}\n", encoding="utf-8")
         print(f"serve: listening on {self.config.host}:{self.port} "
               f"method={self.config.method} "
               f"workers={self.config.workers}", flush=True)
@@ -405,7 +416,7 @@ class AuctionWireServer:
                             f"(one per keyword), got {len(column)}")
                 if not all(_numeric(value) for value in column):
                     return f"{name} must be all numbers"
-            return None
+            return _non_finite_error(event)
         if advertiser not in service.registry:
             return f"advertiser {advertiser} is not active"
         if isinstance(event, AdvertiserLeave):
@@ -416,11 +427,11 @@ class AuctionWireServer:
                 return f"unknown keyword {event.keyword!r}"
             if not _numeric(event.bid) or not _numeric(event.maxbid):
                 return "bid and maxbid must be numbers"
-            return None
+            return _non_finite_error(event)
         if isinstance(event, BudgetTopUp):
             if not _numeric(event.amount):
                 return "amount must be a number"
-            return None
+            return _non_finite_error(event)
         return f"unsupported event {type(event).__name__}"
 
     def _apply_one(self, item: SequencedEvent) -> None:

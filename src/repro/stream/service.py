@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import logging
 import time as time_module
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
@@ -62,14 +63,14 @@ from repro.auction.accounts import AccountBook
 from repro.auction.batch import PacerArrays
 from repro.auction.engine import AuctionEngine, EngineConfig
 from repro.auction.events import AuctionRecord
-from repro.auction.pricing import GeneralizedSecondPrice
+from repro.auction.pricing import (
+    GeneralizedSecondPrice,
+    SlotListSecondPrice,
+)
 from repro.auction.settlement import AuctionSettler
 from repro.auction.user_model import UserModel
 from repro.bench.stream_stats import EventTimings
-from repro.core.winner_determination import (
-    SubsetWindowSolver,
-    solve_on_subset,
-)
+from repro.core.winner_determination import SubsetSolver
 from repro.evaluation.evaluator import RhtaluEvaluator
 from repro.evaluation.pacer_arrays import LazyPacerArrays
 from repro.obs import (
@@ -95,6 +96,7 @@ from repro.stream.events import (
     EventLog,
     QueryArrival,
     event_kind,
+    non_finite_field,
 )
 from repro.stream.snapshot import (
     ServiceSnapshot,
@@ -125,7 +127,10 @@ class _EagerBackend:
     determination on the *active row subset* and settles through the
     shared :class:`~repro.auction.settlement.AuctionSettler` with an
     id map — the same candidate-local pattern the RHTALU and sharded
-    paths use.
+    paths use.  The subset solver is keyed on membership, so its
+    buffers serve every query — batched or not — until a join, leave,
+    pause or resume moves the active set; method ``rh`` prices from
+    the solver's slot lists, as the sharded coordinator does.
     """
 
     def __init__(self, workload: PaperWorkload, method: str,
@@ -151,8 +156,7 @@ class _EagerBackend:
         self.num_slots = config.num_slots
         self.auction_id = 0
         self._bid_out = np.zeros(config.num_advertisers)
-        self._windowed = False
-        self._window_solver: SubsetWindowSolver | None = None
+        self._solver: SubsetSolver | None = None
 
     def run_query(self, keyword: str) -> AuctionRecord:
         self.auction_id += 1
@@ -163,23 +167,10 @@ class _EagerBackend:
         eval_seconds = time_module.perf_counter() - start
 
         start = time_module.perf_counter()
-        if self._windowed:
-            # Inside a micro-batch window the active subset cannot
-            # change between queries (control events flush windows;
-            # a mid-window pause invalidates the solver), so the
-            # subset extraction and weight buffers amortize across
-            # the window.  Same float ops, bit-identical results.
-            solver = self._window_solver
-            if solver is None:
-                solver = SubsetWindowSolver(self.click_matrix,
-                                            self.arrays.active_ids(),
-                                            method=self.method)
-                self._window_solver = solver
-            wd = solver.solve(bids)
-        else:
-            wd = solve_on_subset(self.click_matrix, bids,
-                                 self.arrays.active_ids(),
-                                 method=self.method)
+        self._solver = SubsetSolver.for_membership(
+            self._solver, self.click_matrix, self.arrays.present,
+            self.method)
+        wd = self._solver.solve(bids)
         wd_seconds = time_module.perf_counter() - start
 
         def notify(advertiser: int, slot: int | None, clicked: bool,
@@ -187,35 +178,32 @@ class _EagerBackend:
             self.arrays.fold_notification(advertiser, keyword,
                                           clicked, charge)
 
+        quote_fn = None
+        if wd.slot_lists is not None:
+            quote_fn = partial(SlotListSecondPrice.quote_from_lists,
+                               wd.slot_lists.values, wd.slot_lists.ids,
+                               wd.candidate_bids, wd.click_rows)
         return self.settler.settle(
             self.auction_id, query, wd.slot_of, wd.matching,
             wd.expected_revenue, weights=wd.weights,
             bids=wd.candidate_bids, eval_seconds=eval_seconds,
             wd_seconds=wd_seconds, num_candidates=len(wd.id_map),
             notify_fn=notify, id_map=wd.id_map,
-            click_rows=wd.click_rows)
+            click_rows=wd.click_rows, quote_fn=quote_fn)
 
     def begin_window(self, size: int) -> None:
-        self._windowed = True
+        pass  # the solver is membership-keyed, not window-scoped
 
     def end_window(self) -> None:
-        # The solver outlives the window: it is keyed on membership,
-        # and every membership move (join/leave/pause/resume, rebuild)
-        # invalidates it — a control event that merely flushed the
-        # window (a top-up, a bid edit) leaves the active set intact,
-        # so the next window reuses the buffers instead of re-slicing
-        # the click matrix.
-        self._windowed = False
+        pass
 
     def apply_join(self, event: AdvertiserJoin) -> None:
-        self._window_solver = None
         self.arrays.grow_row(event.advertiser, event.target, self.step,
                              np.asarray(event.bids, dtype=float),
                              np.asarray(event.maxbids, dtype=float),
                              np.asarray(event.values, dtype=float))
 
     def apply_leave(self, event: AdvertiserLeave) -> None:
-        self._window_solver = None
         self.arrays.retire_row(event.advertiser)
 
     def apply_update(self, event: BidProgramUpdate) -> None:
@@ -223,18 +211,12 @@ class _EagerBackend:
                                event.bid, event.maxbid)
 
     def apply_pause(self, advertiser: int) -> None:
-        # Exhaustion can land *mid-window* (the settled charge that
-        # zeroes a ledger pauses before the next query); the cached
-        # window solver's active subset is stale the moment it does.
-        self._window_solver = None
         self.arrays.pause_row(advertiser)
 
     def apply_resume(self, advertiser: int) -> None:
-        self._window_solver = None
         self.arrays.resume_row(advertiser)
 
     def rebuild(self) -> None:
-        self._window_solver = None
         self.arrays = PacerArrays.from_capture(self.arrays.capture())
 
     def capture_state(self) -> dict:
@@ -284,8 +266,6 @@ class _RhtaluBackend:
             config=EngineConfig(num_slots=config.num_slots,
                                 method="rhtalu", seed=engine_seed),
             rhtalu=evaluator)
-        self._windowed = False
-        self._planner = None
 
     @property
     def accounts(self) -> AccountBook:
@@ -304,22 +284,13 @@ class _RhtaluBackend:
         self.engine.auction_id = value
 
     def begin_window(self, size: int) -> None:
-        # The RHTALU planner is stats-only (the evaluator's array
-        # state already serves sequential and batched runs alike), so
-        # one planner persists across windows, mirroring what a
-        # run_batch over the same stretch would report.
-        if self._planner is None:
-            from repro.auction.batch import planner_for_engine
-            self._planner = planner_for_engine(self.engine)
-        self._windowed = True
+        pass  # the evaluator's array state serves every query alike
 
     def end_window(self) -> None:
-        self._windowed = False
+        pass
 
     def run_query(self, keyword: str) -> AuctionRecord:
         self._keyword = keyword
-        if self._windowed and self._planner is not None:
-            return self.engine.run_planned_auction(self._planner)
         return self.engine.run_auction()
 
     def apply_join(self, event: AdvertiserJoin) -> None:
@@ -663,6 +634,7 @@ class OnlineAuctionService:
             if event.advertiser in self.registry:
                 raise KeyError(
                     f"advertiser {event.advertiser} already active")
+            self._check_finite(event)
             self.backend.apply_join(event)
             self.registry.admit(event.advertiser, event.target,
                                 event.budget, self.events_processed)
@@ -674,10 +646,12 @@ class OnlineAuctionService:
             self._maintain()
         elif isinstance(event, BidProgramUpdate):
             self._check_active(event.advertiser)
+            self._check_finite(event)
             self.backend.apply_update(event)
             self._maintain()
         elif isinstance(event, BudgetTopUp):
             self._check_active(event.advertiser)
+            self._check_finite(event)
             entry = self.registry.entry(event.advertiser)
             balance = self.registry.credit(event.advertiser,
                                            event.amount)
@@ -934,6 +908,13 @@ class OnlineAuctionService:
     def _check_active(self, advertiser: int) -> None:
         if advertiser not in self.registry:
             raise KeyError(f"advertiser {advertiser} is not active")
+
+    @staticmethod
+    def _check_finite(event: Event) -> None:
+        name = non_finite_field(event)
+        if name is not None:
+            raise ValueError(
+                f"{event_kind(event)} event: {name} must be finite")
 
     # -- introspection -----------------------------------------------------
 

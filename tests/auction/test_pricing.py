@@ -65,7 +65,7 @@ def _slot_lists(weights, depth):
     """Per-slot descending (values, ids) top lists, repo tie rule."""
     values, ids = [], []
     for col in range(weights.shape[1]):
-        top = top_k_for_slot(weights[:, col], depth, backend="numpy")
+        top = top_k_for_slot(weights[:, col], depth)
         ids.append(np.asarray(top, dtype=np.int64))
         values.append(weights[top, col] if top else np.empty(0))
     return values, ids

@@ -9,7 +9,7 @@ from repro.core.revenue import RevenueMatrix, build_revenue_matrix
 from repro.core.validation import WdInvariantError, check_result, results_agree
 from repro.core.winner_determination import (
     METHODS,
-    SubsetWindowSolver,
+    SubsetSolver,
     determine_winners,
     solve,
     solve_on_subset,
@@ -17,6 +17,7 @@ from repro.core.winner_determination import (
 from repro.lang.dependence import NotOneDependentError
 from repro.lang.bids import BidsTable
 from repro.matching.feedback_arc import above_event
+from repro.matching.hungarian import max_weight_matching
 from repro.probability.click_models import TabularClickModel
 from repro.probability.purchase_models import ConstantRatePurchaseModel
 from repro.probability.separable import NotSeparableError
@@ -151,50 +152,70 @@ class TestValidationHelpers:
             check_result(tampered, revenue)
 
 
-class TestSubsetWindowSolver:
-    """The micro-batch window cache must be bit-identical to
-    :func:`solve_on_subset` — same pairs, same floats, same
-    translation maps — for every method and membership."""
+class TestSubsetSolver:
+    """The membership-keyed solver every served eager query goes
+    through: its cached buffers must give exactly what a fresh solver
+    gives, and method ``rh`` (the slot-list kernel) must find the
+    dense Hungarian's matching on the subset weights."""
 
-    def _assert_exact(self, cached, uncached):
-        assert cached.matching.pairs == uncached.matching.pairs
+    def _assert_exact(self, cached, fresh):
+        assert cached.matching.pairs == fresh.matching.pairs
         assert cached.matching.total_weight \
-            == uncached.matching.total_weight
-        assert cached.expected_revenue == uncached.expected_revenue
-        assert cached.slot_of == uncached.slot_of
-        assert cached.id_map == uncached.id_map
-        assert np.array_equal(cached.weights, uncached.weights)
+            == fresh.matching.total_weight
+        assert cached.expected_revenue == fresh.expected_revenue
+        assert cached.slot_of == fresh.slot_of
+        assert cached.id_map == fresh.id_map
+        assert np.array_equal(cached.weights, fresh.weights)
         assert np.array_equal(cached.candidate_bids,
-                              uncached.candidate_bids)
+                              fresh.candidate_bids)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1),
            st.sampled_from(["rh", "lp", "hungarian"]))
-    def test_bit_identical_to_solve_on_subset(self, seed, method):
+    def test_reused_buffers_match_a_fresh_solve(self, seed, method):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
         k = int(rng.integers(1, 4))
         click = rng.random((n, k))
         size = int(rng.integers(0, n + 1))
         active = np.sort(rng.choice(n, size=size, replace=False))
-        solver = SubsetWindowSolver(click, active, method=method)
-        for _ in range(3):  # reused caches across in-window queries
+        solver = SubsetSolver(click, active, method=method)
+        for _ in range(3):  # reused caches across queries
             bids = rng.random(n) * 10.0
-            self._assert_exact(solver.solve(bids),
+            cached = solver.solve(bids)
+            self._assert_exact(cached,
                                solve_on_subset(click, bids, active,
                                                method=method))
+            # Same weights a row-major build gives, same matching the
+            # dense Hungarian finds on them (random floats: no ties).
+            weights = click[active] * bids[active][:, None]
+            assert np.array_equal(cached.weights, weights)
+            dense = max_weight_matching(weights, backend="python")
+            assert cached.matching.pairs == dense.pairs
+            assert cached.matching.total_weight == pytest.approx(
+                dense.total_weight)
+
+    def test_membership_key(self):
+        click = np.random.default_rng(0).random((4, 2))
+        present = np.array([True, False, True, True])
+        solver = SubsetSolver.for_membership(None, click, present)
+        assert solver.id_map == [0, 2, 3]
+        assert SubsetSolver.for_membership(solver, click,
+                                           present) is solver
+        present[1] = True  # a join: in-place edits must be noticed
+        moved = SubsetSolver.for_membership(solver, click, present)
+        assert moved is not solver
+        assert moved.id_map == [0, 1, 2, 3]
 
     def test_empty_membership(self):
         click = np.random.default_rng(0).random((4, 2))
-        solver = SubsetWindowSolver(click, np.array([], dtype=int))
+        solver = SubsetSolver(click, np.array([], dtype=int))
         result = solver.solve(np.ones(4))
         assert result.matching.pairs == ()
         assert result.expected_revenue == 0.0
         assert result.id_map == []
 
     def test_unsupported_method_raises(self):
-        click = np.ones((2, 1))
-        solver = SubsetWindowSolver(click, np.array([0, 1]),
-                                    method="separable")
-        with pytest.raises(ValueError, match="window method"):
-            solver.solve(np.ones(2))
+        with pytest.raises(ValueError, match="subset method"):
+            SubsetSolver(np.ones((2, 1)), np.array([0, 1]),
+                         method="separable")

@@ -127,7 +127,7 @@ class TestScanAuction:
             assert scan.random_count == full.random_count
             # Union of the slot lists is exactly the candidate set.
             union = set()
-            for per_slot in scan.slot_ids:
+            for per_slot in scan.slot_lists.ids:
                 union.update(int(a) for a in per_slot)
             assert union == set(full.candidates)
             for advertiser, _ in full.matching.pairs:
@@ -144,7 +144,7 @@ class TestScanAuction:
         state.begin_auction("kw0", 1.0)
         eff = np.array([state.effective_bid(a, "kw0")
                         for a in range(30)])
-        for slot, per_slot in enumerate(scan.slot_ids):
+        for slot, per_slot in enumerate(scan.slot_lists.ids):
             scores = workload.click_matrix[:, slot] * eff
             order = np.lexsort((np.arange(30), -scores))
             expected = order[:evaluator.top_depth]

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.matching.hungarian import max_weight_matching
 from repro.matching.reduction import (
     reduce_graph,
-    reduce_graph_columns,
     reduced_matching,
-    reduced_matching_columns,
     top_k_for_slot,
 )
 
@@ -52,13 +50,6 @@ class TestFigure9To11:
 
 
 class TestTopKSelection:
-    def test_heap_and_numpy_agree(self, rng):
-        for _ in range(50):
-            column = rng.normal(size=30)
-            k = int(rng.integers(1, 8))
-            assert (top_k_for_slot(column, k, backend="heap")
-                    == top_k_for_slot(column, k, backend="numpy"))
-
     def test_k_zero(self):
         assert top_k_for_slot([1.0, 2.0], 0) == []
 
@@ -100,56 +91,3 @@ class TestReductionCorrectness:
         weights = np.array([[5.0], [4.0], [3.0]])
         reduced = reduce_graph(weights, top_k=1)
         assert reduced.candidates == (0,)
-
-
-class TestColumnBackend:
-    """The slot-major ``(k, n)`` entry points must be bit-identical to
-    the row-major numpy backend — the streaming micro-batch window
-    cache depends on it."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(matrices())
-    def test_reduction_matches_row_major(self, rows):
-        weights = np.array(rows)
-        row_major = reduce_graph(weights, backend="numpy")
-        col_major = reduce_graph_columns(
-            np.ascontiguousarray(weights.T))
-        assert col_major.per_slot == row_major.per_slot
-        assert col_major.candidates == row_major.candidates
-        assert np.array_equal(col_major.weights, row_major.weights)
-
-    @settings(max_examples=100, deadline=None)
-    @given(matrices())
-    def test_matching_matches_row_major(self, rows):
-        weights = np.array(rows)
-        row_major = reduced_matching(weights)
-        col_major = reduced_matching_columns(
-            np.ascontiguousarray(weights.T))
-        assert col_major.pairs == row_major.pairs
-        assert col_major.total_weight == row_major.total_weight
-
-    def test_figure9_through_columns(self):
-        reduced = reduce_graph_columns(
-            np.ascontiguousarray(FIGURE9.T))
-        assert reduced.per_slot == ((0, 1), (1, 2))
-        assert reduced.candidates == (0, 1, 2)
-
-    def test_ties_straddling_partition_boundary(self):
-        # Four advertisers tie at the top of a 5-wide row with k=2:
-        # argpartition may pick any two, but the backend must resolve
-        # toward the lower ids exactly as top_k_for_slot does.
-        column = np.array([3.0, 3.0, 3.0, 3.0, 1.0])
-        weights_t = column[None, :]
-        assert reduce_graph_columns(weights_t).per_slot == ((0,),)
-        assert reduce_graph_columns(
-            weights_t, top_k=2).per_slot == ((0, 1),)
-        assert top_k_for_slot(column, 2) == [0, 1]
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            reduce_graph_columns(np.zeros(3))
-
-    def test_top_k_zero_empties_every_slot(self):
-        reduced = reduce_graph_columns(np.ones((2, 4)), top_k=0)
-        assert reduced.per_slot == ((), ())
-        assert reduced.candidates == ()

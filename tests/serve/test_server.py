@@ -163,6 +163,49 @@ class TestRejection:
         # Only the valid join was sequenced into the recorded stream.
         assert list(live.server.applied) == [self._join(0)]
 
+    def test_non_finite_numbers_reject_and_leave_no_trace(
+            self, serve_factory):
+        # json.loads parses NaN / Infinity, so they reach validation
+        # as floats; one in the pacer arrays would poison the
+        # selection partition and the argsort click index for every
+        # later auction.
+        from dataclasses import replace
+
+        from repro.stream.events import BidProgramUpdate, BudgetTopUp
+        nan, inf = float("nan"), float("inf")
+        good = self._join(0)
+        keyword = f"kw{SMALL['keywords'] - 1}"
+        cases = [
+            (replace(self._join(1), target=nan), "target"),
+            (replace(self._join(1), budget=inf), "budget"),
+            (replace(self._join(1), bids=(nan,) + good.bids[1:]),
+             "bids"),
+            (replace(self._join(1), maxbids=(-inf,) + good.maxbids[1:]),
+             "maxbids"),
+            (replace(self._join(1), values=good.values[:-1] + (nan,)),
+             "values"),
+            (BidProgramUpdate(0, keyword, bid=nan, maxbid=2.0), "bid"),
+            (BidProgramUpdate(0, keyword, bid=1.0, maxbid=inf),
+             "maxbid"),
+            (BudgetTopUp(advertiser=0, amount=nan), "amount"),
+        ]
+        live = serve_factory()
+        with live.client() as client:
+            assert client.submit(good, tag=0)["type"] == "ok"
+            for tag, (event, field) in enumerate(cases, start=1):
+                reply = client.submit(event, tag=tag)
+                assert reply["type"] == "error"
+                assert reply["code"] == "rejected"
+                assert reply["detail"] == f"{field} must be finite"
+            # Still serving, and the population is untouched.
+            assert client.submit(QueryArrival(keyword="kw0"),
+                                 tag=99)["type"] == "result"
+            client.bye()
+        live.stop()
+        assert live.server.rejected == len(cases)
+        assert list(live.server.applied) \
+            == [good, QueryArrival(keyword="kw0")]
+
     def test_control_for_inactive_advertiser_rejects(
             self, serve_factory):
         from repro.stream.events import BudgetTopUp

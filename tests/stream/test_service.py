@@ -205,6 +205,40 @@ class TestChurnSemantics:
         with pytest.raises(ValueError):
             OnlineAuctionService(CONFIG, maintenance="lazy")
 
+    @pytest.mark.parametrize("method", ["rh", "rhtalu"])
+    def test_non_finite_numbers_raise_before_any_state_changes(
+            self, workload, method):
+        # A NaN bid has no place in an order: it would poison the
+        # selection partition and the argsort click index.
+        from repro.stream import BidProgramUpdate
+
+        nan, inf = float("nan"), float("inf")
+        service = OnlineAuctionService(CONFIG, method=method,
+                                       engine_seed=SEED)
+        service.process(join_event(workload, 1))
+        join = join_event(workload, 2)
+        bad = [
+            replace(join, target=nan),
+            replace(join, budget=inf),
+            replace(join, bids=(nan,) + join.bids[1:]),
+            replace(join, maxbids=(inf,) + join.maxbids[1:]),
+            replace(join, values=join.values[:-1] + (-inf,)),
+            BidProgramUpdate(advertiser=1, keyword="kw0", bid=nan,
+                             maxbid=1.0),
+            BidProgramUpdate(advertiser=1, keyword="kw0", bid=1.0,
+                             maxbid=inf),
+            BudgetTopUp(advertiser=1, amount=nan),
+        ]
+        before = service.budget_of(1)
+        for event in bad:
+            with pytest.raises(ValueError, match="must be finite"):
+                service.process(event)
+        assert service.events_processed == 1
+        assert service.active_advertisers() == [1]
+        assert service.budget_of(1) == before
+        service.process(join)  # the clean join is still admissible
+        assert service.process(QueryArrival("kw0")) is not None
+
     def test_sharded_rejects_bad_events_without_killing_fleet(
             self, workload):
         # A bad control event must fail at event time, like the
