@@ -23,8 +23,9 @@ Commands
     ``--replay`` re-consumes a captured event log — the
     replay-verified-accounting workflow (``tools/trace_diff.py``
     diffs the traces; see ``docs/operations.md``).  ``--journal`` adds
-    durability: every event is fsync'd to a write-ahead journal before
-    application, with ``--checkpoint-every`` continuous checkpoints.
+    durability: every event is written to a write-ahead journal before
+    application and fsync'd before it is acknowledged, with
+    ``--checkpoint-every`` continuous checkpoints.
     ``--supervise`` arms worker supervision for sharded runs: a killed
     or hung shard worker (``--round-timeout``) is healed in place —
     respawned from the supervisor's retained capture, or, past
@@ -736,10 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "trace (diffable via "
                              "tools/trace_diff.py)")
     stream.add_argument("--journal", default=None, metavar="FILE",
-                        help="serve durably: fsync every event to "
+                        help="serve durably: write every event to "
                              "this write-ahead journal before "
-                             "applying it (recoverable via "
-                             "`repro recover`)")
+                             "applying it, fsync before the next "
+                             "(recoverable via `repro recover`)")
     stream.add_argument("--checkpoint-every", type=int, default=0,
                         metavar="N",
                         help="with --journal: write a checkpoint "
@@ -885,9 +886,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the auction records as a JSONL "
                             "trace at shutdown")
     serve.add_argument("--journal", default=None, metavar="FILE",
-                       help="serve durably: fsync every applied "
-                            "event to this write-ahead journal "
-                            "before applying it")
+                       help="serve durably: write every event to "
+                            "this write-ahead journal before "
+                            "applying it, fsync (one per group of "
+                            "queued events) before replying")
     serve.add_argument("--checkpoint-every", type=int, default=0,
                        metavar="N",
                        help="with --journal: checkpoint every N "

@@ -19,14 +19,14 @@ fields are monotonic sidecar timings the identity machinery ignores.
 
 Lifecycle quirks the serving path imposes:
 
-* Some stages happen **before** the event's root exists — the durable
-  wrapper fsyncs the journal entry ahead of applying, and the
+* Some stages happen **before** the event's root exists — the
   micro-batcher's ingress wait is known when the unit leaves the
   queue.  :meth:`SpanTracer.stage` parks those children by seq; they
   are adopted when :meth:`SpanTracer.open` creates the root.
 * Some stages land **after** the event's apply call returns — the
-  checkpoint written by the durable wrapper, and a batch window's
-  shared ``batch-window`` child.  Roots therefore stay open until
+  durable wrapper's commit barrier (one ``journal-fsync`` child on
+  the last event of the group it covers) and checkpoint, and a batch
+  window's shared ``batch-window`` child.  Roots therefore stay open until
   :meth:`SpanTracer.flush_upto` runs at the start of the *next* apply
   (windows keep all member roots open together), and :meth:`close`
   drains stragglers.
@@ -46,7 +46,7 @@ TRACE_FORMAT = "repro-obs-trace/1"
 SPAN_KINDS: tuple[str, ...] = (
     "ingress",       # micro-batcher queue wait (admit -> dispatch)
     "batch-window",  # shared window elapsed, on every window member
-    "journal-fsync", # write-ahead append barrier (durable runs)
+    "journal-fsync", # group-commit barrier (durable runs)
     "dispatch",      # backend.run_query: the auction itself
     "wd",            # winner determination phase (from the record)
     "price",         # GSP pricing phase (from the record)

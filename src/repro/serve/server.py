@@ -6,14 +6,17 @@ stream.
 wire.  The shape is two worlds bridged by the ingress sequencer:
 
 * **The asyncio world** — an ``asyncio`` server with one reader task
-  and one writer task per connection.  Readers parse length-prefixed
-  JSON frames (:mod:`repro.serve.protocol`), answer protocol errors
-  inline, and hand well-formed events to the sequencer through an
-  executor (so a full ingress queue blocks *that connection's* reads
-  — TCP backpressure — without stalling the event loop).  Writers
-  drain a per-connection outbound queue, because multiple threads may
-  route replies to the same connection and ``StreamWriter`` is not
-  thread-safe.
+  per connection.  Readers parse length-prefixed JSON frames
+  (:mod:`repro.serve.protocol`), answer protocol errors inline, and
+  stamp well-formed events into the sequencer on the loop thread
+  itself (:meth:`~repro.serve.sequencer.IngressSequencer.try_submit`
+  — no executor hop).  When the ingress queue is full the reader
+  parks on a loop-side future that the apply thread completes once
+  it has drained the queue to half, so a full queue stalls *that
+  connection's* reads — TCP backpressure — without stalling the
+  event loop.  Every socket write happens on the loop thread too, so
+  there is no per-connection writer task or queue: a reply batch is
+  one ``writer.write`` per connection.
 
 * **The service world** — a single ``serve-apply`` thread consuming
   the sequencer's total order.  It validates each event against live
@@ -26,9 +29,28 @@ wire.  The shape is two worlds bridged by the ingress sequencer:
   (``repro stream --replay`` + ``tools/trace_diff.py``).  Valid
   events apply through the same :class:`OnlineAuctionService` /
   :class:`~repro.stream.service.DurableAuctionService` loops the
-  offline CLI uses; replies (auction results for queries, acks for
-  controls) route back to the originating connection via
-  ``call_soon_threadsafe``.
+  offline CLI uses.
+
+**The group boundary.**  The two worlds meet once per *group* of
+already-queued events, not once per event.  Under ``--journal`` the
+apply thread keeps applying while the sequencer has something queued
+and holds the encoded replies (auction results for queries, acks for
+controls) of those uncommitted events in a list only it can see.
+Just before it would block on an empty sequencer — or when
+``ingress_capacity`` replies are held — it commits the journal (one
+``fsync`` for the whole group) and only then releases the replies.
+So an acknowledged event is always an fsync'd one, a lone event pays
+exactly what it paid before, and under load the fsync is shared by
+everything that queued up behind the first event.  It never waits
+for a group to fill.  Without a journal there is no barrier to wait
+for and each reply (each window's replies) is released as soon as it
+exists — except while the ingress queue is at least half full, when
+the server is saturated and answers are held the same way, up to
+``ingress_capacity`` of them, so they share wake-ups instead of each
+costing one.  Released replies go to a shared outbox, and a
+``call_soon_threadsafe`` wake-up is scheduled only if none is already
+pending, so whatever accumulates before the loop runs shares one
+self-pipe write, one wake-up and one socket write per connection.
 
 With ``batch_window > 1`` the apply thread opportunistically coalesces
 runs of already-queued query arrivals into
@@ -40,7 +62,8 @@ window to fill, and control events flush it.
 Graceful shutdown (SIGTERM/SIGINT or :meth:`AuctionWireServer
 .shutdown`) runs the drain ladder: stop accepting → cancel readers →
 close the sequencer → join the apply thread (every already-sequenced
-event still applies and answers) → goodbye-and-flush every connection
+event still applies, commits and answers) → goodbye-and-flush every
+connection
 → write the recorded event log / trace / final checkpoint → close the
 journal → exit 0.
 """
@@ -51,6 +74,7 @@ import asyncio
 import contextlib
 import signal
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -108,21 +132,26 @@ class ServeConfig:
     port_file: str | None = None
 
 
-class _Connection:
-    """Per-connection bookkeeping shared by the reader, the writer
-    task, and the apply thread's reply routing."""
+MAX_WRITE_BACKLOG = 32 * 1024 * 1024
+"""Bytes a connection's transport may hold unsent before the server
+drops the connection as a slow client.  Replies are written without
+waiting for the peer, so this is the only bound on what a client that
+stops reading can make the server buffer; it sits far above the
+replies to one full ingress queue (about 200 KB), which a merely busy
+client legitimately has in flight."""
 
-    __slots__ = ("conn_id", "writer", "outq", "open", "role",
-                 "writer_task")
+
+class _Connection:
+    """Per-connection bookkeeping shared by the reader task and the
+    loop-side reply flush."""
+
+    __slots__ = ("conn_id", "writer", "role")
 
     def __init__(self, conn_id: int,
                  writer: asyncio.StreamWriter) -> None:
         self.conn_id = conn_id
         self.writer = writer
-        self.outq: asyncio.Queue = asyncio.Queue()
-        self.open = True
         self.role = "client"
-        self.writer_task: asyncio.Task | None = None
 
 
 def _numeric(value) -> bool:
@@ -153,14 +182,12 @@ class AuctionWireServer:
             num_slots=config.slots, num_keywords=config.keywords,
             seed=config.seed)
         self.sequencer = IngressSequencer(config.ingress_capacity)
+        self.sequencer.on_space = self._on_space
         self.applied = EventLog()
         """The stream the service actually consumed, in sequencer
         order — what ``record_events`` persists and what an offline
         replay re-applies bit-identically."""
         self.records: list = []
-        self.latencies: list[float] = []
-        """End-to-end seconds per applied event: sequencer stamp →
-        reply enqueued toward the client."""
         self.port: int | None = None
         self.started = threading.Event()
         """Set once the socket is bound and the port is known."""
@@ -168,8 +195,24 @@ class AuctionWireServer:
         self.errors = 0
         self.rejected = 0
         self.connections_total = 0
-        self._served = None  # OnlineAuctionService or durable wrapper
+        self._durable: DurableAuctionService | None = None
+        """The journaling wrapper around ``_service`` under
+        ``--journal``; the apply loop owns its commit barrier."""
         self._service: OnlineAuctionService | None = None
+        self._held: list[tuple[int, bytes]] = []
+        """``(conn_id, frame)`` of replies not yet released — under
+        ``--journal``, those whose events are applied but not yet
+        committed.  Apply thread only: the loop must not be able to
+        write a reply ahead of its fsync."""
+        self._held_stamps: list[float] = []
+        """Sequencer stamp times of the applied events in ``_held``
+        (rejections are not in the e2e histogram)."""
+        self._outbox: list[tuple[int, bytes]] = []
+        """Released replies awaiting the loop's next flush."""
+        self._outbox_lock = threading.Lock()
+        self._wake_pending = False
+        self._space_waiters: list[asyncio.Future] = []
+        """Readers parked on a full ingress queue (loop thread only)."""
         self._conns: dict[int, _Connection] = {}
         self._next_conn_id = 0
         self._reader_tasks: set = set()
@@ -254,10 +297,9 @@ class AuctionWireServer:
         if self._apply_thread is not None:
             await self._loop.run_in_executor(
                 None, self._apply_thread.join)
-        # The apply thread's last replies were posted through
-        # call_soon_threadsafe before join() returned; yield once so
-        # they land in the outbound queues ahead of the goodbyes.
-        await asyncio.sleep(0)
+        # The apply thread released its last replies before it
+        # exited; write them ahead of the goodbyes.
+        self._flush_outbox()
         reason = self._shutdown_reason or "shutdown"
         for conn in list(self._conns.values()):
             await self._close_conn(conn, reason=reason)
@@ -276,17 +318,20 @@ class AuctionWireServer:
             count = write_trace(config.trace, self.records)
             print(f"wrote {count} records to {config.trace}",
                   flush=True)
-        served = self._served
-        if isinstance(served, DurableAuctionService):
-            if served.checkpoints is not None:
+        durable = self._durable
+        if durable is not None:
+            if durable.checkpoints is not None:
                 # The drain contract: a final checkpoint at the exact
                 # applied watermark, whether or not the interval is
                 # due — recovery then needs no journal-suffix replay.
-                path = served.checkpoints.write(served.snapshot())
+                # A service error can leave the last group uncommitted.
+                durable.commit()
+                path = durable.checkpoints.write(durable.snapshot())
                 print(f"final checkpoint written to {path}",
                       flush=True)
-            print(f"journal closed at {served.events_processed} "
+            print(f"journal closed at {durable.events_processed} "
                   f"events", flush=True)
+        served = durable if durable is not None else self._service
         if served is not None:
             served.close()
 
@@ -303,7 +348,7 @@ class AuctionWireServer:
                 trace_spans=config.trace_spans,
                 snapshot_every=config.metrics_every)
         if config.journal:
-            self._served = DurableAuctionService.open(
+            self._durable = DurableAuctionService.open(
                 self.workload_config, config.journal,
                 method=config.method,
                 maintenance=config.maintenance,
@@ -313,7 +358,7 @@ class AuctionWireServer:
                 checkpoint_every=config.checkpoint_every,
                 checkpoint_retain=config.checkpoint_retain,
                 observability=observability)
-            self._service = self._served.service
+            self._service = self._durable.service
         else:
             self._service = OnlineAuctionService(
                 self.workload_config, method=config.method,
@@ -321,7 +366,6 @@ class AuctionWireServer:
                 workers=config.workers,
                 engine_seed=config.seed + 1,
                 observability=observability)
-            self._served = self._service
         self._keywords = set(self._service.keywords)
         # Sharded workers normally fork lazily on the first query —
         # which would be after clients connected, so every child would
@@ -339,33 +383,50 @@ class AuctionWireServer:
 
     def _apply_loop(self) -> None:
         """The single service consumer: take events in total order,
-        validate, apply, reply.  Runs on the ``serve-apply`` thread —
-        the only thread that ever touches the service."""
+        validate, apply, reply — under ``--journal``, once per group
+        of queued events, behind the group's commit.  Runs on the
+        ``serve-apply`` thread — the only thread that ever touches
+        the service."""
         window = max(self.config.batch_window, 1)
+        capacity = self.config.ingress_capacity
         carry: SequencedEvent | None = None
         try:
             while True:
                 item = carry if carry is not None \
-                    else self.sequencer.take()
+                    else self.sequencer.try_take()
                 carry = None
                 if item is None:
-                    break
-                if not self._admit(item):
-                    continue
-                if window > 1 and isinstance(item.event, QueryArrival):
-                    batch = [item]
-                    while len(batch) < window:
-                        nxt = self.sequencer.try_take()
-                        if nxt is None:
-                            break  # empty or closed: dispatch now
-                        if not isinstance(nxt.event, QueryArrival):
-                            carry = nxt  # control flushes the window
-                            break
-                        if self._admit(nxt):
-                            batch.append(nxt)
-                    self._apply_window(batch)
-                else:
-                    self._apply_one(item)
+                    # Nothing queued behind the group: commit and
+                    # answer it before blocking.
+                    self._release()
+                    item = self.sequencer.take()
+                    if item is None:
+                        break
+                if self._admit(item):
+                    if window > 1 \
+                            and isinstance(item.event, QueryArrival):
+                        batch = [item]
+                        while len(batch) < window:
+                            nxt = self.sequencer.try_take()
+                            if nxt is None:
+                                break  # empty or closed: dispatch now
+                            if not isinstance(nxt.event, QueryArrival):
+                                carry = nxt  # control flushes the window
+                                break
+                            if self._admit(nxt):
+                                batch.append(nxt)
+                        self._apply_window(batch)
+                    else:
+                        self._apply_one(item)
+                # Without a journal a reply has no barrier to wait
+                # for — unless the ingress queue is at least half
+                # full: then the server is saturated, a reply's
+                # latency is queueing either way, and answers share
+                # wake-ups as a durable group shares its fsync.
+                if len(self._held) >= capacity or (
+                        self._durable is None
+                        and self.sequencer.depth() < capacity / 2):
+                    self._release()
         except BaseException as exc:  # the drain must still run
             self._service_error = exc
             self.shutdown("service-error")
@@ -379,7 +440,7 @@ class AuctionWireServer:
             return True
         self.rejected += 1
         self._count("serve.rejected")
-        self._post(item.conn_id, protocol.error_payload(
+        self._hold(item.conn_id, protocol.error_payload(
             "rejected", detail, item.tag))
         return False
 
@@ -435,7 +496,10 @@ class AuctionWireServer:
         return f"unsupported event {type(event).__name__}"
 
     def _apply_one(self, item: SequencedEvent) -> None:
-        record = self._served.process(item.event)
+        if self._durable is not None:
+            record = self._durable.process(item.event, commit=False)
+        else:
+            record = self._service.process(item.event)
         self.applied.append(item.event)
         seq = self._service.events_processed - 1
         if record is not None:
@@ -444,41 +508,96 @@ class AuctionWireServer:
         else:
             reply = protocol.ok_payload(item.tag, seq,
                                         event_kind(item.event))
-        self._reply(item, reply)
+        self._hold(item.conn_id, reply, item.arrival)
 
     def _apply_window(self, batch: list[SequencedEvent]) -> None:
         events = [item.event for item in batch]
-        records = self._served.process_window(events)
+        if self._durable is not None:
+            records = self._durable.process_window(events,
+                                                   commit=False)
+        else:
+            records = self._service.process_window(events)
         base = self._service.events_processed - len(batch)
         for offset, (item, record) in enumerate(zip(batch, records)):
             self.applied.append(item.event)
             self.records.append(record)
-            self._reply(item, protocol.result_payload(
-                item.tag, base + offset, record))
+            self._hold(item.conn_id, protocol.result_payload(
+                item.tag, base + offset, record), item.arrival)
 
-    def _reply(self, item: SequencedEvent, payload: dict) -> None:
-        elapsed = perf_counter() - item.arrival
-        self.latencies.append(elapsed)
+    def _hold(self, conn_id: int, payload: dict,
+              stamped: float | None = None) -> None:
+        """Keep a reply on the apply thread until :meth:`_release`.
+        ``stamped`` is the sequencer stamp time of an applied event
+        (``None`` for a rejection)."""
+        self._held.append((conn_id, protocol.encode_frame(payload)))
+        if stamped is not None:
+            self._held_stamps.append(stamped)
+
+    def _release(self) -> None:
+        """Commit the journal (the group boundary of a durable run),
+        then hand every held reply to the loop behind at most one
+        wake-up."""
+        held = self._held
+        if not held:
+            return  # every journaled event holds a reply
+        if self._durable is not None:
+            self._durable.commit()
+        stamps = self._held_stamps
+        self._held, self._held_stamps = [], []
         metrics = self._service.metrics
         if metrics is not None:
-            metrics.counter("serve.applied").inc()
-            metrics.histogram("latency.serve_e2e").observe(elapsed)
-        self._post(item.conn_id, payload)
+            now = perf_counter()
+            histogram = metrics.histogram("latency.serve_e2e")
+            for stamped in stamps:
+                histogram.observe(now - stamped)
+            metrics.counter("serve.applied").inc(len(stamps))
+        with self._outbox_lock:
+            self._outbox.extend(held)
+            wake = not self._wake_pending
+            self._wake_pending = True
+        if wake:
+            with contextlib.suppress(RuntimeError):  # loop closed
+                self._loop.call_soon_threadsafe(self._flush_outbox)
 
-    def _post(self, conn_id: int, payload: dict) -> None:
-        """Route a reply to a connection from the apply thread."""
-        conn = self._conns.get(conn_id)
-        if conn is None:
-            return  # client disconnected before its reply
-        data = protocol.encode_frame(payload)
-        with contextlib.suppress(RuntimeError):  # loop already closed
-            self._loop.call_soon_threadsafe(self._offer, conn, data)
-
-    def _offer(self, conn: _Connection, data: bytes) -> None:
-        if conn.open:
-            conn.outq.put_nowait(data)
+    def _on_space(self) -> None:
+        """Sequencer hook (apply thread): a refused reader may retry."""
+        with contextlib.suppress(RuntimeError):  # loop closed
+            self._loop.call_soon_threadsafe(self._wake_readers)
 
     # -- the asyncio side --------------------------------------------------
+
+    def _flush_outbox(self) -> None:
+        """Write every released reply, one ``write`` per connection."""
+        with self._outbox_lock:
+            self._wake_pending = False
+            batch, self._outbox = self._outbox, []
+        frames: defaultdict[int, list[bytes]] = defaultdict(list)
+        for conn_id, data in batch:
+            frames[conn_id].append(data)
+        for conn_id, parts in frames.items():
+            conn = self._conns.get(conn_id)
+            if conn is not None:  # else: disconnected before its reply
+                self._write(conn, b"".join(parts))
+
+    def _write(self, conn: _Connection, data: bytes) -> None:
+        """Loop thread only.  Never waits for the peer; a peer that
+        lets :data:`MAX_WRITE_BACKLOG` bytes pile up is dropped."""
+        transport = conn.writer.transport
+        if transport.is_closing():
+            return
+        conn.writer.write(data)
+        if transport.get_write_buffer_size() > MAX_WRITE_BACKLOG:
+            self.errors += 1
+            self._count("serve.errors.slow-client")
+            self._count("serve.connections.closed")
+            self._conns.pop(conn.conn_id, None)
+            transport.abort()  # its reader task sees EOF and returns
+
+    def _wake_readers(self) -> None:
+        waiters, self._space_waiters = self._space_waiters, []
+        for waiter in waiters:
+            if not waiter.done():  # a cancelled reader's is
+                waiter.set_result(None)
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
@@ -490,12 +609,9 @@ class AuctionWireServer:
         self._conns[conn.conn_id] = conn
         self.connections_total += 1
         self._count("serve.connections.opened")
-        conn.writer_task = asyncio.ensure_future(
-            self._write_loop(conn))
-        self._offer(conn, protocol.encode_frame(
-            protocol.welcome_payload(
-                conn.conn_id, methods=tuple(SERVICE_METHODS),
-                max_frame=self.config.max_frame)))
+        self._send(conn, protocol.welcome_payload(
+            conn.conn_id, methods=tuple(SERVICE_METHODS),
+            max_frame=self.config.max_frame))
         task = asyncio.current_task()
         self._reader_tasks.add(task)
         try:
@@ -506,6 +622,11 @@ class AuctionWireServer:
             self._reader_tasks.discard(task)
         await self._close_conn(conn, reason="bye")
 
+    def _send(self, conn: _Connection, payload: dict) -> None:
+        """Answer inline from a reader task (welcome, hello-ok,
+        protocol errors, goodbye)."""
+        self._write(conn, protocol.encode_frame(payload))
+
     async def _read_loop(self, conn: _Connection,
                          reader: asyncio.StreamReader) -> None:
         while True:
@@ -515,8 +636,8 @@ class AuctionWireServer:
             except protocol.ProtocolError as error:
                 self.errors += 1
                 self._count(f"serve.errors.{error.code}")
-                self._offer(conn, protocol.encode_frame(
-                    protocol.error_payload(error.code, error.detail)))
+                self._send(conn, protocol.error_payload(
+                    error.code, error.detail))
                 if error.fatal:
                     return  # the byte stream cannot re-synchronize
                 continue
@@ -539,63 +660,59 @@ class AuctionWireServer:
             except protocol.ProtocolError as error:
                 self.errors += 1
                 self._count(f"serve.errors.{error.code}")
-                self._offer(conn, protocol.encode_frame(
-                    protocol.error_payload(error.code, error.detail,
-                                           tag)))
+                self._send(conn, protocol.error_payload(
+                    error.code, error.detail, tag))
                 return True
-            try:
-                # Blocking bounded-queue put off the event loop: a
-                # full ingress queue stalls this connection's reads
-                # (TCP backpressure), never the other connections.
-                await self._loop.run_in_executor(
-                    None, lambda: self.sequencer.submit(
-                        event, conn_id=conn.conn_id, tag=tag))
-            except RuntimeError:
-                return False  # sequencer closed: drain has begun
-            return True
+            return await self._sequence(conn, event, tag)
         if ptype == "hello":
             role = payload.get("role")
             conn.role = role if isinstance(role, str) else "client"
-            self._offer(conn, protocol.encode_frame(
-                protocol.hello_ok_payload(conn.conn_id, conn.role)))
+            self._send(conn, protocol.hello_ok_payload(
+                conn.conn_id, conn.role))
             return True
         if ptype == "bye":
             return False
         self.errors += 1
         self._count("serve.errors.unknown-type")
-        self._offer(conn, protocol.encode_frame(protocol.error_payload(
+        self._send(conn, protocol.error_payload(
             "unknown-type", f"unsupported frame type {ptype!r}",
-            payload.get("tag"))))
+            payload.get("tag")))
         return True
 
-    async def _write_loop(self, conn: _Connection) -> None:
-        try:
-            while True:
-                data = await conn.outq.get()
-                if data is None:
-                    break
-                conn.writer.write(data)
-                await conn.writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            conn.open = False
-            with contextlib.suppress(Exception):
-                conn.writer.close()
-                await conn.writer.wait_closed()
+    async def _sequence(self, conn: _Connection, event: Event,
+                        tag) -> bool:
+        """Stamp-and-enqueue on the loop thread.  A full ingress
+        queue parks this reader — and so this connection's reads (TCP
+        backpressure), never the other connections — until the apply
+        thread has drained it to the sequencer's low-water mark.
+        False once the sequencer is closed: the drain has begun."""
+        while True:
+            try:
+                if self.sequencer.try_submit(
+                        event, conn_id=conn.conn_id,
+                        tag=tag) is not None:
+                    return True
+            except RuntimeError:
+                return False
+            # No await since the refusal, so _wake_readers (scheduled
+            # by a take that follows it) cannot run before this
+            # future is registered.
+            waiter = self._loop.create_future()
+            self._space_waiters.append(waiter)
+            await waiter
 
     async def _close_conn(self, conn: _Connection,
                           reason: str) -> None:
         if self._conns.pop(conn.conn_id, None) is None:
-            return  # already closed
+            return  # already closed, or dropped as a slow client
         self._count("serve.connections.closed")
-        self._offer(conn, protocol.encode_frame(
-            protocol.goodbye_payload(reason)))
-        conn.open = False
-        conn.outq.put_nowait(None)  # flush sentinel, after goodbye
-        if conn.writer_task is not None:
-            with contextlib.suppress(Exception):
-                await asyncio.wait_for(conn.writer_task, timeout=5)
+        self._send(conn, protocol.goodbye_payload(reason))
+        conn.writer.close()  # flushes what is buffered, then closes
+        try:
+            await asyncio.wait_for(conn.writer.wait_closed(),
+                                   timeout=5)
+        except (asyncio.TimeoutError, OSError):
+            conn.writer.transport.abort()
 
 
 def run_server(config: ServeConfig) -> int:

@@ -30,7 +30,8 @@ Layers
   ``tools/trace_diff.py``.
 * :mod:`repro.stream.journal` — the write-ahead
   :class:`EventJournal`: every ingress event (and service emission)
-  fsync'd before application, torn-tail tolerant.
+  written before application and fsync'd (group commit) before it
+  is acknowledged, torn-tail tolerant.
 * :mod:`repro.stream.recovery` — :func:`recover`: newest valid
   checkpoint + journaled-suffix replay, optionally to a different
   worker count; the fault-injection harness

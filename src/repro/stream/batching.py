@@ -40,7 +40,7 @@ changing anything observable:
 Ordering guarantee: admitted events are dispatched in exactly their
 arrival order; batching changes *when* work is amortized, never the
 sequence the service applies.  The durable wrapper journals a whole
-window behind one fsync barrier before applying any of it, so batch
+window before applying any of it, so batch
 boundaries never leak into the recorded event order either (see
 :meth:`~repro.stream.service.DurableAuctionService.process_window`).
 """

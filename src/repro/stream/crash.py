@@ -36,9 +36,15 @@ serving stack:
     Inside a file write, after the first half of the payload was
     flushed and fsynced — the crash leaves a **torn** (truncated)
     record on disk, which recovery must detect and skip.
+``journal-pre-sync``
+    :meth:`~repro.stream.journal.EventJournal.sync`, with lines
+    written and flushed to the OS but the group-commit ``fsync`` not
+    yet issued — every event of the group is applied, none is
+    acknowledged.  A process death keeps the lines; a power cut may
+    not, which is why no reply or checkpoint precedes the barrier.
 ``batch-post-flush``
-    The durable micro-batch loop, after a whole query window was
-    journaled behind one fsync barrier but before *any* of it was
+    The durable micro-batch loop, after a whole query window's inputs
+    were journaled (written and flushed) but before *any* of it was
     applied — recovery must replay the journaled-but-unapplied
     window.
 ``batch-mid-window``
@@ -95,6 +101,7 @@ CRASH_SITES = (
     "worker-idle",
     "journal-mid-write",
     "checkpoint-mid-write",
+    "journal-pre-sync",
     "batch-post-flush",
     "batch-mid-window",
     "serve-mid-frame",

@@ -1,15 +1,26 @@
-"""The write-ahead event journal: fsync'd ingress, torn-tail tolerant.
+"""The write-ahead event journal: two barriers, torn-tail tolerant.
 
 The durability contract has two halves; this module is the first.
 :class:`EventJournal` records every event **before** it is applied —
-input events and service-originated emissions alike — with an explicit
-``fsync`` per append, so after any crash the journal is a superset of
-what the service actually applied.  The second half
-(:mod:`repro.stream.recovery`) loads the newest valid checkpoint and
-replays the journaled suffix; because every applied event is on disk
-first, nothing applied is ever lost, and because application is
-deterministic, re-applying a journaled-but-unapplied tail converges on
-the exact uninterrupted trace (``tests/stream/test_fault_injection.py``).
+input events and service-originated emissions alike — behind two
+barriers of different strength:
+
+* :meth:`EventJournal.append` writes the line and flushes it to the
+  operating system.  That is what a **process death** keeps
+  (SIGKILL, ``os._exit``, an unhandled exception): after any such
+  crash the journal is a superset of what the service applied.
+* :meth:`EventJournal.sync` issues one ``fsync`` for everything
+  appended so far.  That is what a **power cut** keeps.  One ``sync``
+  covers any number of appends (group commit); callers issue it
+  before anything leaves the process that presumes the lines exist —
+  a reply to a client, a checkpoint file.
+
+The second half (:mod:`repro.stream.recovery`) loads the newest valid
+checkpoint and replays the journaled suffix; because every applied
+event is in the file first, nothing applied is ever lost, and because
+application is deterministic, re-applying a journaled-but-unapplied
+tail converges on the exact uninterrupted trace
+(``tests/stream/test_fault_injection.py``).
 
 Layout: JSONL.  Line 0 is a header carrying the journal format and the
 service configuration (the same dict a
@@ -104,25 +115,30 @@ def _entry_from_payload(payload: dict) -> JournalEntry:
 
 
 class EventJournal:
-    """An append-only, fsync-per-entry event journal.
+    """An append-only event journal with an explicit group-commit
+    barrier.
 
     Open with :meth:`create` (fresh file, header written and synced
     before the first event can land) or :meth:`resume` (existing file:
     torn tail truncated away, appends continue after the last complete
-    entry).  :meth:`append` is the write-ahead barrier — it returns
-    only after the entry is flushed *and* fsync'd, so callers may
-    apply the event the moment it returns.
+    entry).  :meth:`append` is the write-ahead half — it returns once
+    the line is flushed to the OS, so callers may apply the event the
+    moment it returns; :meth:`sync` is the durability half, one
+    ``fsync`` for every line appended since the last.
     """
 
     def __init__(self, path: Path, handle, config: dict):
         self.path = path
         self._handle = handle
         self.config = config
+        self.unsynced = 0
+        """Lines appended since the last :meth:`sync`."""
         self.metrics = None
         """Optional :class:`~repro.obs.MetricsRegistry` — attached by
-        the durable wrapper when observability is armed; appends then
-        count and time the fsync barrier (sidecar only, the write path
-        is byte-identical)."""
+        the durable wrapper when observability is armed;
+        ``journal.appends`` then counts lines and
+        ``latency.journal_fsync`` times each real fsync (sidecar only,
+        the write path is byte-identical)."""
 
     @classmethod
     def create(cls, path: str | Path, config: dict) -> "EventJournal":
@@ -150,14 +166,14 @@ class EventJournal:
 
     def append(self, seq: int, event: Event,
                origin: str = "input") -> None:
-        """Durably record one event (write + flush + fsync).
+        """Record one event ahead of its apply (write + flush).
 
-        When the ``journal-mid-write`` crash site is armed, the first
-        half of the line is flushed and fsync'd before the process
-        dies — manufacturing the torn tail a real power cut leaves.
+        The line survives a process death from here on; it survives a
+        power cut after the next :meth:`sync`.  When the
+        ``journal-mid-write`` crash site is armed, the first half of
+        the line is flushed and fsync'd before the process dies —
+        manufacturing the torn tail a real power cut leaves.
         """
-        start = (time.perf_counter() if self.metrics is not None
-                 else 0.0)
         line = _entry_to_line(seq, origin, event)
         if armed("journal-mid-write"):
             half = max(1, len(line) // 2)
@@ -169,43 +185,29 @@ class EventJournal:
         else:
             self._handle.write(line)
         self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self.unsynced += 1
         if self.metrics is not None:
             self.metrics.counter("journal.appends").inc()
-            self.metrics.histogram("latency.journal_fsync").observe(
-                time.perf_counter() - start)
 
-    def append_batch(self, entries: "list[tuple[int, Event]]",
-                     origin: str = "input") -> None:
-        """Durably record many events behind **one** fsync barrier.
-
-        The streaming micro-batcher's write-ahead path: a whole query
-        window is journaled — every line written, then a single
-        flush+fsync — before any of it is applied, so a crash after
-        the barrier (the ``batch-post-flush`` site) leaves a journal
-        whose replay includes the entire admitted window.  Falls back
-        to per-entry :meth:`append` while the ``journal-mid-write``
-        crash site is armed, so fault injection can still manufacture
-        a torn tail inside a batch.
-        """
-        if armed("journal-mid-write"):
-            for seq, event in entries:
-                self.append(seq, event, origin=origin)
+    def sync(self) -> None:
+        """The group-commit barrier: one ``fsync`` covering every line
+        appended since the last (a no-op when there is none).  The
+        ``journal-pre-sync`` crash site sits just ahead of it: lines
+        written, barrier not yet reached."""
+        if not self.unsynced:
             return
+        crash_hook("journal-pre-sync")
         start = (time.perf_counter() if self.metrics is not None
                  else 0.0)
-        for seq, event in entries:
-            self._handle.write(_entry_to_line(seq, origin, event))
-        self._handle.flush()
         os.fsync(self._handle.fileno())
+        self.unsynced = 0
         if self.metrics is not None:
-            self.metrics.counter("journal.batch_appends").inc()
-            self.metrics.counter("journal.appends").inc(len(entries))
             self.metrics.histogram("latency.journal_fsync").observe(
                 time.perf_counter() - start)
 
     def close(self) -> None:
         if not self._handle.closed:
+            self.sync()
             self._handle.close()
 
     def __enter__(self) -> "EventJournal":

@@ -17,7 +17,8 @@ after a process death from exactly two artifacts:
    which must extend them.
 
 Why this converges on the uninterrupted trace: the journal is
-write-ahead (an event is fsync'd before it is applied), so the set of
+write-ahead (an event's line is written before it is applied, and
+fsync'd before anyone is told it was), so the set of
 applied-but-unjournaled events is empty; the set of
 journaled-but-unapplied events is at most the tail, and re-applying
 those is exactly what the uninterrupted run would have done — the

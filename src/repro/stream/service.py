@@ -84,6 +84,7 @@ from repro.runtime.messages import ControlNotice
 from repro.runtime.sharding import ShardPlan
 from repro.stream.batching import BatchingConfig, MicroBatcher
 from repro.stream.budget import BudgetRegistry
+from repro.stream.crash import crash_hook
 from repro.stream.events import (
     SERVICE_ORIGINATED,
     AdvertiserJoin,
@@ -680,9 +681,9 @@ class OnlineAuctionService:
         if tracer is not None:
             # The root opens *after* the apply so invalid events still
             # raise before any tracing state lands; children recorded
-            # mid-apply (dispatch/emit, the durable wrapper's staged
-            # journal-fsync) are adopted here, and late children
-            # (checkpoint, batch-window) attach until the next apply's
+            # mid-apply (dispatch/emit) or staged ahead of it (ingress)
+            # are adopted here, and late children (journal-fsync,
+            # checkpoint, batch-window) attach until the next apply's
             # flush_upto.
             tracer.open(seq, kind)
             tracer.set_duration(seq, elapsed)
@@ -1065,16 +1066,22 @@ class OnlineAuctionService:
 
 
 class DurableAuctionService:
-    """The durable event loop: journal first, apply second, checkpoint
-    on schedule.
+    """The durable event loop: journal first, apply second, commit
+    before anything leaves, checkpoint on schedule.
 
-    Wraps an :class:`OnlineAuctionService` with the write-ahead
+    Wraps an :class:`OnlineAuctionService` with the two-barrier
     contract of :mod:`repro.stream.journal`: every input event is
-    fsync'd to the journal *before* it reaches the event loop, every
-    service-originated emission is journaled right after the event
-    that caused it (tagged ``origin="service"``, same seq), and —
-    when a :class:`~repro.stream.snapshot.CheckpointPolicy` is
-    attached — a checkpoint lands each time the applied-event
+    written and flushed to the journal *before* it reaches the event
+    loop, every service-originated emission is journaled right after
+    the event that caused it (tagged ``origin="service"``, same seq),
+    and :meth:`commit` — one ``fsync`` for every line since the last —
+    runs before a checkpoint is written, before :meth:`close`, and
+    (unless the caller takes the barrier over with ``commit=False``)
+    before :meth:`process` / :meth:`process_window` return.  The wire
+    server is the caller that takes it over: it applies a group of
+    already-queued events and commits once, ahead of their replies.
+    When a :class:`~repro.stream.snapshot.CheckpointPolicy` is
+    attached, a checkpoint lands each time the applied-event
     watermark crosses the interval.  After any crash,
     :func:`repro.stream.recovery.recover` rebuilds a service whose
     remaining-suffix replay is bit-identical to the uninterrupted run.
@@ -1142,35 +1149,54 @@ class DurableAuctionService:
                 every=checkpoint_every, retain=checkpoint_retain)
         return cls(service, journal, checkpoints)
 
-    def process(self, event: Event) -> AuctionRecord | None:
-        """Durably apply one event (journal -> apply -> checkpoint)."""
-        from repro.stream.crash import crash_hook
-
-        tracer = self.service.tracer
+    def process(self, event: Event, *,
+                commit: bool = True) -> AuctionRecord | None:
+        """Durably apply one event (journal -> apply -> commit, with a
+        checkpoint when one is due).  ``commit=False`` leaves the
+        barrier to the caller, who must :meth:`commit` before letting
+        anything that depends on the event out of the process."""
         seq = self.service.events_processed
-        if tracer is not None:
-            fsync_start = time_module.perf_counter()
-            self.journal.append(seq, event, origin="input")
-            tracer.stage(seq, "journal-fsync",
-                         time_module.perf_counter() - fsync_start,
-                         attrs={"origin": "input"})
-        else:
-            self.journal.append(seq, event, origin="input")
+        self.journal.append(seq, event, origin="input")
         emitted_before = len(self.service.emitted)
         record = self.service.process(event)
-        for emission in self.service.emitted[emitted_before:]:
-            self.journal.append(seq, emission, origin="service")
+        self._journal_emissions(seq, emitted_before)
         crash_hook("service-post-apply")
-        if self.checkpoints is not None \
-                and self.checkpoints.due(self.service.events_processed):
-            self._write_checkpoint(seq)
-            crash_hook("service-post-checkpoint")
+        self._checkpoint_if_due(seq)
+        if commit:
+            self.commit()
         return record
 
-    def _write_checkpoint(self, seq: int) -> None:
-        """Write a due checkpoint, attaching a ``checkpoint`` child to
-        the (still-open) root span of the event that crossed the
-        interval when tracing is on."""
+    def commit(self) -> None:
+        """The group-commit barrier: ``fsync`` the journal if any line
+        was appended since the last barrier.  With tracing on, the
+        barrier is one ``journal-fsync`` child on the last applied
+        event, whose root is still open."""
+        entries = self.journal.unsynced
+        if not entries:
+            return
+        start = time_module.perf_counter()
+        self.journal.sync()
+        tracer = self.service.tracer
+        if tracer is not None:
+            tracer.child(self.service.events_processed - 1,
+                         "journal-fsync",
+                         time_module.perf_counter() - start,
+                         attrs={"origin": "input", "entries": entries})
+
+    def _journal_emissions(self, seq: int, emitted_before: int) -> None:
+        for emission in self.service.emitted[emitted_before:]:
+            self.journal.append(seq, emission, origin="service")
+
+    def _checkpoint_if_due(self, seq: int) -> None:
+        """Write a due checkpoint — behind the commit barrier, so a
+        checkpoint never describes an event the journal could still
+        lose — attaching a ``checkpoint`` child to the (still-open)
+        root span of the event that crossed the interval when tracing
+        is on."""
+        if self.checkpoints is None or not self.checkpoints.due(
+                self.service.events_processed):
+            return
+        self.commit()
         tracer = self.service.tracer
         if tracer is not None:
             write_start = time_module.perf_counter()
@@ -1181,65 +1207,53 @@ class DurableAuctionService:
                                 self.service.events_processed})
         else:
             self.checkpoints.write(self.service.snapshot())
+        crash_hook("service-post-checkpoint")
 
-    def process_window(self, queries: "list[QueryArrival]"
-                       ) -> list[AuctionRecord]:
+    def process_window(self, queries: "list[QueryArrival]", *,
+                       commit: bool = True) -> list[AuctionRecord]:
         """Durably apply one micro-batch window of query arrivals.
 
         The write-ahead contract holds at window granularity: every
-        event of the window is journaled — behind **one** fsync
-        barrier (:meth:`~repro.stream.journal.EventJournal
-        .append_batch`) — before *any* of it is applied, then each
-        query applies in order with its emissions journaled at its
-        own seq and the checkpoint schedule consulted per event,
-        exactly as the unbatched loop does.  Batch boundaries
+        event of the window is journaled before *any* of it is
+        applied, then each query applies in order with its emissions
+        journaled at its own seq and the checkpoint schedule consulted
+        per event, exactly as the unbatched loop does; one
+        :meth:`commit` closes the window (``commit=False`` leaves it
+        to the caller, as in :meth:`process`).  Batch boundaries
         therefore never leak into the recorded event order: per
         origin — the ``input`` sequence and the ``service`` emission
         sequence — the journal is entry for entry the one an
         unbatched run writes (only the interleaving *between* the two
         origins shifts, since a window's inputs land ahead of its
         emissions), and recovery replays each origin independently,
-        so it needs no batching awareness at all.  A crash after the barrier
-        (``batch-post-flush``) leaves journaled-but-unapplied events
-        that recovery replays; a crash between in-window applies
-        (``batch-mid-window``) is the classic mid-batch kill.
+        so it needs no batching awareness at all.  A crash after the
+        inputs are journaled (``batch-post-flush``) leaves
+        journaled-but-unapplied events that recovery replays; a crash
+        between in-window applies (``batch-mid-window``) is the
+        classic mid-batch kill.
         """
-        from repro.stream.crash import crash_hook
-
         if not queries:
             return []
-        tracer = self.service.tracer
         base_seq = self.service.events_processed
-        entries = [(base_seq + offset, event)
-                   for offset, event in enumerate(queries)]
-        if tracer is not None:
-            # One fsync barrier covers the window; the span lands on
-            # the window's first event with the batch size attached.
-            fsync_start = time_module.perf_counter()
-            self.journal.append_batch(entries)
-            tracer.stage(base_seq, "journal-fsync",
-                         time_module.perf_counter() - fsync_start,
-                         attrs={"origin": "input",
-                                "entries": len(entries)})
-        else:
-            self.journal.append_batch(entries)
+        for offset, event in enumerate(queries):
+            self.journal.append(base_seq + offset, event,
+                                origin="input")
         crash_hook("batch-post-flush")
         emitted_seen = len(self.service.emitted)
 
         def after_each(event: Event, record: AuctionRecord) -> None:
             nonlocal emitted_seen
             seq = self.service.events_processed - 1
-            for emission in self.service.emitted[emitted_seen:]:
-                self.journal.append(seq, emission, origin="service")
+            self._journal_emissions(seq, emitted_seen)
             emitted_seen = len(self.service.emitted)
             crash_hook("batch-mid-window")
-            if self.checkpoints is not None and self.checkpoints.due(
-                    self.service.events_processed):
-                self._write_checkpoint(seq)
-                crash_hook("service-post-checkpoint")
+            self._checkpoint_if_due(seq)
 
-        return self.service.process_window(queries,
-                                           after_each=after_each)
+        records = self.service.process_window(queries,
+                                              after_each=after_each)
+        if commit:
+            self.commit()
+        return records
 
     def run(self, events: Iterable[Event]) -> list[AuctionRecord]:
         """Consume a stream durably, returning records in order.
@@ -1291,6 +1305,7 @@ class DurableAuctionService:
         return self.service.snapshot()
 
     def close(self) -> None:
+        self.commit()
         self.journal.close()
         self.service.close()
 

@@ -6,11 +6,7 @@ import pytest
 
 from repro.serve import ServeConfig
 
-from .harness import LiveServer
-
-SMALL = dict(advertisers=24, slots=3, keywords=3, seed=5)
-"""The suite's default tiny universe — big enough for churn, small
-enough that every live test stays sub-second."""
+from .harness import SMALL, LiveServer, ServeProcess  # noqa: F401
 
 
 @pytest.fixture
@@ -30,3 +26,17 @@ def serve_factory():
     for live in servers:
         if live.thread.is_alive():
             live.stop("teardown")
+
+
+@pytest.fixture
+def serve_proc(tmp_path):
+    started: list[ServeProcess] = []
+
+    def factory(**kwargs) -> ServeProcess:
+        proc = ServeProcess(tmp_path, **kwargs)
+        started.append(proc)
+        return proc
+
+    yield factory
+    for proc in started:
+        proc.kill()

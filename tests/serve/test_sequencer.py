@@ -9,6 +9,7 @@ bit-identically offline for all four auction methods.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -98,6 +99,101 @@ class TestTotalOrder:
         assert sequencer.take().event == "a"
         assert unblocked.wait(5)  # one take frees one slot
         thread.join(5)
+
+
+class TestTrySubmit:
+    """The non-blocking way in (the wire server's reader tasks)."""
+
+    def test_returns_none_when_full_and_raises_once_closed(self):
+        sequencer = IngressSequencer(capacity=2)
+        assert sequencer.try_submit("a").seq == 0
+        assert sequencer.try_submit("b").seq == 1
+        assert sequencer.try_submit("c") is None  # full: not stamped
+        assert sequencer.submitted == 2
+        assert sequencer.take().event == "a"
+        assert sequencer.try_submit("c").seq == 2
+        sequencer.close()
+        with pytest.raises(RuntimeError):
+            sequencer.try_submit("late")
+        assert [sequencer.take().event, sequencer.take().event] \
+            == ["b", "c"]
+        assert sequencer.take() is None
+
+    def test_on_space_fires_once_per_refusal_at_the_low_water_mark(
+            self):
+        sequencer = IngressSequencer(capacity=4)
+        calls = []
+        sequencer.on_space = lambda: calls.append(sequencer.depth())
+        for name in "abcd":
+            sequencer.try_submit(name)
+        sequencer.take()
+        assert calls == []  # nobody was refused: the hook is free
+        sequencer.try_submit("e")
+        assert sequencer.try_submit("f") is None
+        assert sequencer.try_submit("g") is None
+        sequencer.take()
+        assert calls == []  # 3 of 4 queued: above the mark
+        sequencer.take()
+        assert calls == [2]  # half empty: one call for both refusals
+        sequencer.take()
+        assert calls == [2]
+
+    def test_a_single_slot_queue_wakes_on_every_take(self):
+        sequencer = IngressSequencer(capacity=1)
+        calls = []
+        sequencer.on_space = lambda: calls.append(True)
+        sequencer.try_submit("a")
+        assert sequencer.try_submit("b") is None
+        assert sequencer.take().event == "a"
+        assert calls == [True]
+
+    def test_stamps_stay_contiguous_when_both_ways_in_interleave(
+            self):
+        """The stress test for the shared stamping routine: more
+        submitters than cores, a shortened switch interval, a small
+        queue so both ways in keep hitting the full case."""
+        sequencer = IngressSequencer(capacity=4)
+        per_thread = 300
+        space = threading.Event()
+        sequencer.on_space = space.set
+
+        def blocking(conn_id: int) -> None:
+            for index in range(per_thread):
+                sequencer.submit(index, conn_id=conn_id, tag=index)
+
+        def polling(conn_id: int) -> None:
+            for index in range(per_thread):
+                while sequencer.try_submit(
+                        index, conn_id=conn_id, tag=index) is None:
+                    space.wait(0.01)
+                    space.clear()
+
+        pool = [threading.Thread(target=target, args=(conn,))
+                for conn, target in enumerate(
+                    [blocking, polling] * 3)]
+        taken = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in pool:
+                thread.start()
+            deadline = time.monotonic() + 60
+            while len(taken) < len(pool) * per_thread \
+                    and time.monotonic() < deadline:
+                item = sequencer.try_take()
+                if item is not None:
+                    taken.append(item)
+            for thread in pool:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert [item.seq for item in taken] \
+            == list(range(len(pool) * per_thread))
+        for conn in range(len(pool)):
+            assert [item.tag for item in taken
+                    if item.conn_id == conn] \
+                == list(range(per_thread))
 
 
 # -- the interleaving property (satellite 2) -------------------------------

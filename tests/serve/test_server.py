@@ -5,19 +5,24 @@ rejected *before* they can perturb the recorded stream.
 
 from __future__ import annotations
 
+import select
+import socket
 import threading
 
 import pytest
 
 from repro.auction.trace import record_to_dict
 from repro.bench import records_identical
+from repro.serve import protocol
+from repro.serve import server as server_module
 from repro.serve.protocol import event_to_payload
 from repro.stream.events import AdvertiserJoin, QueryArrival
+from repro.stream.service import OnlineAuctionService
 from repro.workloads.paper_workload import PaperWorkloadConfig
 
 from ..stream.oracle import assert_outcomes_agree, run_service
 from .conftest import SMALL
-from .harness import churn_events
+from .harness import churn_events, read_replies
 
 _CONFIG = PaperWorkloadConfig(
     num_advertisers=SMALL["advertisers"], num_slots=SMALL["slots"],
@@ -34,6 +39,20 @@ def _drive(live, events):
             replies.append(client.submit(event, tag=index))
         client.bye()
     return replies
+
+
+def _frames(events, pad: str = "") -> list[bytes]:
+    """One pre-encoded frame per event, tagged by position; ``pad``
+    rides in the tag, which the reply echoes — the way to make frames
+    (and replies) as large as a test needs."""
+    return [protocol.encode_frame(
+        event_to_payload(event, tag=f"{index}:{pad}"))
+        for index, event in enumerate(events)]
+
+
+def _queries(count: int) -> list[QueryArrival]:
+    return [QueryArrival(keyword=f"kw{index % SMALL['keywords']}")
+            for index in range(count)]
 
 
 class TestLiveReplayBitIdentity:
@@ -218,3 +237,127 @@ class TestRejection:
             client.bye()
         live.stop()
         assert len(live.server.applied) == 0
+
+
+class TestExecutorFreeIngest:
+    """Readers stamp on the loop thread; a full ingress queue parks
+    the reader, which is what turns into TCP backpressure."""
+
+    def test_no_pool_thread_after_a_thousand_events(
+            self, serve_factory):
+        live = serve_factory()
+        script = [*churn_events(_CONFIG, events=0), *_queries(1000)]
+        with socket.create_connection(
+                ("127.0.0.1", live.port), timeout=30) as sock:
+            sock.sendall(b"".join(_frames(script)))
+            replies = read_replies(sock.makefile("rb"), len(script))
+        assert [reply["seq"] for reply in replies] \
+            == list(range(len(script)))
+        names = [thread.name for thread in threading.enumerate()]
+        assert "serve-apply" in names
+        assert not any(name.startswith("asyncio_")
+                       for name in names), names
+        live.stop()
+
+    def test_full_queue_stalls_that_connection_only(
+            self, serve_factory, monkeypatch):
+        gate = threading.Event()
+        inner = OnlineAuctionService.process
+
+        def gated(service, event):
+            assert gate.wait(60)
+            return inner(service, event)
+
+        monkeypatch.setattr(OnlineAuctionService, "process", gated)
+        capacity = 2
+        live = serve_factory(ingress_capacity=capacity)
+        # 16 KB tags: ~10 MB of requests, more than loopback socket
+        # buffers absorb, so the sender can only finish if the
+        # server keeps reading.
+        script = [*churn_events(_CONFIG, events=0), *_queries(600)]
+        data = memoryview(b"".join(_frames(script, pad="x" * 16384)))
+        sock = socket.create_connection(("127.0.0.1", live.port),
+                                        timeout=60)
+        try:
+            sock.setblocking(False)
+            sent = 0
+            while sent < len(data):
+                if not select.select([], [sock], [], 1.0)[1]:
+                    break  # not writable for a second: stalled
+                sent += sock.send(data[sent:sent + 65536])
+            assert sent < len(data), \
+                "the whole script was read with the service blocked"
+            # One event inside the gated apply, a full queue, one
+            # frame in the parked reader's hands — and not one more.
+            assert live.server.frames == capacity + 2
+            assert len(live.server.applied) == 0
+            # The loop itself is not stalled: others connect fine.
+            with live.client() as other:
+                assert other.welcome["type"] == "welcome"
+            assert live.server.frames == capacity + 2
+
+            gate.set()
+            sock.setblocking(True)
+            replies: list[dict] = []
+            reader = threading.Thread(
+                target=lambda: replies.extend(read_replies(
+                    sock.makefile("rb"), len(script))))
+            reader.start()
+            sock.sendall(data[sent:])
+            reader.join(60)
+            assert not reader.is_alive()
+        finally:
+            gate.set()
+            sock.close()
+        live.stop()
+        # Every frame applied exactly once, in the connection's order.
+        assert [int(reply["tag"].split(":")[0]) for reply in replies] \
+            == list(range(len(script)))
+        assert all(reply["type"] in ("ok", "result")
+                   for reply in replies)
+        assert list(live.server.applied) == script
+
+
+class TestSlowClient:
+    def test_client_that_never_reads_is_dropped_alone(
+            self, serve_factory, tmp_path, monkeypatch):
+        # The real bound (32 MiB) with a proportionally smaller flood.
+        monkeypatch.setattr(server_module, "MAX_WRITE_BACKLOG",
+                            256 * 1024)
+        live = serve_factory(
+            metrics_out=str(tmp_path / "metrics.jsonl"))
+        genesis = churn_events(_CONFIG, events=0)
+        flood = _frames(_queries(2000), pad="x" * 32768)
+        with live.client() as good:
+            for index, event in enumerate(genesis):
+                assert good.submit(event, tag=index)["type"] == "ok"
+            slow = socket.create_connection(
+                ("127.0.0.1", live.port), timeout=30)
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sent = 0
+            try:
+                for frame in flood:  # pipelined; nothing ever read
+                    slow.sendall(frame)
+                    sent += 1
+            except OSError:
+                pass  # dropped under us: the point
+            finally:
+                slow.close()
+            assert sent < len(flood), "64 MB of replies were buffered"
+            # The well-behaved client never noticed.
+            during = [good.submit(query, tag=f"good-{index}")
+                      for index, query in enumerate(_queries(5))]
+            assert [reply["type"] for reply in during] \
+                == ["result"] * 5
+            good.bye()
+        live.stop()
+        assert live.exit_code == 0
+        counters = live.server._service.metrics.to_dict()["counters"]
+        assert counters["serve.errors.slow-client"] == 1
+        # Its queries were sequenced and applied like anyone's; only
+        # the replies had nowhere to go.  The record still replays.
+        applied = list(live.server.applied)
+        assert applied[:len(genesis)] == genesis
+        offline = run_service(_CONFIG, applied, method="rh",
+                              engine_seed=_ENGINE_SEED)
+        assert records_identical(live.server.records, offline.records)

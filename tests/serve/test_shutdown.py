@@ -15,101 +15,20 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-import pytest
-
-from repro.serve import WireClient
+from repro.serve import WireClient, protocol
 from repro.stream.crash import ENV_VAR, EXIT_CODE
-from repro.stream.events import EventLog
+from repro.stream.events import EventLog, QueryArrival
 from repro.stream.snapshot import CHECKPOINT_PREFIX
 from repro.workloads.paper_workload import PaperWorkloadConfig
 
 from .conftest import SMALL
-from .harness import churn_events
-
-REPO = Path(__file__).resolve().parent.parent.parent
-SRC = REPO / "src"
+from .harness import REPO, SRC, ServeProcess, churn_events
 
 _CONFIG = PaperWorkloadConfig(
     num_advertisers=SMALL["advertisers"], num_slots=SMALL["slots"],
     num_keywords=SMALL["keywords"], seed=SMALL["seed"])
-
-
-class ServeProcess:
-    """A real ``repro serve`` subprocess with durable artifacts."""
-
-    def __init__(self, tmp_path: Path, *, crash: str | None = None,
-                 checkpoint_every: int = 10) -> None:
-        self.port_file = tmp_path / "port"
-        self.journal = tmp_path / "journal.jsonl"
-        self.checkpoint_dir = tmp_path / "checkpoints"
-        self.record = tmp_path / "events.jsonl"
-        cmd = [
-            sys.executable, "-m", "repro", "serve",
-            "--host", "127.0.0.1", "--port", "0",
-            "--port-file", str(self.port_file),
-            "--advertisers", str(SMALL["advertisers"]),
-            "--slots", str(SMALL["slots"]),
-            "--keywords", str(SMALL["keywords"]),
-            "--seed", str(SMALL["seed"]),
-            "--journal", str(self.journal),
-            "--checkpoint-every", str(checkpoint_every),
-            "--checkpoint-dir", str(self.checkpoint_dir),
-            "--record-events", str(self.record),
-        ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC)
-        if crash is not None:
-            env[ENV_VAR] = crash
-        self.proc = subprocess.Popen(
-            cmd, cwd=REPO, env=env, text=True,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        self.port = self._await_port()
-
-    def _await_port(self, timeout: float = 30.0) -> int:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.proc.poll() is not None:
-                raise RuntimeError(
-                    "serve died before publishing its port: "
-                    + self.proc.communicate()[1])
-            try:
-                text = self.port_file.read_text().strip()
-            except FileNotFoundError:
-                text = ""
-            if text:
-                return int(text)
-            time.sleep(0.02)
-        raise RuntimeError("no port file within 30s")
-
-    def finish(self, timeout: float = 60.0) -> tuple[int, str, str]:
-        out, err = self.proc.communicate(timeout=timeout)
-        return self.proc.returncode, out, err
-
-    def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.communicate(timeout=10)
-
-    def checkpoints(self) -> list[Path]:
-        return sorted(self.checkpoint_dir.glob(
-            CHECKPOINT_PREFIX + "*.json"))
-
-
-@pytest.fixture
-def serve_proc(tmp_path):
-    started: list[ServeProcess] = []
-
-    def factory(**kwargs) -> ServeProcess:
-        proc = ServeProcess(tmp_path, **kwargs)
-        started.append(proc)
-        return proc
-
-    yield factory
-    for proc in started:
-        proc.kill()
 
 
 def _recover(proc: ServeProcess, trace: Path) -> \
@@ -162,6 +81,37 @@ class TestGracefulShutdown:
         code, out, err = server.finish()
         assert code == 0, err
         assert "clean shutdown (SIGTERM)" in out
+
+
+    def test_sigterm_while_a_reader_is_parked_still_exits_zero(
+            self, serve_proc):
+        """A two-slot ingress queue under a pipelined flood keeps the
+        connection's reader parked on the space future nearly all the
+        time; SIGTERM mid-flood must cancel it and still drain."""
+        server = serve_proc(extra_args=("--ingress-capacity", "2"))
+        genesis = churn_events(_CONFIG, events=0)
+        queries = [QueryArrival(keyword=f"kw{index % 3}")
+                   for index in range(20_000)]
+        script = [*genesis, *queries]
+        flood = b"".join(
+            protocol.encode_frame(
+                protocol.event_to_payload(event, tag=index))
+            for index, event in enumerate(script))
+        with WireClient("127.0.0.1", server.port,
+                        timeout=30.0) as client:
+            client.send_raw(flood)  # the whole script, nothing read
+            # A reply proves the apply thread is mid-stream with the
+            # backlog still behind it.
+            assert client.read_frame()["type"] in ("ok", "result")
+            server.proc.send_signal(signal.SIGTERM)
+            code, out, err = server.finish()
+        assert code == 0, err
+        assert "clean shutdown (SIGTERM)" in out
+        recorded = list(EventLog.from_jsonl(server.record))
+        # It really was mid-flood, and what was applied is the
+        # connection's own order with nothing skipped or doubled.
+        assert 1 <= len(recorded) < len(script)
+        assert recorded == script[:len(recorded)]
 
 
 class TestServeMidFrameChaos:

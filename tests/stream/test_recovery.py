@@ -8,7 +8,11 @@ Four layers of proof on top of the fault-injection matrix
 * torn-write exhaustion — the journal tail and the newest checkpoint
   each truncated at **every byte boundary** of the last record, with
   recovery falling back to the last complete entry / previous valid
-  checkpoint;
+  checkpoint; and the same for a whole *uncommitted group* (appended,
+  never synced), any suffix of which a power cut may take;
+* the group-commit barrier — ``append`` is write-ahead for a process
+  death, ``sync`` / ``commit`` is the one ``fsync`` per group, and a
+  death at ``journal-pre-sync`` recovers to the uninterrupted trace;
 * format and worker-count portability — format-1 *and* format-2
   checkpoints (the latter taken while advertisers are paused) each
   restored onto 1, 2, and 4 workers with the journaled suffix
@@ -183,6 +187,104 @@ class TestJournal:
         assert scanned.entries[-1].event == stream[4]
 
 
+class TestGroupCommitBarrier:
+    def test_append_is_visible_before_sync_and_sync_is_one_fsync(
+            self, tmp_path, monkeypatch):
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            "repro.stream.journal.os.fsync",
+            lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+        stream = make_stream(20)
+        path = tmp_path / "journal.jsonl"
+        journal = EventJournal.create(path, {})
+        created = len(fsyncs)  # the header's own barrier
+        for seq, event in enumerate(stream.prefix(6)):
+            journal.append(seq, event)
+        # Write-ahead for a process death: the lines are in the file
+        # (another handle reads them) with no fsync issued yet.
+        assert len(fsyncs) == created
+        assert journal.unsynced == 6
+        assert [entry.seq for entry in scan_journal(path).entries] \
+            == list(range(6))
+        journal.sync()
+        assert len(fsyncs) == created + 1 and journal.unsynced == 0
+        journal.sync()  # clean: no second fsync
+        assert len(fsyncs) == created + 1
+        journal.append(6, stream[6])
+        journal.close()  # close never leaves a line behind a barrier
+        assert len(fsyncs) == created + 2
+
+    def test_durable_commit_points(self, tmp_path, monkeypatch):
+        """Offline ``process`` commits per event, ``commit=False``
+        defers to the caller, and a due checkpoint is always written
+        behind the barrier."""
+        order = []
+        sync = EventJournal.sync
+        write = CheckpointPolicy.write
+
+        def logged_sync(journal):
+            if journal.unsynced:
+                order.append(("sync", journal.unsynced))
+            sync(journal)
+
+        def logged_write(policy, snapshot):
+            order.append(("checkpoint", snapshot.events_processed))
+            return write(policy, snapshot)
+
+        monkeypatch.setattr(EventJournal, "sync", logged_sync)
+        monkeypatch.setattr(CheckpointPolicy, "write", logged_write)
+        stream = make_stream(20, budget_low=0.0, budget_high=0.0)
+        with DurableAuctionService.open(
+                CONFIG, tmp_path / "journal.jsonl", engine_seed=SEED,
+                checkpoint_dir=tmp_path / "ckpt",
+                checkpoint_every=8) as durable:
+            for event in stream.prefix(3):
+                durable.process(event)
+            assert order == [("sync", 1)] * 3
+            for event in stream[3:10]:
+                durable.process(event, commit=False)
+            # Deferred — except that event 8's checkpoint forced the
+            # barrier for everything before it.
+            assert order[3:] == [("sync", 5), ("checkpoint", 8)]
+            assert durable.journal.unsynced == 2
+            durable.commit()
+            assert order[5:] == [("sync", 2)]
+            durable.process(stream[10], commit=False)
+        assert order[6:] == [("sync", 1)]  # close() commits
+
+    def test_crash_before_the_barrier_recovers_identically(
+            self, tmp_path):
+        """``journal-pre-sync``: the process dies with the 30th
+        event's line written but its fsync never issued.  A process
+        death keeps the line, so recovery replays it."""
+        from repro.stream.crash import EXIT_CODE, CrashPoint
+        from tests.stream.fault_injection import (
+            audit,
+            recover_and_resume,
+            run_crashing_stream,
+        )
+
+        stream = make_stream(60)
+        events_path = tmp_path / "events.jsonl"
+        stream.to_jsonl(events_path)
+        run = run_crashing_stream(
+            tmp_path, events_path,
+            CrashPoint.from_env("journal-pre-sync@30"), CONFIG,
+            seed=SEED - 1, checkpoint_every=20)  # engine seed: SEED
+        assert run.proc.returncode == EXIT_CODE, run.proc.stderr
+        result, recovered = recover_and_resume(run, stream)
+        assert result.checkpoint_events == 20
+        assert result.replayed_events == 10  # the 30th line included
+        baseline = OnlineAuctionService(
+            replace(CONFIG, seed=SEED - 1), engine_seed=SEED)
+        try:
+            diff = audit(baseline.run(stream), recovered)
+        finally:
+            baseline.close()
+        assert diff.identical, diff.format_report()
+
+
 class TestCheckpointPolicy:
     def test_naming_orders_by_watermark(self):
         names = [checkpoint_name(n) for n in (7, 40, 123, 4000)]
@@ -263,6 +365,55 @@ class TestTornWrites:
             assert scanned.torn_tail == (cut > last_start), cut
         torn.write_bytes(data)
         assert len(scan_journal(torn).entries) == complete
+
+    def test_uncommitted_group_torn_at_every_byte(self, tmp_path):
+        """A power cut may take any suffix of a group that was
+        appended but never synced.  Cut the file at every byte of
+        such a group: scan keeps exactly the complete lines, and
+        recovery from each line boundary (and a mid-line tear)
+        resumes to the uninterrupted trace."""
+        stream = make_stream(30)
+        committed, group = 18, 6
+        path = tmp_path / "journal.jsonl"
+        durable = DurableAuctionService.open(CONFIG, path,
+                                             engine_seed=SEED)
+        try:
+            durable.run(stream[:committed])
+            group_start = path.stat().st_size
+            for event in stream[committed:committed + group]:
+                durable.process(event, commit=False)
+            assert durable.journal.unsynced >= group
+            data = path.read_bytes()  # flushed, not yet fsync'd
+        finally:
+            durable.close()
+        baseline = OnlineAuctionService(CONFIG, engine_seed=SEED)
+        expected = baseline.run(stream)
+        baseline.close()
+
+        torn = tmp_path / "torn.jsonl"
+        boundaries = [group_start]
+        for cut in range(group_start, len(data) + 1):
+            torn.write_bytes(data[:cut])
+            scanned = scan_journal(torn)
+            complete = data[:cut].count(b"\n") - 1  # minus header
+            assert len(scanned.entries) == complete, cut
+            at_boundary = data[cut - 1:cut] == b"\n"
+            assert scanned.torn_tail == (not at_boundary), cut
+            if at_boundary and cut > group_start:
+                boundaries.append(cut)
+        assert len(boundaries) > group  # inputs + their emissions
+        for cut in [*boundaries, boundaries[-1] - 9]:
+            torn.write_bytes(data[:cut])
+            result = recover(torn)
+            try:
+                assert committed <= result.events_processed \
+                    <= committed + group
+                tail = result.service.run(
+                    stream[result.events_processed:])
+                assert diff_traces(expected,
+                                   result.records + tail).identical
+            finally:
+                result.service.close()
 
     def test_checkpoint_torn_at_every_byte_falls_back(self,
                                                       tmp_path):
