@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -203,6 +204,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             trace_spans=args.trace_spans,
             snapshot_every=args.metrics_every)
 
+    knobs = dict(method=args.method, maintenance=args.maintenance,
+                 workers=args.workers, engine_seed=args.seed + 1,
+                 supervise=args.supervise,
+                 round_timeout=args.round_timeout,
+                 max_worker_restarts=args.max_worker_restarts,
+                 batching=batching, observability=observability)
     if args.journal:
         # Durable serving: journal-ahead every event, checkpoint on
         # the --checkpoint-every schedule; crash recovery is
@@ -218,100 +225,65 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             return 2
         from repro.stream import DurableAuctionService
 
-        with DurableAuctionService.open(
-                config, args.journal, method=args.method,
-                maintenance=args.maintenance, workers=args.workers,
-                engine_seed=args.seed + 1,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_retain=args.checkpoint_retain,
-                supervise=args.supervise,
-                round_timeout=args.round_timeout,
-                max_worker_restarts=args.max_worker_restarts,
-                batching=batching,
-                observability=observability) as durable:
-            records = durable.run(stream)
-            inner = durable.service
-            accounts = inner.accounts
-            stats = inner.stats
-            active = len(inner.active_advertisers())
-            paused = len(inner.paused_advertisers())
-            emitted = len(inner.emitted)
-            retained = (durable.checkpoints.checkpoint_files()
-                        if durable.checkpoints else [])
-        print(f"journal: {len(stream) + emitted} entries fsync'd "
-              f"to {args.journal}")
-        if args.checkpoint_every:
-            print(f"checkpoints: every {args.checkpoint_every} "
-                  f"events, {len(retained)} retained in "
-                  f"{args.checkpoint_dir}")
-        _print_stream_summary(args, records, accounts, active,
-                              paused, emitted, stats)
-        if args.trace:
-            count = write_trace(args.trace, records)
-            print(f"wrote {count} records to {args.trace}")
-        return 0
-
-    with OnlineAuctionService(
-            config, method=args.method, maintenance=args.maintenance,
-            workers=args.workers, engine_seed=args.seed + 1,
-            supervise=args.supervise,
-            round_timeout=args.round_timeout,
-            max_worker_restarts=args.max_worker_restarts,
-            batching=batching,
-            observability=observability) as service:
+        served = DurableAuctionService.open(
+            config, args.journal,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_retain=args.checkpoint_retain, **knobs)
+        service = served.service
+    else:
+        served = service = OnlineAuctionService(config, **knobs)
+    records, emitted, head_stats = [], 0, None
+    try:
         if args.snapshot_at:
-            head = service.run(stream.prefix(args.snapshot_at))
+            records = served.run(stream.prefix(args.snapshot_at))
+            stream = stream[args.snapshot_at:]
             snapshot = service.snapshot()
-            head_stats = service.stats
-            emitted = len(service.emitted)
+            head_stats, emitted = service.stats, len(service.emitted)
             if args.snapshot_file:
                 snapshot.to_file(args.snapshot_file)
                 print(f"snapshot written to {args.snapshot_file} "
                       f"after {args.snapshot_at} events")
-            service.close()
-            resumed = OnlineAuctionService.restore(snapshot)
+            served.close()
+            served = service = OnlineAuctionService.restore(snapshot)
             # Batching is a dispatch knob, not resumable state: the
             # snapshot doesn't carry it, so re-arm the resumed side.
-            resumed.batching = batching
-            try:
-                records = head + resumed.run(stream[args.snapshot_at:])
-                accounts = resumed.accounts
-                # Per-event timings of the whole spliced run, not just
-                # the post-restore tail.
-                stats = resumed.stats
-                stats.absorb(head_stats)
-                active = len(resumed.active_advertisers())
-                paused = len(resumed.paused_advertisers())
-                emitted += len(resumed.emitted)
-            finally:
-                resumed.close()
+            service.batching = batching
+        records += served.run(stream)
+        emitted += len(service.emitted)
+        if head_stats is not None:
+            # Per-event timings of the whole spliced run, not just
+            # the post-restore tail.
+            service.stats.absorb(head_stats)
             print("resumed from snapshot mid-stream")
-        else:
-            records = service.run(stream)
-            accounts = service.accounts
-            stats = service.stats
-            active = len(service.active_advertisers())
-            paused = len(service.paused_advertisers())
-            emitted = len(service.emitted)
-
-    _print_stream_summary(args, records, accounts, active, paused,
-                          emitted, stats)
+        if args.journal:
+            print(f"journal: {len(stream) + emitted} entries "
+                  f"fsync'd to {args.journal}")
+            if args.checkpoint_every:
+                retained = served.checkpoints.checkpoint_files()
+                print(f"checkpoints: every {args.checkpoint_every} "
+                      f"events, {len(retained)} retained in "
+                      f"{args.checkpoint_dir}")
+        _print_stream_summary(args, service, records, emitted)
+    finally:
+        served.close()
     if args.trace:
         count = write_trace(args.trace, records)
         print(f"wrote {count} records to {args.trace}")
     return 0
 
 
-def _print_stream_summary(args, records, accounts, active, paused,
-                          emitted, stats) -> None:
+def _print_stream_summary(args, service, records, emitted) -> None:
+    accounts = service.accounts
     print(f"auctions: {len(records)}  "
           f"provider revenue: {accounts.provider_revenue:.2f} "
           f"over {accounts.total_clicks()} clicks  "
-          f"active advertisers at end: {active}")
+          f"active advertisers at end: "
+          f"{len(service.active_advertisers())}")
     print(f"budget lifecycle: {emitted} pause/resume events emitted, "
-          f"{paused} advertisers paused at end")
-    timing = stats.to_dict()
+          f"{len(service.paused_advertisers())} advertisers paused "
+          f"at end")
+    timing = service.stats.to_dict()
     for kind, cell in timing["by_kind"].items():
         print(f"  {kind:>6s}: {cell['count']:5d} events  "
               f"{cell['mean_ms']:8.3f} ms/event")
@@ -336,11 +308,11 @@ def _print_stream_summary(args, records, accounts, active, paused,
               f"{supervision['timeouts']} timeouts) "
               f"mean heal {1e3 * supervision['mean_heal_seconds']:.1f} "
               f"ms")
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         print(f"metrics written to {args.metrics_out} "
               f"(inspect: repro obs report --metrics "
               f"{args.metrics_out})")
-    if getattr(args, "trace_spans", None):
+    if args.trace_spans:
         print(f"span trace written to {args.trace_spans} "
               f"(inspect: repro obs report --trace "
               f"{args.trace_spans})")
@@ -425,21 +397,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("checkpoints need --journal (recovery replays the "
               "journaled suffix)", file=sys.stderr)
         return 2
-    return run_server(ServeConfig(
-        host=args.host, port=args.port,
-        advertisers=args.advertisers, slots=args.slots,
-        keywords=args.keywords, seed=args.seed, method=args.method,
-        maintenance=args.maintenance, workers=args.workers,
-        batch_window=args.batch_window,
-        ingress_capacity=args.ingress_capacity,
-        journal=args.journal,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_retain=args.checkpoint_retain,
-        record_events=args.record_events, trace=args.trace,
-        metrics_out=args.metrics_out, trace_spans=args.trace_spans,
-        metrics_every=args.metrics_every,
-        port_file=args.port_file))
+    # Every ServeConfig field that has a flag is that flag's dest.
+    return run_server(ServeConfig(**{
+        field.name: getattr(args, field.name)
+        for field in fields(ServeConfig)
+        if hasattr(args, field.name)}))
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -634,6 +596,71 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_service_flags(parser: argparse.ArgumentParser,
+                       ingress_capacity: int) -> None:
+    """The flags ``stream`` and ``serve`` share — the service both
+    commands build.  ``ingress_capacity`` is the one default that
+    differs between them."""
+    add = parser.add_argument
+    add("--advertisers", type=int, default=200,
+        help="universe capacity (ids join/leave within it)")
+    add("--slots", type=int, default=15)
+    add("--keywords", type=int, default=10)
+    add("--method", default="rh",
+        choices=["lp", "hungarian", "rh", "rhtalu"])
+    add("--maintenance", default="incremental",
+        choices=["incremental", "rebuild"])
+    add("--workers", type=int, default=0,
+        help="shard the service over this many worker processes "
+             "(0 = in-process)")
+    add("--seed", type=int, default=0,
+        help="engine seed is seed+1 (one convention for stream and "
+             "serve, so offline replays match)")
+    add("--batch-window", type=int, default=0, metavar="N",
+        help="coalesce up to N consecutive query arrivals per "
+             "dispatch (adaptive: never waits for a window to fill; "
+             "control events flush it; 0 = unbatched). Records stay "
+             "bit-identical to the unbatched service")
+    add("--ingress-capacity", type=int, default=ingress_capacity,
+        metavar="N",
+        help="bound on the ingress queue. `stream` (with "
+             "--batch-window): admission beyond it applies "
+             "--backpressure. `serve`: a full queue blocks the "
+             "submitting connection's reads (TCP backpressure)")
+    add("--record-events", default=None, metavar="FILE",
+        help="write the consumed event stream as JSONL (replayable "
+             "via `repro stream --replay`; `serve` writes it at "
+             "shutdown)")
+    add("--trace", default=None, metavar="FILE",
+        help="write the auction records as a JSONL trace (diffable "
+             "via tools/trace_diff.py; `serve` writes it at shutdown)")
+    add("--journal", default=None, metavar="FILE",
+        help="serve durably: write every event to this write-ahead "
+             "journal before applying it, fsync before it is "
+             "acknowledged (recoverable via `repro recover`)")
+    add("--checkpoint-every", type=int, default=0, metavar="N",
+        help="with --journal: write a checkpoint every N applied "
+             "events (0 = journal only; `serve` always writes a "
+             "final one at shutdown)")
+    add("--checkpoint-dir", default=None, metavar="DIR",
+        help="directory for checkpoint files (required by "
+             "--checkpoint-every)")
+    add("--checkpoint-retain", type=int, default=2, metavar="K",
+        help="keep the newest K checkpoints (default 2: survives one "
+             "torn file)")
+    add("--metrics-out", default=None, metavar="FILE",
+        help="write a JSONL metrics sidecar here (periodic snapshots "
+             "+ a final summary; inspect with `repro obs report`). "
+             "Observability is sidecar-only: the auction trace stays "
+             "bit-identical")
+    add("--trace-spans", default=None, metavar="FILE",
+        help="write a JSONL span trace here (one span tree per "
+             "applied event, ids derived from event seq)")
+    add("--metrics-every", type=int, default=100, metavar="N",
+        help="with --metrics-out: snapshot the metrics every N "
+             "applied events (0 = summary only; default 100)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -692,9 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = commands.add_parser(
         "stream",
         help="online serving: event stream with live advertiser churn")
-    stream.add_argument("--advertisers", type=int, default=200,
-                        help="universe capacity (ids join/leave "
-                             "within it)")
+    _add_service_flags(stream, ingress_capacity=64)
     stream.add_argument("--events", type=int, default=400,
                         help="post-genesis stream length")
     stream.add_argument("--churn-rate", type=float, default=0.1)
@@ -702,16 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="initial advertisers (default: half the "
                              "universe)")
     stream.add_argument("--min-active", type=int, default=2)
-    stream.add_argument("--slots", type=int, default=15)
-    stream.add_argument("--keywords", type=int, default=10)
-    stream.add_argument("--method", default="rh",
-                        choices=["lp", "hungarian", "rh", "rhtalu"])
-    stream.add_argument("--maintenance", default="incremental",
-                        choices=["incremental", "rebuild"])
-    stream.add_argument("--workers", type=int, default=0,
-                        help="shard the service over this many worker "
-                             "processes (0 = in-process)")
-    stream.add_argument("--seed", type=int, default=0)
     stream.add_argument("--budget-low", type=float, default=50.0,
                         help="lower bound of generated join budgets "
                              "(low budgets exercise exhaustion "
@@ -728,32 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of generating a stream (the "
                              "replay-verification workflow; service "
                              "knobs must match the recording)")
-    stream.add_argument("--record-events", default=None,
-                        metavar="FILE",
-                        help="write the consumed event stream as "
-                             "JSONL (replayable via --replay)")
-    stream.add_argument("--trace", default=None, metavar="FILE",
-                        help="write the auction records as a JSONL "
-                             "trace (diffable via "
-                             "tools/trace_diff.py)")
-    stream.add_argument("--journal", default=None, metavar="FILE",
-                        help="serve durably: write every event to "
-                             "this write-ahead journal before "
-                             "applying it, fsync before the next "
-                             "(recoverable via `repro recover`)")
-    stream.add_argument("--checkpoint-every", type=int, default=0,
-                        metavar="N",
-                        help="with --journal: write a checkpoint "
-                             "every N applied events (0 = journal "
-                             "only)")
-    stream.add_argument("--checkpoint-dir", default=None,
-                        metavar="DIR",
-                        help="directory for checkpoint files "
-                             "(required by --checkpoint-every)")
-    stream.add_argument("--checkpoint-retain", type=int, default=2,
-                        metavar="K",
-                        help="keep the newest K checkpoints "
-                             "(default 2: survives one torn file)")
     stream.add_argument("--supervise", action="store_true",
                         help="with --workers: heal worker failures "
                              "in place (respawn the shard from the "
@@ -770,19 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-shard respawn budget before the "
                              "fleet degrades by re-sharding over one "
                              "fewer worker (default 1)")
-    stream.add_argument("--batch-window", type=int, default=0,
-                        metavar="N",
-                        help="micro-batch up to N consecutive query "
-                             "arrivals per dispatch (control events "
-                             "flush the window; 0 = unbatched). "
-                             "Records stay bit-identical to the "
-                             "unbatched service under the default "
-                             "delay backpressure")
-    stream.add_argument("--ingress-capacity", type=int, default=64,
-                        metavar="N",
-                        help="with --batch-window: bound on the "
-                             "ingress queue (default 64); admission "
-                             "beyond it applies --backpressure")
     stream.add_argument("--backpressure", default="delay",
                         choices=["delay", "shed"],
                         help="full-queue policy: delay (arrivals "
@@ -794,21 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --backpressure shed: simulated "
                              "arrivals per serviced event (> 1 "
                              "saturates the queue and sheds)")
-    stream.add_argument("--metrics-out", default=None, metavar="FILE",
-                        help="write a JSONL metrics sidecar here "
-                             "(periodic snapshots + a final summary; "
-                             "inspect with `repro obs report`). "
-                             "Observability is sidecar-only: the "
-                             "auction trace stays bit-identical")
-    stream.add_argument("--trace-spans", default=None, metavar="FILE",
-                        help="write a JSONL span trace here (one "
-                             "span tree per applied event, ids "
-                             "derived from event seq)")
-    stream.add_argument("--metrics-every", type=int, default=100,
-                        metavar="N",
-                        help="with --metrics-out: snapshot the "
-                             "metrics every N applied events "
-                             "(0 = summary only; default 100)")
     stream.set_defaults(func=_cmd_stream)
 
     recover = commands.add_parser(
@@ -851,61 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the bound port here once "
                             "listening (how scripted clients find "
                             "an --port 0 server)")
-    serve.add_argument("--advertisers", type=int, default=200,
-                       help="universe capacity (ids join/leave "
-                            "within it)")
-    serve.add_argument("--slots", type=int, default=15)
-    serve.add_argument("--keywords", type=int, default=10)
-    serve.add_argument("--method", default="rh",
-                       choices=["lp", "hungarian", "rh", "rhtalu"])
-    serve.add_argument("--maintenance", default="incremental",
-                       choices=["incremental", "rebuild"])
-    serve.add_argument("--workers", type=int, default=0,
-                       help="shard the service over this many worker "
-                            "processes (0 = in-process)")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="engine seed is seed+1 (the stream CLI "
-                            "convention, so offline replays match)")
-    serve.add_argument("--batch-window", type=int, default=0,
-                       metavar="N",
-                       help="coalesce up to N already-queued query "
-                            "arrivals per dispatch (adaptive: never "
-                            "waits; control events flush; 0/1 = "
-                            "unbatched)")
-    serve.add_argument("--ingress-capacity", type=int, default=256,
-                       metavar="N",
-                       help="bound on the sequencer queue; a full "
-                            "queue blocks the submitting "
-                            "connection's reads (TCP backpressure)")
-    serve.add_argument("--record-events", default=None,
-                       metavar="FILE",
-                       help="write the applied event stream as JSONL "
-                            "at shutdown (replayable via `repro "
-                            "stream --replay`)")
-    serve.add_argument("--trace", default=None, metavar="FILE",
-                       help="write the auction records as a JSONL "
-                            "trace at shutdown")
-    serve.add_argument("--journal", default=None, metavar="FILE",
-                       help="serve durably: write every event to "
-                            "this write-ahead journal before "
-                            "applying it, fsync (one per group of "
-                            "queued events) before replying")
-    serve.add_argument("--checkpoint-every", type=int, default=0,
-                       metavar="N",
-                       help="with --journal: checkpoint every N "
-                            "applied events (a final checkpoint "
-                            "always lands at shutdown)")
-    serve.add_argument("--checkpoint-dir", default=None,
-                       metavar="DIR")
-    serve.add_argument("--checkpoint-retain", type=int, default=2,
-                       metavar="K")
-    serve.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="JSONL metrics sidecar (connection/"
-                            "ingress counters + e2e latency ride "
-                            "alongside the service metrics)")
-    serve.add_argument("--trace-spans", default=None, metavar="FILE")
-    serve.add_argument("--metrics-every", type=int, default=100,
-                       metavar="N")
+    _add_service_flags(serve, ingress_capacity=256)
     serve.set_defaults(func=_cmd_serve)
 
     loadgen = commands.add_parser(

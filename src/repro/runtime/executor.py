@@ -739,16 +739,12 @@ class StreamShardedRuntime(ShardedAuctionRuntime):
         self._restore_shards = (list(restore_shards)
                                 if restore_shards is not None else None)
         self._active = np.zeros(self.num_advertisers, dtype=bool)
-        self._paused: set[int] = set()
         if self._restore_shards is not None:
             for (lo, hi), capture in zip(self.plan.spans(),
                                          self._restore_shards):
                 if capture:
                     self._active[np.asarray(capture["ids"],
                                             dtype=np.int64) + lo] = True
-                    self._paused.update(
-                        int(advertiser) + lo for advertiser
-                        in capture.get("paused", {}))
         self._queued_keyword: str | None = None
         self._in_window = False
 
@@ -997,68 +993,17 @@ class StreamShardedRuntime(ShardedAuctionRuntime):
         """Queue a churn event for its owning shard (coordinator order:
         events apply before the next auction's evaluation).
 
-        Payloads are validated *here*, not just at the shard: a notice
-        is applied asynchronously with the next task, and a worker
-        exception at that point kills the fleet (a closed runtime
-        stays closed), whereas the in-process service raises a
-        catchable error at event time.  Validating up front keeps the
-        two modes' failure behaviour symmetric.
+        Nothing is validated here.  A notice is applied with the next
+        task, where a worker exception kills the fleet, so the one
+        caller — the online service's sharded backend — forwards only
+        what :meth:`~repro.stream.service.OnlineAuctionService.check`
+        admitted.
         """
-        advertiser = notice.advertiser
-        if not 0 <= advertiser < self.num_advertisers:
-            raise KeyError(
-                f"advertiser {advertiser} outside universe "
-                f"0..{self.num_advertisers - 1}")
-        if notice.kind == "join":
-            if self._active[advertiser] \
-                    or advertiser in self._paused:
-                raise KeyError(
-                    f"advertiser {advertiser} already active")
-            if notice.target <= 0:
-                raise ValueError(
-                    f"target spend rate must be > 0, "
-                    f"got {notice.target}")
-            width = self.workload_config.num_keywords
-            for field_name in ("bids", "maxbids", "values"):
-                payload = getattr(notice, field_name)
-                if payload is None or np.shape(payload) != (width,):
-                    raise ValueError(
-                        f"join needs per-keyword {field_name} of "
-                        f"length {width}")
-            self._active[advertiser] = True
-        elif notice.kind in ("leave", "update"):
-            # Budget-paused advertisers are still members: they may
-            # leave (discarding the retained capture) and their bid
-            # programs may be edited (landing in the capture).
-            if not self._active[advertiser] \
-                    and advertiser not in self._paused:
-                raise KeyError(
-                    f"advertiser {advertiser} is not active")
-            if notice.kind == "update":
-                if notice.keyword not in self.workload.keywords:
-                    raise KeyError(
-                        f"unknown keyword {notice.keyword!r}")
-                if notice.maxbid < 0:
-                    raise ValueError(
-                        f"maxbid must be >= 0, got {notice.maxbid}")
-            else:
-                self._active[advertiser] = False
-                self._paused.discard(advertiser)
-        elif notice.kind == "pause":
-            if not self._active[advertiser]:
-                raise KeyError(
-                    f"advertiser {advertiser} is not active")
-            self._active[advertiser] = False
-            self._paused.add(advertiser)
-        elif notice.kind == "resume":
-            if advertiser not in self._paused:
-                raise KeyError(
-                    f"advertiser {advertiser} is not paused")
-            self._paused.discard(advertiser)
-            self._active[advertiser] = True
-        else:
-            raise ValueError(f"unknown control kind {notice.kind!r}")
-        shard = self.plan.owner_of(advertiser)
+        if notice.kind in ("join", "resume"):
+            self._active[notice.advertiser] = True
+        elif notice.kind in ("leave", "pause"):
+            self._active[notice.advertiser] = False
+        shard = self.plan.owner_of(notice.advertiser)
         self._pending_controls[shard].append(notice)
 
     # -- snapshot support --------------------------------------------------

@@ -19,10 +19,10 @@ wire.  The shape is two worlds bridged by the ingress sequencer:
   one ``writer.write`` per connection.
 
 * **The service world** — a single ``serve-apply`` thread consuming
-  the sequencer's total order.  It validates each event against live
-  service state (capacity, registry membership, keyword vocabulary,
-  bid-program arity) *before* the event touches the journal or the
-  recorded log: an invalid event earns a structured ``error`` reply
+  the sequencer's total order.  It asks the service's one admission
+  rule (:meth:`~repro.stream.service.OnlineAuctionService.check`)
+  about each event *before* the event touches the journal or the
+  recorded log: a refused event earns a structured ``rejected`` reply
   and vanishes — it is never journaled, never recorded, never
   applied — so the recorded :class:`~repro.stream.events.EventLog` is
   exactly the applied stream and replays bit-identically offline
@@ -82,15 +82,10 @@ from time import perf_counter
 from repro.serve import protocol
 from repro.serve.sequencer import IngressSequencer, SequencedEvent
 from repro.stream.events import (
-    AdvertiserJoin,
-    AdvertiserLeave,
-    BidProgramUpdate,
-    BudgetTopUp,
     Event,
     EventLog,
     QueryArrival,
     event_kind,
-    non_finite_field,
 )
 from repro.stream.service import (
     SERVICE_METHODS,
@@ -154,19 +149,6 @@ class _Connection:
         self.role = "client"
 
 
-def _numeric(value) -> bool:
-    return isinstance(value, (int, float)) \
-        and not isinstance(value, bool)
-
-
-def _non_finite_error(event: Event) -> str | None:
-    """``json.loads`` parses ``NaN`` / ``Infinity``; the service's
-    sorted structures cannot hold them (see
-    :func:`~repro.stream.events.non_finite_field`)."""
-    name = non_finite_field(event)
-    return None if name is None else f"{name} must be finite"
-
-
 class AuctionWireServer:
     """A live auction service on a TCP port.  See the module
     docstring for the architecture; :meth:`run` is the blocking entry
@@ -195,10 +177,14 @@ class AuctionWireServer:
         self.errors = 0
         self.rejected = 0
         self.connections_total = 0
-        self._durable: DurableAuctionService | None = None
-        """The journaling wrapper around ``_service`` under
-        ``--journal``; the apply loop owns its commit barrier."""
         self._service: OnlineAuctionService | None = None
+        self._served: \
+            OnlineAuctionService | DurableAuctionService | None = None
+        """What the apply loop applies through: ``_service`` itself,
+        or under ``--journal`` the journaling wrapper around it."""
+        self._barrier = {"commit": False} if config.journal else {}
+        """Keywords for ``_served.process`` / ``process_window``: the
+        apply loop owns the wrapper's commit (see :meth:`_release`)."""
         self._held: list[tuple[int, bytes]] = []
         """``(conn_id, frame)`` of replies not yet released — under
         ``--journal``, those whose events are applied but not yet
@@ -318,20 +304,20 @@ class AuctionWireServer:
             count = write_trace(config.trace, self.records)
             print(f"wrote {count} records to {config.trace}",
                   flush=True)
-        durable = self._durable
-        if durable is not None:
-            if durable.checkpoints is not None:
+        served = self._served
+        if config.journal:
+            if served.checkpoints is not None:
                 # The drain contract: a final checkpoint at the exact
                 # applied watermark, whether or not the interval is
                 # due — recovery then needs no journal-suffix replay.
                 # A service error can leave the last group uncommitted.
-                durable.commit()
-                path = durable.checkpoints.write(durable.snapshot())
+                served.commit()
+                path = served.checkpoints.write(
+                    self._service.snapshot())
                 print(f"final checkpoint written to {path}",
                       flush=True)
-            print(f"journal closed at {durable.events_processed} "
+            print(f"journal closed at {served.events_processed} "
                   f"events", flush=True)
-        served = durable if durable is not None else self._service
         if served is not None:
             served.close()
 
@@ -347,26 +333,21 @@ class AuctionWireServer:
                 metrics_out=config.metrics_out,
                 trace_spans=config.trace_spans,
                 snapshot_every=config.metrics_every)
+        knobs = dict(method=config.method,
+                     maintenance=config.maintenance,
+                     workers=config.workers,
+                     engine_seed=config.seed + 1,
+                     observability=observability)
         if config.journal:
-            self._durable = DurableAuctionService.open(
+            self._served = DurableAuctionService.open(
                 self.workload_config, config.journal,
-                method=config.method,
-                maintenance=config.maintenance,
-                workers=config.workers,
-                engine_seed=config.seed + 1,
                 checkpoint_dir=config.checkpoint_dir,
                 checkpoint_every=config.checkpoint_every,
-                checkpoint_retain=config.checkpoint_retain,
-                observability=observability)
-            self._service = self._durable.service
+                checkpoint_retain=config.checkpoint_retain, **knobs)
+            self._service = self._served.service
         else:
-            self._service = OnlineAuctionService(
-                self.workload_config, method=config.method,
-                maintenance=config.maintenance,
-                workers=config.workers,
-                engine_seed=config.seed + 1,
-                observability=observability)
-        self._keywords = set(self._service.keywords)
+            self._served = self._service = OnlineAuctionService(
+                self.workload_config, **knobs)
         # Sharded workers normally fork lazily on the first query —
         # which would be after clients connected, so every child would
         # inherit dups of the accepted sockets and the server's close()
@@ -424,7 +405,7 @@ class AuctionWireServer:
                 # latency is queueing either way, and answers share
                 # wake-ups as a durable group shares its fsync.
                 if len(self._held) >= capacity or (
-                        self._durable is None
+                        not self.config.journal
                         and self.sequencer.depth() < capacity / 2):
                     self._release()
         except BaseException as exc:  # the drain must still run
@@ -432,74 +413,22 @@ class AuctionWireServer:
             self.shutdown("service-error")
 
     def _admit(self, item: SequencedEvent) -> bool:
-        """Validate against live service state; reply-and-drop
-        invalid events before they can reach the journal or the
-        recorded stream."""
-        detail = self._validation_error(item.event)
-        if detail is None:
+        """Ask the service's one admission rule
+        (:meth:`~repro.stream.service.OnlineAuctionService.check`),
+        in stamp order against live state; reply-and-drop a refused
+        event before it can reach the journal or the recorded
+        stream."""
+        error = self._service.check(item.event)
+        if error is None:
             return True
         self.rejected += 1
         self._count("serve.rejected")
         self._hold(item.conn_id, protocol.error_payload(
-            "rejected", detail, item.tag))
+            "rejected", error.args[0], item.tag))
         return False
 
-    def _validation_error(self, event: Event) -> str | None:
-        """Why ``event`` cannot be applied right now (``None`` = it
-        can).  Mirrors the service's own raise conditions plus basic
-        payload hygiene, evaluated in stamp order on the apply thread
-        so the answer is deterministic."""
-        service = self._service
-        if isinstance(event, QueryArrival):
-            if not isinstance(event.keyword, str) \
-                    or event.keyword not in self._keywords:
-                return f"unknown keyword {event.keyword!r}"
-            return None
-        advertiser = getattr(event, "advertiser", None)
-        if not isinstance(advertiser, int) \
-                or isinstance(advertiser, bool):
-            return "advertiser must be an integer id"
-        if isinstance(event, AdvertiserJoin):
-            capacity = self.workload_config.num_advertisers
-            if not 0 <= advertiser < capacity:
-                return (f"advertiser {advertiser} outside universe "
-                        f"0..{capacity - 1}")
-            if advertiser in service.registry:
-                return f"advertiser {advertiser} already active"
-            if not _numeric(event.target) \
-                    or not _numeric(event.budget):
-                return "target and budget must be numbers"
-            arity = len(self._keywords)
-            for name in ("bids", "maxbids", "values"):
-                column = getattr(event, name)
-                if len(column) != arity:
-                    return (f"{name} must list {arity} values "
-                            f"(one per keyword), got {len(column)}")
-                if not all(_numeric(value) for value in column):
-                    return f"{name} must be all numbers"
-            return _non_finite_error(event)
-        if advertiser not in service.registry:
-            return f"advertiser {advertiser} is not active"
-        if isinstance(event, AdvertiserLeave):
-            return None
-        if isinstance(event, BidProgramUpdate):
-            if not isinstance(event.keyword, str) \
-                    or event.keyword not in self._keywords:
-                return f"unknown keyword {event.keyword!r}"
-            if not _numeric(event.bid) or not _numeric(event.maxbid):
-                return "bid and maxbid must be numbers"
-            return _non_finite_error(event)
-        if isinstance(event, BudgetTopUp):
-            if not _numeric(event.amount):
-                return "amount must be a number"
-            return _non_finite_error(event)
-        return f"unsupported event {type(event).__name__}"
-
     def _apply_one(self, item: SequencedEvent) -> None:
-        if self._durable is not None:
-            record = self._durable.process(item.event, commit=False)
-        else:
-            record = self._service.process(item.event)
+        record = self._served.process(item.event, **self._barrier)
         self.applied.append(item.event)
         seq = self._service.events_processed - 1
         if record is not None:
@@ -512,11 +441,7 @@ class AuctionWireServer:
 
     def _apply_window(self, batch: list[SequencedEvent]) -> None:
         events = [item.event for item in batch]
-        if self._durable is not None:
-            records = self._durable.process_window(events,
-                                                   commit=False)
-        else:
-            records = self._service.process_window(events)
+        records = self._served.process_window(events, **self._barrier)
         base = self._service.events_processed - len(batch)
         for offset, (item, record) in enumerate(zip(batch, records)):
             self.applied.append(item.event)
@@ -540,8 +465,8 @@ class AuctionWireServer:
         held = self._held
         if not held:
             return  # every journaled event holds a reply
-        if self._durable is not None:
-            self._durable.commit()
+        if self.config.journal:
+            self._served.commit()
         stamps = self._held_stamps
         self._held, self._held_stamps = [], []
         metrics = self._service.metrics

@@ -32,7 +32,6 @@ events one at a time and never looks ahead.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Union
@@ -139,32 +138,17 @@ Event = Union[QueryArrival, AdvertiserJoin, AdvertiserLeave,
               BidProgramUpdate, BudgetTopUp, AdvertiserPaused,
               AdvertiserResumed]
 
-_NUMERIC_FIELDS = {
+NUMERIC_FIELDS = {
     AdvertiserJoin: ("target", "budget", "bids", "maxbids", "values"),
     BidProgramUpdate: ("bid", "maxbid"),
     BudgetTopUp: ("amount",),
 }
-
-
-def non_finite_field(event: Event) -> str | None:
-    """The first numeric field of ``event`` holding NaN or an infinity
-    (``None`` = every number is finite).
-
-    ``json.loads`` parses ``NaN`` / ``Infinity``, and one such bid or
-    budget has no place in an order: it poisons the partition of the
-    selection scan and the argsort click index for every later
-    auction.  The service raises on it and the wire server rejects it
-    before the journal sees it.
-    """
-    for name in _NUMERIC_FIELDS.get(type(event), ()):
-        value = getattr(event, name)
-        numbers = value if isinstance(value, (tuple, list)) else (value,)
-        try:
-            if not all(map(math.isfinite, numbers)):
-                return name
-        except OverflowError:  # an int beyond float range
-            return name
-    return None
+"""Per event type, the fields that must hold finite numbers
+(``bids`` / ``maxbids`` / ``values`` one per keyword).  ``json.loads``
+parses ``NaN`` / ``Infinity``, and one such bid or budget has no place
+in an order: it poisons the partition of the selection scan and the
+argsort click index for every later auction, so the service's
+admission rule refuses it before the journal sees it."""
 
 
 SERVICE_ORIGINATED = (AdvertiserPaused, AdvertiserResumed)

@@ -52,6 +52,7 @@ service mid-stream and resume it deterministically — see
 from __future__ import annotations
 
 import logging
+import math
 import time as time_module
 from functools import partial
 from pathlib import Path
@@ -86,7 +87,7 @@ from repro.stream.batching import BatchingConfig, MicroBatcher
 from repro.stream.budget import BudgetRegistry
 from repro.stream.crash import crash_hook
 from repro.stream.events import (
-    SERVICE_ORIGINATED,
+    NUMERIC_FIELDS,
     AdvertiserJoin,
     AdvertiserLeave,
     AdvertiserPaused,
@@ -97,7 +98,6 @@ from repro.stream.events import (
     EventLog,
     QueryArrival,
     event_kind,
-    non_finite_field,
 )
 from repro.stream.snapshot import (
     ServiceSnapshot,
@@ -118,7 +118,55 @@ MAINTENANCE_MODES = ("incremental", "rebuild")
 _LOG = logging.getLogger(__name__)
 
 
-class _EagerBackend:
+class _Backend:
+    """What the three serving backends share: nothing window-scoped,
+    nothing to rebuild, no worker fleet to report on or shut down."""
+
+    def begin_window(self, size: int) -> None:
+        pass
+
+    def end_window(self) -> None:
+        pass
+
+    def rebuild(self) -> None:
+        pass
+
+    def supervision_snapshot(self) -> dict:
+        return {}
+
+    def worker_metrics(self) -> dict:
+        return {}
+
+    def close(self) -> None:
+        pass
+
+
+class _AdapterBackend(_Backend):
+    """A backend whose settlement stack lives in the object it adapts
+    (``_core``: the auction engine or the sharded runtime)."""
+
+    @property
+    def accounts(self) -> AccountBook:
+        return self._core.accounts
+
+    @property
+    def rng(self) -> np.random.Generator:
+        return self._core.rng
+
+    @property
+    def settler(self) -> AuctionSettler:
+        return self._core.settler
+
+    @property
+    def auction_id(self) -> int:
+        return self._core.auction_id
+
+    @auction_id.setter
+    def auction_id(self, value: int) -> None:
+        self._core.auction_id = value
+
+
+class _EagerBackend(_Backend):
     """Workers=0 serving for the eager methods (rh / lp / hungarian).
 
     Owns a universe-sized :class:`~repro.auction.batch.PacerArrays`
@@ -192,12 +240,6 @@ class _EagerBackend:
             notify_fn=notify, id_map=wd.id_map,
             click_rows=wd.click_rows, quote_fn=quote_fn)
 
-    def begin_window(self, size: int) -> None:
-        pass  # the solver is membership-keyed, not window-scoped
-
-    def end_window(self) -> None:
-        pass
-
     def apply_join(self, event: AdvertiserJoin) -> None:
         self.arrays.grow_row(event.advertiser, event.target, self.step,
                              np.asarray(event.bids, dtype=float),
@@ -223,17 +265,8 @@ class _EagerBackend:
     def capture_state(self) -> dict:
         return self.arrays.capture()
 
-    def supervision_snapshot(self) -> dict:
-        return {}
 
-    def worker_metrics(self) -> dict:
-        return {}
-
-    def close(self) -> None:
-        pass
-
-
-class _RhtaluBackend:
+class _RhtaluBackend(_AdapterBackend):
     """Workers=0 RHTALU serving: the engine's lazy path, churn-aware.
 
     The whole RHTALU pipeline is already candidate-local (delta-list
@@ -260,35 +293,13 @@ class _RhtaluBackend:
             return Query(text=self._keyword,
                          relevance={self._keyword: 1.0})
 
-        self.engine = AuctionEngine(
+        self._core = self.engine = AuctionEngine(
             click_model=workload.click_model(),
             purchase_model=workload.purchase_model(),
             query_source=feeder,
             config=EngineConfig(num_slots=config.num_slots,
                                 method="rhtalu", seed=engine_seed),
             rhtalu=evaluator)
-
-    @property
-    def accounts(self) -> AccountBook:
-        return self.engine.accounts
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self.engine.rng
-
-    @property
-    def auction_id(self) -> int:
-        return self.engine.auction_id
-
-    @auction_id.setter
-    def auction_id(self, value: int) -> None:
-        self.engine.auction_id = value
-
-    def begin_window(self, size: int) -> None:
-        pass  # the evaluator's array state serves every query alike
-
-    def end_window(self) -> None:
-        pass
 
     def run_query(self, keyword: str) -> AuctionRecord:
         self._keyword = keyword
@@ -314,27 +325,14 @@ class _RhtaluBackend:
     def apply_resume(self, advertiser: int) -> None:
         self.engine.rhtalu.apply_resume(advertiser)
 
-    @property
-    def settler(self):
-        return self.engine.settler
-
     def rebuild(self) -> None:
         self.engine.rhtalu = self.engine.rhtalu.rebuilt()
 
     def capture_state(self) -> dict:
         return self.engine.rhtalu.state.capture()
 
-    def supervision_snapshot(self) -> dict:
-        return {}
 
-    def worker_metrics(self) -> dict:
-        return {}
-
-    def close(self) -> None:
-        pass
-
-
-class _ShardedBackend:
+class _ShardedBackend(_AdapterBackend):
     """Workers>=1 serving on the multi-process runtime.
 
     Thin adapter: queries go to the coordinator's lockstep round,
@@ -344,43 +342,18 @@ class _ShardedBackend:
     merge per-shard captures.
     """
 
-    def __init__(self, workload: PaperWorkload, method: str,
-                 workers: int, engine_seed: int,
-                 start_method: str | None, maintenance: str,
+    def __init__(self, workload: PaperWorkload, workers: int,
                  restore_capture: dict | None = None,
-                 supervise: bool = False,
-                 round_timeout: float | None = None,
-                 max_worker_restarts: int = 1,
-                 metrics: MetricsRegistry | None = None):
+                 **runtime_options):
         config = workload.config
         restore_shards = None
         if restore_capture is not None:
             plan = ShardPlan.plan(config.num_advertisers, workers)
             restore_shards = [slice_capture(restore_capture, lo, hi)
                               for lo, hi in plan.spans()]
-        self.runtime = StreamShardedRuntime(
-            config, method=method, workers=workers,
-            engine_seed=engine_seed, start_method=start_method,
-            maintenance=maintenance, restore_shards=restore_shards,
-            supervise=supervise, round_timeout=round_timeout,
-            max_worker_restarts=max_worker_restarts,
-            metrics=metrics)
-
-    @property
-    def accounts(self) -> AccountBook:
-        return self.runtime.accounts
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self.runtime.rng
-
-    @property
-    def auction_id(self) -> int:
-        return self.runtime.auction_id
-
-    @auction_id.setter
-    def auction_id(self, value: int) -> None:
-        self.runtime.auction_id = value
+        self._core = self.runtime = StreamShardedRuntime(
+            config, workers=workers, restore_shards=restore_shards,
+            **runtime_options)
 
     def begin_window(self, size: int) -> None:
         self.runtime.begin_query_window()
@@ -416,13 +389,6 @@ class _ShardedBackend:
     def apply_resume(self, advertiser: int) -> None:
         self.runtime.apply_control(ControlNotice(
             kind="resume", advertiser=advertiser))
-
-    @property
-    def settler(self):
-        return self.runtime.settler
-
-    def rebuild(self) -> None:
-        pass  # per-shard, driven by the maintenance flag at spawn
 
     def capture_state(self) -> dict:
         states = self.runtime.pull_shard_states()
@@ -530,6 +496,7 @@ class OnlineAuctionService:
         self.workers = workers
         self.engine_seed = engine_seed
         self.keywords = list(self.workload.keywords)
+        self._vocabulary = frozenset(self.keywords)
         self.registry = BudgetRegistry()
         """The budget lifecycle's ledger: per-advertiser balance,
         target, joined-at index, and pause flag
@@ -571,9 +538,9 @@ class OnlineAuctionService:
 
         if workers >= 1:
             self.backend = _ShardedBackend(
-                self.workload, method, workers, engine_seed,
-                start_method, maintenance,
-                restore_capture=restore_capture,
+                self.workload, workers, restore_capture,
+                method=method, engine_seed=engine_seed,
+                start_method=start_method, maintenance=maintenance,
                 supervise=supervise, round_timeout=round_timeout,
                 max_worker_restarts=max_worker_restarts,
                 metrics=self.metrics)
@@ -602,8 +569,117 @@ class OnlineAuctionService:
 
     # -- the event loop ----------------------------------------------------
 
+    def check(self, event: Event) -> Exception | None:
+        """Why ``event`` may not be applied right now (``None`` = it
+        may): the one admission rule.  :meth:`process` raises what
+        this returns, the wire server answers a ``rejected`` frame
+        carrying its ``args[0]``, the durable wrapper asks before the
+        journal sees the event.
+
+        Pure (no state change), evaluated against live state, and
+        complete: it refuses every event a backend's control ops
+        would raise on, so an admitted event cannot fail mid-apply.
+        ``TypeError``: an unknown or service-originated event type.
+        ``KeyError``: an advertiser that is not an ``int`` id, lies
+        outside the universe, is already active (paused counts) on a
+        join or not active otherwise; a keyword outside the
+        vocabulary.  ``ValueError``: a numeric field that is not a
+        number (bools and numeric strings are not) or not finite, a
+        per-keyword column of the wrong length, a join with
+        ``target <= 0``, an update with ``maxbid < 0``.
+        """
+        handlers = self._HANDLERS.get(type(event))
+        if handlers is None:
+            return TypeError(f"not a stream event: {event!r}")
+        return handlers[0](self, event)
+
+    def _admit(self, event: Event) -> None:
+        error = self.check(event)
+        if error is not None:
+            raise error
+
+    def _check_emitted(self, event: Event) -> Exception:
+        return TypeError(
+            f"{type(event).__name__} is service-originated: the "
+            f"event loop emits it (see .emitted), replaying the "
+            f"input stream re-derives it")
+
+    def _check_keyword(self, event: Event) -> Exception | None:
+        keyword = event.keyword
+        if not isinstance(keyword, str) \
+                or keyword not in self._vocabulary:
+            return KeyError(f"unknown keyword {keyword!r}")
+        return None
+
+    def _check_member(self, event: Event,
+                      joining: bool = False) -> Exception | None:
+        advertiser = event.advertiser
+        if not isinstance(advertiser, int) \
+                or isinstance(advertiser, bool):
+            return KeyError("advertiser must be an integer id")
+        capacity = self.workload_config.num_advertisers
+        if not joining:
+            if advertiser not in self.registry:
+                return KeyError(
+                    f"advertiser {advertiser} is not active")
+        elif not 0 <= advertiser < capacity:
+            return KeyError(f"advertiser {advertiser} outside universe "
+                            f"0..{capacity - 1}")
+        elif advertiser in self.registry:
+            return KeyError(f"advertiser {advertiser} already active")
+        return None
+
+    def _check_numbers(self, event: Event) -> Exception | None:
+        """Every numeric field (:data:`~repro.stream.events
+        .NUMERIC_FIELDS`) is a finite number, every per-keyword column
+        one number per keyword."""
+        arity = len(self.keywords)
+        for name in NUMERIC_FIELDS[type(event)]:
+            value = getattr(event, name)
+            if name in ("bids", "maxbids", "values"):
+                if not isinstance(value, (tuple, list)) \
+                        or len(value) != arity:
+                    return ValueError(
+                        f"{name} must list {arity} numbers (one per "
+                        f"keyword)")
+            else:
+                value = (value,)
+            if not all(isinstance(number, (int, float))
+                       and not isinstance(number, bool)
+                       for number in value):
+                return ValueError(f"{name} must be numeric")
+            try:
+                finite = all(map(math.isfinite, value))
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
+                return ValueError(f"{name} must be finite")
+        return None
+
+    def _check_join(self, event: AdvertiserJoin) -> Exception | None:
+        error = self._check_member(event, joining=True) \
+            or self._check_numbers(event)
+        if error is None and event.target <= 0:
+            return ValueError(f"target spend rate must be > 0, "
+                              f"got {event.target}")
+        return error
+
+    def _check_update(self, event: BidProgramUpdate
+                      ) -> Exception | None:
+        error = self._check_member(event) \
+            or self._check_keyword(event) or self._check_numbers(event)
+        if error is None and event.maxbid < 0:
+            return ValueError(
+                f"maxbid must be >= 0, got {event.maxbid}")
+        return error
+
+    def _check_topup(self, event: BudgetTopUp) -> Exception | None:
+        return self._check_member(event) or self._check_numbers(event)
+
     def process(self, event: Event) -> AuctionRecord | None:
-        """Apply one event; returns the auction record for queries.
+        """Check, then apply one event; returns the auction record
+        for queries.  An event :meth:`check` refuses raises its error
+        with no state changed.
 
         Queries additionally drive the budget lifecycle: settled
         charges debit the ledger (each winner's final charge was
@@ -615,95 +691,19 @@ class OnlineAuctionService:
         A :class:`BudgetTopUp` that lifts a paused balance above zero
         symmetrically emits :class:`AdvertiserResumed`.
         """
-        tracer = self.tracer
-        metrics = self.metrics
-        seq = self.events_processed
-        if tracer is not None:
-            tracer.flush_upto(seq)
-        start = time_module.perf_counter()
-        record: AuctionRecord | None = None
-        if isinstance(event, QueryArrival):
-            if tracer is None and metrics is None:
-                record = self.backend.run_query(event.keyword)
-                for advertiser in self.registry.settle_charges(
-                        record.prices):
-                    self._pause(advertiser, record.auction_id)
-            else:
-                record = self._observed_query(event)
-        elif isinstance(event, AdvertiserJoin):
-            self._check_capacity(event.advertiser)
-            if event.advertiser in self.registry:
-                raise KeyError(
-                    f"advertiser {event.advertiser} already active")
-            self._check_finite(event)
-            self.backend.apply_join(event)
-            self.registry.admit(event.advertiser, event.target,
-                                event.budget, self.events_processed)
-            self._maintain()
-        elif isinstance(event, AdvertiserLeave):
-            self._check_active(event.advertiser)
-            self.backend.apply_leave(event)
-            self.registry.retire(event.advertiser)
-            self._maintain()
-        elif isinstance(event, BidProgramUpdate):
-            self._check_active(event.advertiser)
-            self._check_finite(event)
-            self.backend.apply_update(event)
-            self._maintain()
-        elif isinstance(event, BudgetTopUp):
-            self._check_active(event.advertiser)
-            self._check_finite(event)
-            entry = self.registry.entry(event.advertiser)
-            balance = self.registry.credit(event.advertiser,
-                                           event.amount)
-            if entry.paused and balance > 0:
-                self._resume(event.advertiser)
-            elif not entry.paused and entry.tracked \
-                    and balance <= 0:
-                # A negative top-up (clawback) can exhaust a ledger
-                # just like a charge; same pause path.
-                self._pause(event.advertiser,
-                            self.backend.auction_id)
-        elif isinstance(event, SERVICE_ORIGINATED):
-            raise TypeError(
-                f"{type(event).__name__} is service-originated: the "
-                f"event loop emits it (see .emitted), replaying the "
-                f"input stream re-derives it")
-        else:
-            raise TypeError(f"not a stream event: {event!r}")
-        self.events_processed += 1
-        kind = event_kind(event)
-        elapsed = time_module.perf_counter() - start
-        self.stats.record(kind, elapsed)
-        if metrics is not None:
-            metrics.counter(f"service.events.{kind}").inc()
-            metrics.histogram(f"latency.event.{kind}").observe(elapsed)
-        if tracer is not None:
-            # The root opens *after* the apply so invalid events still
-            # raise before any tracing state lands; children recorded
-            # mid-apply (dispatch/emit) or staged ahead of it (ingress)
-            # are adopted here, and late children (journal-fsync,
-            # checkpoint, batch-window) attach until the next apply's
-            # flush_upto.
-            tracer.open(seq, kind)
-            tracer.set_duration(seq, elapsed)
-        supervision = self.backend.supervision_snapshot()
-        if supervision:
-            # Cumulative counters: the latest snapshot supersedes the
-            # previous one wholesale (zeros included — the stats block
-            # keeps its stable schema whether or not anything failed).
-            self.stats.supervision = supervision
-        if self._metrics_writer is not None \
-                and self._metrics_writer.due(self.events_processed):
-            self._metrics_writer.write_snapshot(self.events_processed,
-                                                metrics)
+        self._admit(event)
+        if self.tracer is not None:
+            self.tracer.flush_upto(self.events_processed)
+        record = self._apply(event)
+        self._end_dispatch()
         return record
 
     def process_window(self, queries: "list[QueryArrival]",
                        after_each=None) -> list[AuctionRecord]:
         """Apply one micro-batch window of consecutive query arrivals.
 
-        Each query still runs, settles, and drives the budget
+        The whole window is checked before any of it applies.  Each
+        query still runs, settles, and drives the budget
         lifecycle individually and in order (an exhaustion pause
         lands *before the next query*, exactly as in :meth:`process`);
         what amortizes across the window is per-dispatch overhead —
@@ -717,46 +717,24 @@ class OnlineAuctionService:
         """
         if not queries:
             return []
+        for event in queries:
+            self._admit(event)
         tracer = self.tracer
-        metrics = self.metrics
+        first_seq = self.events_processed
         if tracer is not None:
-            tracer.flush_upto(self.events_processed)
+            tracer.flush_upto(first_seq)
         start = time_module.perf_counter()
         records = []
-        window_seqs: list[int] = []
         self.backend.begin_window(len(queries))
         try:
             for event in queries:
-                if tracer is None and metrics is None:
-                    record = self.backend.run_query(event.keyword)
-                    for advertiser in self.registry.settle_charges(
-                            record.prices):
-                        self._pause(advertiser, record.auction_id)
-                    self.events_processed += 1
-                    records.append(record)
-                    if after_each is not None:
-                        after_each(event, record)
-                    continue
-                seq = self.events_processed
-                event_start = time_module.perf_counter()
-                record = self._observed_query(event)
-                self.events_processed += 1
+                # The root span opens inside _apply, before
+                # after_each, so the durable wrapper's checkpoint
+                # child attaches to a live root; window roots stay
+                # open together until the next apply's flush_upto,
+                # collecting the shared batch-window child below.
+                record = self._apply(event, windowed=True)
                 records.append(record)
-                event_elapsed = (time_module.perf_counter()
-                                 - event_start)
-                if metrics is not None:
-                    metrics.counter("service.events.query").inc()
-                    metrics.histogram("latency.event.query").observe(
-                        event_elapsed)
-                if tracer is not None:
-                    # Open before after_each so the durable wrapper's
-                    # checkpoint child attaches to a live root; window
-                    # roots stay open together until the next apply's
-                    # flush_upto, collecting the shared batch-window
-                    # child below.
-                    tracer.open(seq, "query")
-                    tracer.set_duration(seq, event_elapsed)
-                    window_seqs.append(seq)
                 if after_each is not None:
                     after_each(event, record)
         finally:
@@ -764,73 +742,78 @@ class OnlineAuctionService:
         elapsed = time_module.perf_counter() - start
         self.stats.record_window("query", len(records), elapsed)
         if tracer is not None:
-            for seq in window_seqs:
+            for seq in range(first_seq, self.events_processed):
                 tracer.child(seq, "batch-window", elapsed,
                              attrs={"window": len(records)})
-        if metrics is not None:
-            metrics.histogram("latency.window").observe(elapsed)
+        if self.metrics is not None:
+            self.metrics.histogram("latency.window").observe(elapsed)
+        self._end_dispatch()
+        return records
+
+    def _apply(self, event: Event,
+               windowed: bool = False) -> AuctionRecord | None:
+        """The one apply body, for an event :meth:`check` admitted:
+        run its kind's handler, advance the applied-event watermark,
+        fold the per-event sidecar tail.  A windowed apply leaves
+        :attr:`stats` to the window, which amortizes its wall time."""
+        seq = self.events_processed
+        start = time_module.perf_counter()
+        record = self._HANDLERS[type(event)][1](self, event)
+        self.events_processed = seq + 1
+        kind = event_kind(event)
+        elapsed = time_module.perf_counter() - start
+        if not windowed:
+            self.stats.record(kind, elapsed)
+        if self.metrics is not None:
+            self.metrics.counter(f"service.events.{kind}").inc()
+            self.metrics.histogram(
+                f"latency.event.{kind}").observe(elapsed)
+        if self.tracer is not None:
+            # The root opens *after* the apply; children recorded
+            # mid-apply (dispatch/emit) or staged ahead of it (ingress)
+            # are adopted here, and late children (journal-fsync,
+            # checkpoint, batch-window) attach until the next apply's
+            # flush_upto.
+            self.tracer.open(seq, kind)
+            self.tracer.set_duration(seq, elapsed)
+        return record
+
+    def _end_dispatch(self) -> None:
+        """Once per :meth:`process` call or window: refresh the
+        supervision counters, tick the metrics writer."""
         supervision = self.backend.supervision_snapshot()
         if supervision:
+            # Cumulative counters: the latest snapshot supersedes the
+            # previous one wholesale (zeros included — the stats block
+            # keeps its stable schema whether or not anything failed).
             self.stats.supervision = supervision
         if self._metrics_writer is not None \
                 and self._metrics_writer.due(self.events_processed):
             self._metrics_writer.write_snapshot(self.events_processed,
-                                                metrics)
-        return records
+                                                self.metrics)
 
-    def run(self, events: Iterable[Event]) -> list[AuctionRecord]:
-        """Consume a stream, returning the auction records in order.
-
-        With :attr:`batching` armed the stream routes through the
-        micro-batcher: query windows dispatch via
-        :meth:`process_window`, control events via :meth:`process`,
-        in arrival order.
-        """
-        if self.batching is not None:
-            return self._run_batched(events)
-        records = []
-        for event in events:
-            record = self.process(event)
-            if record is not None:
-                records.append(record)
-        return records
-
-    def _run_batched(self, events: Iterable[Event]
-                     ) -> list[AuctionRecord]:
-        batcher = MicroBatcher(self.batching, stats=self.stats,
-                               metrics=self.metrics,
-                               track_waits=self.tracer is not None)
-        self.last_batcher = batcher
-        records = []
-        for unit in batcher.units(events):
-            self._stage_ingress(batcher)
-            if isinstance(unit, list):
-                records.extend(self.process_window(unit))
-            else:
-                record = self.process(unit)
-                if record is not None:  # pragma: no cover - controls
-                    records.append(record)
-        return records
-
-    def _observed_query(self, event: QueryArrival) -> AuctionRecord:
-        """The query branch of :meth:`process` under observation:
-        the identical calls in the identical order, bracketed by
-        ``perf_counter`` reads.  Timings are sidecar data — no RNG,
-        no decision state — so the record stream stays bit-identical
-        to the unobserved branch."""
+    def _apply_query(self, event: QueryArrival) -> AuctionRecord:
+        """The query body: dispatch, debit the ledger, pause whoever
+        the debit exhausted.  Under observation the same calls in the
+        same order are bracketed by ``perf_counter`` reads — sidecar
+        data, no RNG, no decision state — so the record stream stays
+        bit-identical to a dark run."""
         tracer = self.tracer
         metrics = self.metrics
-        seq = self.events_processed
-        start = time_module.perf_counter()
+        observed = tracer is not None or metrics is not None
+        start = time_module.perf_counter() if observed else 0.0
         record = self.backend.run_query(event.keyword)
-        dispatch_seconds = time_module.perf_counter() - start
-        start = time_module.perf_counter()
+        dispatched = time_module.perf_counter() if observed else 0.0
         paused = 0
         for advertiser in self.registry.settle_charges(record.prices):
             self._pause(advertiser, record.auction_id)
             paused += 1
-        emit_seconds = time_module.perf_counter() - start
+        if not observed:
+            return record
+        emit_seconds = time_module.perf_counter() - dispatched
+        dispatch_seconds = dispatched - start
         if tracer is not None:
+            seq = self.events_processed
             tracer.child(
                 seq, "dispatch", dispatch_seconds,
                 attrs={"auction_id": record.auction_id,
@@ -850,6 +833,75 @@ class OnlineAuctionService:
                 record.settle_seconds)
             metrics.histogram("latency.emit").observe(emit_seconds)
         return record
+
+    def _apply_join(self, event: AdvertiserJoin) -> None:
+        self.backend.apply_join(event)
+        self.registry.admit(event.advertiser, event.target,
+                            event.budget, self.events_processed)
+        self._maintain()
+
+    def _apply_leave(self, event: AdvertiserLeave) -> None:
+        self.backend.apply_leave(event)
+        self.registry.retire(event.advertiser)
+        self._maintain()
+
+    def _apply_update(self, event: BidProgramUpdate) -> None:
+        self.backend.apply_update(event)
+        self._maintain()
+
+    def _apply_topup(self, event: BudgetTopUp) -> None:
+        entry = self.registry.entry(event.advertiser)
+        balance = self.registry.credit(event.advertiser, event.amount)
+        if entry.paused and balance > 0:
+            self._resume(event.advertiser)
+        elif not entry.paused and entry.tracked and balance <= 0:
+            # A negative top-up (clawback) can exhaust a ledger
+            # just like a charge; same pause path.
+            self._pause(event.advertiser, self.backend.auction_id)
+
+    _HANDLERS = {
+        QueryArrival: (_check_keyword, _apply_query),
+        AdvertiserJoin: (_check_join, _apply_join),
+        AdvertiserLeave: (_check_member, _apply_leave),
+        BidProgramUpdate: (_check_update, _apply_update),
+        BudgetTopUp: (_check_topup, _apply_topup),
+        AdvertiserPaused: (_check_emitted, None),
+        AdvertiserResumed: (_check_emitted, None),
+    }
+    """Event type -> ``(check, apply)``: the one dispatch table
+    :meth:`check` and :meth:`process` share."""
+
+    def run(self, events: Iterable[Event]) -> list[AuctionRecord]:
+        """Consume a stream, returning the auction records in order.
+
+        With :attr:`batching` armed the stream routes through the
+        micro-batcher: query windows dispatch via
+        :meth:`process_window`, control events via :meth:`process`,
+        in arrival order.
+        """
+        return self._run(events, self)
+
+    def _run(self, events: Iterable[Event], through
+             ) -> list[AuctionRecord]:
+        """The one run loop; ``through`` is what applies each unit —
+        this service, or the journaling wrapper around it."""
+        batcher = None
+        if self.batching is not None:
+            batcher = self.last_batcher = MicroBatcher(
+                self.batching, stats=self.stats, metrics=self.metrics,
+                track_waits=self.tracer is not None)
+            events = batcher.units(events)
+        records = []
+        for unit in events:
+            if batcher is not None:
+                self._stage_ingress(batcher)
+            if isinstance(unit, list):
+                records.extend(through.process_window(unit))
+            else:
+                record = through.process(unit)
+                if record is not None:
+                    records.append(record)
+        return records
 
     def _stage_ingress(self, batcher: MicroBatcher) -> None:
         """Park each unit member's ingress queue-wait as a staged
@@ -898,24 +950,6 @@ class OnlineAuctionService:
                    extra={"advertiser": advertiser,
                           "seq": self.events_processed})
         self._maintain()
-
-    def _check_capacity(self, advertiser: int) -> None:
-        capacity = self.workload_config.num_advertisers
-        if not 0 <= advertiser < capacity:
-            raise KeyError(
-                f"advertiser {advertiser} outside universe "
-                f"0..{capacity - 1}")
-
-    def _check_active(self, advertiser: int) -> None:
-        if advertiser not in self.registry:
-            raise KeyError(f"advertiser {advertiser} is not active")
-
-    @staticmethod
-    def _check_finite(event: Event) -> None:
-        name = non_finite_field(event)
-        if name is not None:
-            raise ValueError(
-                f"{event_kind(event)} event: {name} must be finite")
 
     # -- introspection -----------------------------------------------------
 
@@ -975,33 +1009,32 @@ class OnlineAuctionService:
             backend_state=self.backend.capture_state(),
         )
 
-    @staticmethod
-    def _workload_config_from(config: dict) -> PaperWorkloadConfig:
-        return PaperWorkloadConfig(
-            num_advertisers=int(config["num_advertisers"]),
-            num_slots=int(config["num_slots"]),
-            num_keywords=int(config["num_keywords"]),
-            value_high=float(config["value_high"]),
-            initial_bid_fraction=float(config["initial_bid_fraction"]),
-            step=float(config["step"]),
-            seed=int(config["workload_seed"]))
-
     @classmethod
     def from_config_payload(cls, config: dict,
                             workers: int | None = None,
-                            start_method: str | None = None
+                            start_method: str | None = None,
+                            _restore: ServiceSnapshot | None = None
                             ) -> "OnlineAuctionService":
         """A fresh (genesis) service from a :meth:`config_payload`
         dict — how recovery rebuilds a service whose journal predates
         the first checkpoint."""
         return cls(
-            cls._workload_config_from(config),
+            PaperWorkloadConfig(
+                num_advertisers=int(config["num_advertisers"]),
+                num_slots=int(config["num_slots"]),
+                num_keywords=int(config["num_keywords"]),
+                value_high=float(config["value_high"]),
+                initial_bid_fraction=float(
+                    config["initial_bid_fraction"]),
+                step=float(config["step"]),
+                seed=int(config["workload_seed"])),
             method=config["method"],
             maintenance=config["maintenance"],
             workers=(int(config["workers"]) if workers is None
                      else workers),
             engine_seed=int(config["engine_seed"]),
-            start_method=start_method)
+            start_method=start_method,
+            _restore=_restore)
 
     @classmethod
     def restore(cls, snapshot: "ServiceSnapshot | str | Path",
@@ -1015,16 +1048,8 @@ class OnlineAuctionService:
         """
         if not isinstance(snapshot, ServiceSnapshot):
             snapshot = ServiceSnapshot.from_file(snapshot)
-        config = snapshot.config
-        return cls(
-            cls._workload_config_from(config),
-            method=config["method"],
-            maintenance=config["maintenance"],
-            workers=(int(config["workers"]) if workers is None
-                     else workers),
-            engine_seed=int(config["engine_seed"]),
-            start_method=start_method,
-            _restore=snapshot)
+        return cls.from_config_payload(snapshot.config, workers,
+                                       start_method, _restore=snapshot)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1110,33 +1135,21 @@ class DurableAuctionService:
 
     @classmethod
     def open(cls, workload_config: PaperWorkloadConfig,
-             journal_path: "str | Path",
-             method: str = "rh",
-             maintenance: str = "incremental",
-             workers: int = 0, engine_seed: int = 0,
-             start_method: str | None = None,
+             journal_path: "str | Path", *,
              checkpoint_dir: "str | Path | None" = None,
              checkpoint_every: int = 0,
              checkpoint_retain: int = 2,
-             supervise: bool = False,
-             round_timeout: float | None = None,
-             max_worker_restarts: int = 1,
-             batching: BatchingConfig | None = None,
-             observability: ObservabilityConfig | None = None
-             ) -> "DurableAuctionService":
-        """Start a fresh durable service: genesis state, new journal
-        (header = the service's :meth:`~OnlineAuctionService
-        .config_payload`), optional checkpoint schedule."""
+             **service_options) -> "DurableAuctionService":
+        """Start a fresh durable service: genesis state (built from
+        ``service_options``, :class:`OnlineAuctionService`'s keyword
+        parameters), new journal (header = the service's
+        :meth:`~OnlineAuctionService.config_payload`), optional
+        checkpoint schedule."""
         from repro.stream.journal import EventJournal
         from repro.stream.snapshot import CheckpointPolicy
 
-        service = OnlineAuctionService(
-            workload_config, method=method, maintenance=maintenance,
-            workers=workers, engine_seed=engine_seed,
-            start_method=start_method, supervise=supervise,
-            round_timeout=round_timeout,
-            max_worker_restarts=max_worker_restarts,
-            batching=batching, observability=observability)
+        service = OnlineAuctionService(workload_config,
+                                       **service_options)
         journal = EventJournal.create(journal_path,
                                       service.config_payload())
         checkpoints = None
@@ -1151,10 +1164,13 @@ class DurableAuctionService:
 
     def process(self, event: Event, *,
                 commit: bool = True) -> AuctionRecord | None:
-        """Durably apply one event (journal -> apply -> commit, with a
-        checkpoint when one is due).  ``commit=False`` leaves the
+        """Durably apply one event (check -> journal -> apply ->
+        commit, with a checkpoint when one is due): an event
+        :meth:`~OnlineAuctionService.check` refuses raises before the
+        journal sees it.  ``commit=False`` leaves the
         barrier to the caller, who must :meth:`commit` before letting
         anything that depends on the event out of the process."""
+        self.service._admit(event)
         seq = self.service.events_processed
         self.journal.append(seq, event, origin="input")
         emitted_before = len(self.service.emitted)
@@ -1197,16 +1213,14 @@ class DurableAuctionService:
                 self.service.events_processed):
             return
         self.commit()
-        tracer = self.service.tracer
-        if tracer is not None:
-            write_start = time_module.perf_counter()
-            self.checkpoints.write(self.service.snapshot())
-            tracer.child(seq, "checkpoint",
-                         time_module.perf_counter() - write_start,
-                         attrs={"events_processed":
-                                self.service.events_processed})
-        else:
-            self.checkpoints.write(self.service.snapshot())
+        write_start = time_module.perf_counter()
+        self.checkpoints.write(self.service.snapshot())
+        if self.service.tracer is not None:
+            self.service.tracer.child(
+                seq, "checkpoint",
+                time_module.perf_counter() - write_start,
+                attrs={"events_processed":
+                       self.service.events_processed})
         crash_hook("service-post-checkpoint")
 
     def process_window(self, queries: "list[QueryArrival]", *,
@@ -1214,10 +1228,11 @@ class DurableAuctionService:
         """Durably apply one micro-batch window of query arrivals.
 
         The write-ahead contract holds at window granularity: every
-        event of the window is journaled before *any* of it is
-        applied, then each query applies in order with its emissions
-        journaled at its own seq and the checkpoint schedule consulted
-        per event, exactly as the unbatched loop does; one
+        event of the window is checked before any of it is journaled
+        (one bad query journals none of the window) and journaled
+        before *any* of it is applied, then each query applies in
+        order with its emissions journaled at its own seq and the
+        checkpoint schedule consulted per event, exactly as the unbatched loop does; one
         :meth:`commit` closes the window (``commit=False`` leaves it
         to the caller, as in :meth:`process`).  Batch boundaries
         therefore never leak into the recorded event order: per
@@ -1234,6 +1249,8 @@ class DurableAuctionService:
         """
         if not queries:
             return []
+        for event in queries:
+            self.service._admit(event)
         base_seq = self.service.events_processed
         for offset, event in enumerate(queries):
             self.journal.append(base_seq + offset, event,
@@ -1256,35 +1273,11 @@ class DurableAuctionService:
         return records
 
     def run(self, events: Iterable[Event]) -> list[AuctionRecord]:
-        """Consume a stream durably, returning records in order.
-
-        With the wrapped service's :attr:`~OnlineAuctionService
-        .batching` armed, the stream routes through the micro-batcher
-        — query windows via :meth:`process_window`, control events
-        via :meth:`process` — in arrival order.
-        """
-        if self.service.batching is not None:
-            batcher = MicroBatcher(
-                self.service.batching, stats=self.service.stats,
-                metrics=self.service.metrics,
-                track_waits=self.service.tracer is not None)
-            self.service.last_batcher = batcher
-            records = []
-            for unit in batcher.units(events):
-                self.service._stage_ingress(batcher)
-                if isinstance(unit, list):
-                    records.extend(self.process_window(unit))
-                else:
-                    record = self.process(unit)
-                    if record is not None:  # pragma: no cover
-                        records.append(record)
-            return records
-        records = []
-        for event in events:
-            record = self.process(event)
-            if record is not None:
-                records.append(record)
-        return records
+        """Consume a stream durably, returning records in order: the
+        wrapped service's run loop (micro-batcher included, when its
+        :attr:`~OnlineAuctionService.batching` is armed), applying
+        through :meth:`process` / :meth:`process_window` here."""
+        return self.service._run(events, self)
 
     # Pass-throughs for the introspection surface callers actually
     # use; everything else is reachable through ``.service``.
@@ -1296,13 +1289,6 @@ class DurableAuctionService:
     @property
     def emitted(self) -> EventLog:
         return self.service.emitted
-
-    @property
-    def accounts(self) -> AccountBook:
-        return self.service.accounts
-
-    def snapshot(self) -> ServiceSnapshot:
-        return self.service.snapshot()
 
     def close(self) -> None:
         self.commit()

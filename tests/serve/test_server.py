@@ -20,6 +20,7 @@ from repro.stream.events import AdvertiserJoin, QueryArrival
 from repro.stream.service import OnlineAuctionService
 from repro.workloads.paper_workload import PaperWorkloadConfig
 
+from ..stream.invalid_events import invalid_events
 from ..stream.oracle import assert_outcomes_agree, run_service
 from .conftest import SMALL
 from .harness import churn_events, read_replies
@@ -60,16 +61,18 @@ class TestLiveReplayBitIdentity:
         {},                     # plain in-process apply
         {"batch_window": 4},    # adaptive window coalescing
     ], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("method",
+                             ["rh", "lp", "hungarian", "rhtalu"])
     def test_recorded_stream_replays_bit_identically(
-            self, serve_factory, overrides):
+            self, serve_factory, overrides, method):
         events = churn_events(_CONFIG, events=40)
-        live = serve_factory(**overrides)
+        live = serve_factory(method=method, **overrides)
         replies = _drive(live, events)
         live.stop()
         assert live.exit_code == 0
         applied = list(live.server.applied)
         assert applied == events  # nothing dropped, nothing reordered
-        offline = run_service(_CONFIG, applied, method="rh",
+        offline = run_service(_CONFIG, applied, method=method,
                               engine_seed=_ENGINE_SEED)
         assert records_identical(live.server.records, offline.records)
         # Replies carry the applied-stream position and the exact
@@ -141,9 +144,10 @@ class TestLiveReplayBitIdentity:
 
 
 class TestRejection:
-    """State-aware validation happens on the apply thread, in stamp
-    order, before journal/record/apply — so a rejected event simply
-    never existed as far as replay is concerned."""
+    """The service's one admission rule (``check``) is asked on the
+    apply thread, in stamp order, before journal/record/apply — so a
+    rejected event simply never existed as far as replay is
+    concerned."""
 
     def _join(self, advertiser: int) -> AdvertiserJoin:
         arity = SMALL["keywords"]
@@ -153,90 +157,78 @@ class TestRejection:
             maxbids=tuple(2.0 + i for i in range(arity)),
             values=tuple(3.0 + i for i in range(arity)), budget=50.0)
 
-    def test_invalid_events_reply_rejected_and_leave_no_trace(
+    def test_every_refused_family_replies_rejected_and_leaves_no_trace(
             self, serve_factory):
-        live = serve_factory()
-        with live.client() as client:
-            cases = [
-                (QueryArrival(keyword="nope"), "unknown keyword"),
-                (self._join(SMALL["advertisers"]), "outside universe"),
-                (event_to_payload(self._join(0)), None),  # valid join
-                (self._join(0), "already active"),
-            ]
-            rejected = 0
-            for index, (item, detail) in enumerate(cases):
-                if isinstance(item, dict):
-                    reply = client.submit_payload(item, tag=index)
-                else:
-                    reply = client.submit(item, tag=index)
-                if detail is None:
-                    assert reply["type"] == "ok"
-                else:
-                    assert reply["type"] == "error"
-                    assert reply["code"] == "rejected"
-                    assert detail in reply["detail"]
-                    rejected += 1
-            client.bye()
-        live.stop()
-        assert live.server.rejected == rejected
-        # Only the valid join was sequenced into the recorded stream.
-        assert list(live.server.applied) == [self._join(0)]
-
-    def test_non_finite_numbers_reject_and_leave_no_trace(
-            self, serve_factory):
-        # json.loads parses NaN / Infinity, so they reach validation
-        # as floats; one in the pacer arrays would poison the
-        # selection partition and the argsort click index for every
-        # later auction.
-        from dataclasses import replace
-
-        from repro.stream.events import BidProgramUpdate, BudgetTopUp
-        nan, inf = float("nan"), float("inf")
+        # json.loads parses NaN / Infinity, so they reach the rule as
+        # floats; one in the pacer arrays would poison the selection
+        # partition and the argsort click index for every later
+        # auction.
         good = self._join(0)
-        keyword = f"kw{SMALL['keywords'] - 1}"
-        cases = [
-            (replace(self._join(1), target=nan), "target"),
-            (replace(self._join(1), budget=inf), "budget"),
-            (replace(self._join(1), bids=(nan,) + good.bids[1:]),
-             "bids"),
-            (replace(self._join(1), maxbids=(-inf,) + good.maxbids[1:]),
-             "maxbids"),
-            (replace(self._join(1), values=good.values[:-1] + (nan,)),
-             "values"),
-            (BidProgramUpdate(0, keyword, bid=nan, maxbid=2.0), "bid"),
-            (BidProgramUpdate(0, keyword, bid=1.0, maxbid=inf),
-             "maxbid"),
-            (BudgetTopUp(advertiser=0, amount=nan), "amount"),
-        ]
+        cases = [case for case in invalid_events(
+            self._join(1), active=0, capacity=SMALL["advertisers"],
+            keyword=f"kw{SMALL['keywords'] - 1}") if case.wire]
         live = serve_factory()
         with live.client() as client:
             assert client.submit(good, tag=0)["type"] == "ok"
-            for tag, (event, field) in enumerate(cases, start=1):
-                reply = client.submit(event, tag=tag)
-                assert reply["type"] == "error"
-                assert reply["code"] == "rejected"
-                assert reply["detail"] == f"{field} must be finite"
+            for tag, case in enumerate(cases, start=1):
+                reply = client.submit(case.event, tag=tag)
+                assert reply["type"] == "error", case.label
+                assert reply["code"] == "rejected", case.label
+                # The sequential client has its reply, so the apply
+                # thread is idle and the (pure) rule can be asked.
+                error = live.server._service.check(case.event)
+                assert isinstance(error, case.error), case.label
+                assert reply["detail"] == error.args[0], case.label
+                assert case.detail in reply["detail"], case.label
             # Still serving, and the population is untouched.
             assert client.submit(QueryArrival(keyword="kw0"),
                                  tag=99)["type"] == "result"
             client.bye()
         live.stop()
+        assert live.exit_code == 0
         assert live.server.rejected == len(cases)
         assert list(live.server.applied) \
             == [good, QueryArrival(keyword="kw0")]
 
-    def test_control_for_inactive_advertiser_rejects(
-            self, serve_factory):
-        from repro.stream.events import BudgetTopUp
-        live = serve_factory()
-        with live.client() as client:
-            reply = client.submit(BudgetTopUp(advertiser=7,
-                                              amount=10.0), tag=0)
-            assert reply["type"] == "error"
-            assert "not active" in reply["detail"]
-            client.bye()
+    @pytest.mark.parametrize("overrides", [
+        {"method": "rh"}, {"method": "rhtalu"}, {"workers": 2},
+    ], ids=["rh", "rhtalu", "workers2"])
+    def test_poison_frames_are_rejected_not_fatal(
+            self, serve_factory, overrides):
+        """The two conditions every hand-kept mirror forgot: these
+        frames used to pass validation, raise inside the backend and
+        stop the server for every connected client."""
+        from dataclasses import replace
+
+        from repro.stream.events import BidProgramUpdate
+        good = self._join(0)
+        script = [
+            good,
+            replace(self._join(1), target=0),
+            replace(self._join(1), target=-1),
+            BidProgramUpdate(0, "kw0", bid=1.0, maxbid=-1),
+            QueryArrival(keyword="kw0"),
+        ]
+        live = serve_factory(**overrides)
+        with socket.create_connection(
+                ("127.0.0.1", live.port), timeout=30) as sock:
+            sock.sendall(b"".join(_frames(script)))  # pipelined
+            replies = read_replies(sock.makefile("rb"), len(script))
+        assert [reply["type"] for reply in replies] \
+            == ["ok", "error", "error", "error", "result"]
+        assert [reply["code"] for reply in replies[1:4]] \
+            == ["rejected"] * 3
+        assert "target spend rate must be > 0" in replies[1]["detail"]
+        assert "target spend rate must be > 0" in replies[2]["detail"]
+        assert "maxbid must be >= 0" in replies[3]["detail"]
         live.stop()
-        assert len(live.server.applied) == 0
+        assert live.exit_code == 0
+        applied = list(live.server.applied)
+        assert applied == [good, QueryArrival(keyword="kw0")]
+        offline = run_service(
+            _CONFIG, applied, method=overrides.get("method", "rh"),
+            engine_seed=_ENGINE_SEED)
+        assert records_identical(live.server.records, offline.records)
 
 
 class TestExecutorFreeIngest:

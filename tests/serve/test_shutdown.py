@@ -114,6 +114,58 @@ class TestGracefulShutdown:
         assert recorded == script[:len(recorded)]
 
 
+class TestPoisonFramesUnderJournal:
+    def test_rejected_frames_never_reach_the_journal(self, serve_proc):
+        """A join with ``target <= 0`` or an update with ``maxbid <
+        0`` used to be journaled, raise inside the backend, stop the
+        server with exit 1, and then block ``recover()`` on the line
+        it left behind.  One rule in front of the journal: three
+        ``rejected`` replies, a clean drain, a journal recovery can
+        read."""
+        from dataclasses import replace
+
+        from repro.stream import recover, scan_journal
+        from repro.stream.events import BidProgramUpdate
+
+        server = serve_proc()
+        good = churn_events(_CONFIG, events=0)[0]
+        free = SMALL["advertisers"] - 1
+        script = [
+            good,
+            replace(good, advertiser=free, target=0),
+            replace(good, advertiser=free, target=-1),
+            BidProgramUpdate(good.advertiser, "kw0", bid=1.0,
+                             maxbid=-1),
+            QueryArrival(keyword="kw0"),
+        ]
+        with WireClient("127.0.0.1", server.port,
+                        timeout=30.0) as client:
+            replies = [client.submit(event, tag=index)
+                       for index, event in enumerate(script)]
+            client.bye()
+        assert [reply["type"] for reply in replies] \
+            == ["ok", "error", "error", "error", "result"]
+        assert {reply["code"] for reply in replies[1:4]} \
+            == {"rejected"}
+        server.proc.send_signal(signal.SIGTERM)
+        code, out, err = server.finish()
+        assert code == 0, err
+        assert "clean shutdown (SIGTERM)" in out
+        inputs = [entry.event for entry
+                  in scan_journal(server.journal).entries
+                  if entry.origin == "input"]
+        assert inputs == [script[0], script[4]]
+        # From the final checkpoint, and by replaying the journal
+        # alone (where a poison line used to raise).
+        for checkpoint_dir in (server.checkpoint_dir, None):
+            result = recover(server.journal,
+                             checkpoint_dir=checkpoint_dir)
+            try:
+                assert result.events_processed == 2
+            finally:
+                result.service.close()
+
+
 class TestServeMidFrameChaos:
     def test_crash_mid_frame_dies_hard_then_recovers(self, serve_proc,
                                                      tmp_path):

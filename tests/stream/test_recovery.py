@@ -285,6 +285,64 @@ class TestGroupCommitBarrier:
         assert diff.identical, diff.format_report()
 
 
+class TestCheckBeforeJournal:
+    """The durable wrapper asks ``check`` before the first
+    ``journal.append``: nothing the service refuses reaches the file
+    (it used to be appended first, so the ``ValueError`` surfaced
+    with a poison line already on disk, and ``recover()`` raised the
+    same error on it)."""
+
+    def test_refused_event_leaves_the_journal_untouched(self,
+                                                        tmp_path):
+        from repro.stream import BidProgramUpdate, QueryArrival
+
+        stream = make_stream(10)
+        path = tmp_path / "journal.jsonl"
+        durable = DurableAuctionService.open(CONFIG, path,
+                                             engine_seed=SEED)
+        try:
+            durable.run(stream)
+            members = durable.service.active_advertisers()
+            first, second = [
+                advertiser for advertiser
+                in range(CONFIG.num_advertisers)
+                if advertiser not in members][:2]
+            join = stream[0]
+            bad_events = [
+                replace(join, advertiser=second, target=0),
+                BidProgramUpdate(members[0], "kw0", bid=1.0,
+                                 maxbid=-1),
+                QueryArrival("nope"),
+            ]
+            # One uncommitted line, so "unsynced unchanged" can tell
+            # an untouched journal from a committed one.
+            durable.process(replace(join, advertiser=first),
+                            commit=False)
+            before = path.read_bytes()
+            unsynced = durable.journal.unsynced
+            assert unsynced == 1
+            for bad in bad_events:
+                with pytest.raises((KeyError, ValueError)):
+                    durable.process(bad)
+                with pytest.raises((KeyError, ValueError)):
+                    durable.process(bad, commit=False)
+            # One bad query journals none of its window.
+            window = [QueryArrival("kw0"), QueryArrival("nope"),
+                      QueryArrival("kw1")]
+            with pytest.raises(KeyError, match="unknown keyword"):
+                durable.process_window(window)
+            assert path.read_bytes() == before
+            assert durable.journal.unsynced == unsynced
+            assert durable.events_processed == len(stream) + 1
+        finally:
+            durable.close()
+        result = recover(path)
+        try:
+            assert result.events_processed == len(stream) + 1
+        finally:
+            result.service.close()
+
+
 class TestCheckpointPolicy:
     def test_naming_orders_by_watermark(self):
         names = [checkpoint_name(n) for n in (7, 40, 123, 4000)]

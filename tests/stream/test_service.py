@@ -45,6 +45,7 @@ from repro.workloads import (
     generate_stream,
     join_event,
 )
+from tests.stream.invalid_events import invalid_events
 from tests.stream.oracle import assert_outcomes_agree, run_service
 
 CONFIG = PaperWorkloadConfig(num_advertisers=36, num_slots=4,
@@ -185,82 +186,38 @@ class TestChurnSemantics:
             assert record.allocation.slot_of == {}
             assert record.realized_revenue == 0.0
 
-    def test_validation_errors(self, workload):
-        service = OnlineAuctionService(CONFIG, engine_seed=SEED)
-        join = join_event(workload, 1)
-        service.process(join)
-        with pytest.raises(KeyError):
-            service.process(join)  # duplicate join
-        with pytest.raises(KeyError):
-            service.process(AdvertiserLeave(2))  # never joined
-        with pytest.raises(KeyError):
-            service.process(BudgetTopUp(advertiser=5, amount=1.0))
-        with pytest.raises(KeyError):
-            service.process(AdvertiserJoin(advertiser=99, target=1.0,
-                                           bids=(0.0,) * 3,
-                                           maxbids=(1.0,) * 3,
-                                           values=(1.0,) * 3))
+    def test_constructor_validation(self):
         with pytest.raises(ValueError):
             OnlineAuctionService(CONFIG, method="separable")
         with pytest.raises(ValueError):
             OnlineAuctionService(CONFIG, maintenance="lazy")
 
-    @pytest.mark.parametrize("method", ["rh", "rhtalu"])
-    def test_non_finite_numbers_raise_before_any_state_changes(
-            self, workload, method):
-        # A NaN bid has no place in an order: it would poison the
-        # selection partition and the argsort click index.
-        from repro.stream import BidProgramUpdate
-
-        nan, inf = float("nan"), float("inf")
-        service = OnlineAuctionService(CONFIG, method=method,
-                                       engine_seed=SEED)
-        service.process(join_event(workload, 1))
-        join = join_event(workload, 2)
-        bad = [
-            replace(join, target=nan),
-            replace(join, budget=inf),
-            replace(join, bids=(nan,) + join.bids[1:]),
-            replace(join, maxbids=(inf,) + join.maxbids[1:]),
-            replace(join, values=join.values[:-1] + (-inf,)),
-            BidProgramUpdate(advertiser=1, keyword="kw0", bid=nan,
-                             maxbid=1.0),
-            BidProgramUpdate(advertiser=1, keyword="kw0", bid=1.0,
-                             maxbid=inf),
-            BudgetTopUp(advertiser=1, amount=nan),
-        ]
-        before = service.budget_of(1)
-        for event in bad:
-            with pytest.raises(ValueError, match="must be finite"):
-                service.process(event)
-        assert service.events_processed == 1
-        assert service.active_advertisers() == [1]
-        assert service.budget_of(1) == before
-        service.process(join)  # the clean join is still admissible
-        assert service.process(QueryArrival("kw0")) is not None
-
-    def test_sharded_rejects_bad_events_without_killing_fleet(
-            self, workload):
-        # A bad control event must fail at event time, like the
-        # in-process path — never poison a worker and surface as a
-        # fleet failure on the next (unrelated) query.
-        from repro.stream import BidProgramUpdate
-
-        with OnlineAuctionService(CONFIG, method="rh", workers=2,
+    @pytest.mark.parametrize("method,workers", [
+        ("rh", 0), ("rhtalu", 0), ("rh", 2)])
+    def test_refused_events_raise_before_any_state_changes(
+            self, workload, method, workers):
+        # Every family of the shared table (a NaN bid would poison
+        # the selection partition and the argsort click index; a bad
+        # control event must fail at event time, never poison a shard
+        # worker and surface as a fleet failure on the next query).
+        with OnlineAuctionService(CONFIG, method=method,
+                                  workers=workers,
                                   engine_seed=SEED) as service:
-            service.process(join_event(workload, 0))
-            with pytest.raises(KeyError):
-                service.process(BidProgramUpdate(
-                    advertiser=0, keyword="nosuch", bid=1.0,
-                    maxbid=2.0))
-            with pytest.raises(KeyError):
-                service.process(AdvertiserLeave(7))
-            with pytest.raises(KeyError):
-                service.process(join_event(workload, 0))
-            # The fleet must still serve.
+            service.process(join_event(workload, 1))
+            join = join_event(workload, 2)
+            before = service.budget_of(1)
+            for case in invalid_events(
+                    join, active=1,
+                    capacity=CONFIG.num_advertisers, keyword="kw0"):
+                with pytest.raises(case.error, match=case.detail):
+                    service.process(case.event)
+            assert service.events_processed == 1
+            assert service.active_advertisers() == [1]
+            assert service.budget_of(1) == before
+            service.process(join)  # the clean join is still admissible
             record = service.process(QueryArrival("kw0"))
             assert record is not None
-            assert 0 in record.allocation.slot_of
+            assert record.allocation.slot_of
 
 
 def _translate(records, survivors):

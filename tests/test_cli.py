@@ -400,3 +400,49 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestServiceFlagSets:
+    """``stream`` and ``serve`` draw their shared flags from one
+    helper; these literals are the two subparsers' option strings and
+    defaults as of the commit before it existed, so the helper
+    provably adds, drops and re-defaults nothing."""
+
+    SHARED = {
+        "--advertisers": 200, "--slots": 15, "--keywords": 10,
+        "--method": "rh", "--maintenance": "incremental",
+        "--workers": 0, "--seed": 0, "--batch-window": 0,
+        "--record-events": None, "--trace": None, "--journal": None,
+        "--checkpoint-every": 0, "--checkpoint-dir": None,
+        "--checkpoint-retain": 2, "--metrics-out": None,
+        "--trace-spans": None, "--metrics-every": 100,
+    }
+    STREAM = {
+        **SHARED, "--ingress-capacity": 64,
+        "--events": 400, "--churn-rate": 0.1, "--genesis": None,
+        "--min-active": 2, "--budget-low": 50.0,
+        "--budget-high": 500.0, "--snapshot-at": 0,
+        "--snapshot-file": None, "--replay": None,
+        "--supervise": False, "--round-timeout": None,
+        "--max-worker-restarts": 1, "--backpressure": "delay",
+        "--arrival-rate": 1.0,
+    }
+    SERVE = {
+        **SHARED, "--ingress-capacity": 256,
+        "--host": "127.0.0.1", "--port": 0, "--port-file": None,
+    }
+
+    @pytest.mark.parametrize("command,expected", [
+        ("stream", STREAM), ("serve", SERVE)])
+    def test_options_and_defaults_are_frozen(self, command, expected):
+        from repro.cli import build_parser
+
+        subparsers = next(
+            action for action in build_parser()._actions
+            if action.dest == "command")
+        flags = {}
+        for action in subparsers.choices[command]._actions:
+            if action.dest != "help":
+                assert len(action.option_strings) == 1
+                flags[action.option_strings[0]] = action.default
+        assert flags == expected
