@@ -44,7 +44,7 @@ speedup is conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,6 +58,7 @@ from repro.strategies.roi_equalizer import SimpleROIPacer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.auction.engine import AuctionEngine
+    from repro.runtime.messages import ControlNotice
 
 
 def is_bare_click(formula: object) -> bool:
@@ -223,55 +224,64 @@ class PacerArrays:
     # -- live advertiser churn (the online serving layer) ------------------
 
     @classmethod
-    def for_universe(cls, num_advertisers: int,
-                     keywords: list[str]) -> "PacerArrays":
-        """An empty population over a fixed id/keyword universe.
-
-        The online serving layer starts every pacer mirror empty and
-        grows/retires rows as advertisers churn; the keyword universe
-        must be fixed up front because columns are keyword slots.
-        """
+    def for_universe(cls, num_advertisers: int, keywords: list[str],
+                     capture: dict | None = None) -> "PacerArrays":
+        """The one way a served mirror is born: empty over a fixed
+        id/keyword universe (columns are keyword slots, so the
+        vocabulary is fixed up front) and populated by
+        :meth:`grow_rows`, or — given a non-empty :meth:`capture` of
+        that universe — restored from it (:meth:`from_capture`)."""
+        if capture:
+            return cls.from_capture(capture)
         return cls([], num_advertisers, list(keywords))
 
     def active_ids(self) -> np.ndarray:
         """Ascending ids of rows currently holding a live program."""
         return np.flatnonzero(self.present)
 
-    def grow_row(self, advertiser: int, target: float, step: float,
-                 bids: np.ndarray, maxbids: np.ndarray,
-                 values: np.ndarray) -> None:
-        """Bring a row to life with fresh pacing state (a join)."""
-        if not 0 <= advertiser < self.num_advertisers:
-            raise KeyError(f"advertiser {advertiser} outside capacity "
+    def grow_rows(self, advertisers: np.ndarray, targets: np.ndarray,
+                  bids: np.ndarray, maxbids: np.ndarray,
+                  values: np.ndarray, step: float) -> None:
+        """Bring rows to life with fresh pacing state (a bulk join).
+
+        ``bids`` / ``maxbids`` / ``values`` hold one row per advertiser,
+        one column per keyword.  A fixed population is this call over
+        the whole universe; a stream join is its one-row case.
+        """
+        advertisers = np.asarray(advertisers, dtype=np.int64)
+        ids = advertisers.tolist()
+        if ids and not 0 <= min(ids) <= max(ids) < self.num_advertisers:
+            raise KeyError(f"advertiser {ids} outside capacity "
                            f"0..{self.num_advertisers - 1}")
-        if self.present[advertiser]:
-            raise KeyError(f"advertiser {advertiser} already present")
-        if advertiser in self.paused:
-            raise KeyError(f"advertiser {advertiser} is paused; "
-                           f"resume_row re-admits it")
-        if target <= 0:
+        if len(set(ids)) != len(ids) or self.present[advertisers].any():
+            raise KeyError(f"advertiser {ids} already present")
+        if not self.paused.keys().isdisjoint(ids):
+            raise KeyError(f"advertiser {ids} is paused; resume_row "
+                           f"re-admits it")
+        targets = np.asarray(targets, dtype=float)
+        if np.any(targets <= 0):
             raise ValueError(
-                f"target spend rate must be > 0, got {target}")
-        width = len(self.keywords)
+                f"target spend rate must be > 0, got {targets.tolist()}")
+        shape = (len(advertisers), len(self.keywords))
         bids = np.asarray(bids, dtype=float)
         maxbids = np.asarray(maxbids, dtype=float)
         values = np.asarray(values, dtype=float)
-        if bids.shape != (width,) or maxbids.shape != (width,) \
-                or values.shape != (width,):
+        if targets.shape != shape[:1] or bids.shape != shape \
+                or maxbids.shape != shape or values.shape != shape:
             raise ValueError(
-                f"grow_row needs per-keyword bids/maxbids/values of "
-                f"length {width}")
-        self.present[advertiser] = True
-        self.step[advertiser] = step
-        self.target[advertiser] = target
-        self.amt_spent[advertiser] = 0.0
-        self.auctions_seen[advertiser] = 0
-        self.has_kw[advertiser, :] = True
-        self.bids[advertiser, :] = np.clip(bids, 0.0, maxbids)
-        self.maxbids[advertiser, :] = maxbids
-        self.value_per_click[advertiser, :] = values
-        self.gained[advertiser, :] = 0.0
-        self.spent[advertiser, :] = 0.0
+                f"grow_rows needs one target and per-keyword "
+                f"bids/maxbids/values of length {shape[1]} per row")
+        self.present[advertisers] = True
+        self.step[advertisers] = step
+        self.target[advertisers] = targets
+        self.amt_spent[advertisers] = 0.0
+        self.auctions_seen[advertisers] = 0
+        self.has_kw[advertisers] = True
+        self.bids[advertisers] = np.clip(bids, 0.0, maxbids)
+        self.maxbids[advertisers] = maxbids
+        self.value_per_click[advertisers] = values
+        self.gained[advertisers] = 0.0
+        self.spent[advertisers] = 0.0
 
     def retire_row(self, advertiser: int) -> None:
         """Zero a row out (a leave); the id may be re-grown later.
@@ -370,6 +380,35 @@ class PacerArrays:
         self.gained[advertiser, :] = row["gained"]
         self.spent[advertiser, :] = row["spent"]
 
+    def apply_control(self, notice: "ControlNotice", step: float,
+                      offset: int = 0) -> None:
+        """Apply one churn event: the eager representation's one ladder
+        from :attr:`ControlNotice.kind` to a row operation.
+
+        Every host — the in-process service backend, the scan and
+        gather shards — changes its rows through this method.
+        ``offset`` translates the notice's global advertiser id into
+        this mirror's row (a shard's ``lo``); ``step`` is the pacing
+        step a joining row starts with.
+        """
+        row = notice.advertiser - offset
+        kind = notice.kind
+        if kind == "join":
+            self.grow_rows(np.array([row]), np.array([notice.target]),
+                           notice.bids[None, :], notice.maxbids[None, :],
+                           notice.values[None, :], step)
+        elif kind == "leave":
+            self.retire_row(row)
+        elif kind == "update":
+            self.update_bid(row, notice.keyword, notice.bid,
+                            notice.maxbid)
+        elif kind == "pause":
+            self.pause_row(row)
+        elif kind == "resume":
+            self.resume_row(row)
+        else:
+            raise ValueError(f"unknown control kind {kind!r}")
+
     def capture(self) -> dict:
         """Primary state of the live rows as flat arrays (copies).
 
@@ -448,31 +487,17 @@ class ShardEvalState:
     arrays — the per-shard half of the runtime's bit-identity argument.
     """
 
-    def __init__(self, programs: list[SimpleROIPacer],
-                 click_rows: np.ndarray, top_depth: int,
-                 keywords: list[str] | None = None):
-        num_local = len(programs)
-        if programs:
-            if click_rows.shape[0] != num_local:
-                raise ValueError(
-                    f"{num_local} programs but {click_rows.shape[0]} "
-                    f"click rows")
-            arrays = PacerArrays.from_programs(programs, num_local)
-            if arrays is None:
-                raise ValueError(
-                    "shard population is not vectorizable (the sharded "
-                    "runtime supports single-Click-bid pacer "
-                    "populations)")
-        elif keywords is not None:
-            # Streaming shard: an empty universe over the workload's
-            # keyword columns, grown row by row as advertisers join.
-            num_local = click_rows.shape[0]
-            arrays = PacerArrays.for_universe(num_local, keywords)
-        else:
-            raise ValueError("need programs or a keyword universe")
-        self.arrays = arrays
+    def __init__(self, click_rows: np.ndarray, top_depth: int,
+                 keywords: list[str], capture: dict | None = None):
+        """Born empty over the shard's rows and the workload's keyword
+        columns, or restored from ``capture`` (the shard's local-frame
+        slice of a snapshot); rows then arrive through
+        :meth:`PacerArrays.grow_rows` / :meth:`PacerArrays
+        .apply_control`."""
         self.click_rows = np.asarray(click_rows, dtype=float)
-        self.num_slots = click_rows.shape[1]
+        num_local, self.num_slots = self.click_rows.shape
+        self.arrays = PacerArrays.for_universe(num_local, keywords,
+                                               capture)
         self.top_depth = top_depth
         self.bid_out = np.zeros(num_local)
         self._solver: SubsetSolver | None = None
@@ -553,6 +578,22 @@ class BatchStats:
     auctions: int = 0
     groups: int = 0
     signatures: int = 0
+    _seen: set = field(default_factory=set, repr=False)
+    _last: str | None = field(default=None, repr=False)
+
+    def observe(self, keyword: str) -> bool:
+        """Count one auction under its keyword signature: a signature
+        is a keyword seen for the first time (returns ``True`` then),
+        a group a maximal run of consecutive same-keyword auctions."""
+        first = keyword not in self._seen
+        if first:
+            self._seen.add(keyword)
+            self.signatures += 1
+        if keyword != self._last:
+            self.groups += 1
+            self._last = keyword
+        self.auctions += 1
+        return first
 
     @property
     def mean_group_length(self) -> float:
@@ -566,7 +607,6 @@ class BatchPlanner:
         self.arrays = arrays
         self.num_slots = num_slots
         self._plans: dict[str, GroupPlan] = {}
-        self._last_signature: str | None = None
         self.stats = BatchStats()
 
     @classmethod
@@ -588,17 +628,10 @@ class BatchPlanner:
         with the same signature form a group and share buffers that are
         already warm in cache.
         """
-        plan = self._plans.get(keyword)
-        if plan is None:
-            plan = GroupPlan.allocate(keyword,
-                                      self.arrays.num_advertisers,
-                                      self.num_slots)
-            self._plans[keyword] = plan
-            self.stats.signatures += 1
-        if keyword != self._last_signature:
-            self.stats.groups += 1
-            self._last_signature = keyword
-        self.stats.auctions += 1
+        if self.stats.observe(keyword):
+            self._plans[keyword] = GroupPlan.allocate(
+                keyword, self.arrays.num_advertisers, self.num_slots)
+        plan = self._plans[keyword]
         plan.auctions += 1
         return plan
 
@@ -617,8 +650,6 @@ class RhtaluBatchPlanner:
 
     def __init__(self, evaluator):
         self.evaluator = evaluator
-        self._signatures: set[str] = set()
-        self._last_signature: str | None = None
         self.stats = BatchStats()
 
     @classmethod
@@ -630,13 +661,7 @@ class RhtaluBatchPlanner:
 
     def plan_for(self, keyword: str) -> None:
         """Record this auction's signature for the grouping stats."""
-        if keyword not in self._signatures:
-            self._signatures.add(keyword)
-            self.stats.signatures += 1
-        if keyword != self._last_signature:
-            self.stats.groups += 1
-            self._last_signature = keyword
-        self.stats.auctions += 1
+        self.stats.observe(keyword)
 
 
 def planner_for_engine(engine: "AuctionEngine"

@@ -28,7 +28,6 @@ from repro.evaluation.evaluator import (
     RhtaluScanResult,
 )
 from repro.evaluation.pacer_arrays import KeywordBidSource, LazyPacerArrays
-from repro.evaluation.pacer_state import LazyPacerState
 from repro.evaluation.sorted_index import ColumnArgsortIndex, SortedIndex
 from repro.evaluation.threshold import (
     SlotTopKResult,
@@ -48,7 +47,6 @@ __all__ = [
     "DeltaList",
     "KeywordBidSource",
     "LazyPacerArrays",
-    "LazyPacerState",
     "MergedDeltaSource",
     "RhtaluAuctionResult",
     "RhtaluEvaluator",

@@ -4,8 +4,8 @@ Per auction, instead of running all n bidding programs and scanning all
 n·k expected revenues (method RH), RHTALU:
 
 1. advances the lazily-maintained program state
-   (:class:`~repro.evaluation.pacer_arrays.LazyPacerArrays`, the array
-   mirror of the dict-backed reference state) — O(1) logical updates
+   (:class:`~repro.evaluation.pacer_arrays.LazyPacerArrays`, the
+   array form of the dict-backed reference state) — O(1) logical updates
    plus masked kernels only for due triggers and past winners;
 2. finds each slot's top-k bidders with the threshold algorithm over two
    sorted sources — a column of the shared argsorted click matrix
@@ -27,17 +27,20 @@ kernels instead of per-item Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.winner_determination import allocation_from_matching
 from repro.evaluation.pacer_arrays import LazyPacerArrays
-from repro.evaluation.pacer_state import LazyPacerState
 from repro.evaluation.sorted_index import ColumnArgsortIndex
 from repro.evaluation.threshold import product_top_k_all_slots
 from repro.lang.outcome import Allocation
 from repro.matching.slot_lists import SlotLists, match_slot_lists
 from repro.matching.types import MatchingResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.messages import ControlNotice
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,11 @@ class RhtaluEvaluator:
         The (n x k) click-probability matrix; its shared argsort becomes
         every slot's static sorted index.
     state:
-        The lazily-maintained pacing programs.  A dict-backed
-        :class:`LazyPacerState` is mirrored into arrays at construction
-        (register every advertiser and keyword bid *before* building the
-        evaluator); a prebuilt :class:`LazyPacerArrays` is used as-is.
+        The lazily-maintained pacing programs — empty
+        (:meth:`LazyPacerArrays.for_universe`) or restored from a
+        capture; advertisers then arrive through :meth:`join_many` /
+        :meth:`apply_control`, which keep the sorted click index in
+        step with the state's membership.
     top_depth:
         Per-slot candidate depth.  k is what matching correctness
         needs; k+1 (the default) additionally guarantees every slot's
@@ -111,7 +115,7 @@ class RhtaluEvaluator:
     """
 
     def __init__(self, click_matrix: np.ndarray,
-                 state: LazyPacerState | LazyPacerArrays,
+                 state: LazyPacerArrays,
                  top_depth: int | None = None,
                  block_size: int = 96):
         matrix = np.asarray(click_matrix, dtype=float)
@@ -120,9 +124,6 @@ class RhtaluEvaluator:
                 f"click matrix must be 2-D, got shape {matrix.shape}")
         self.click_matrix = matrix
         self.num_advertisers, self.num_slots = matrix.shape
-        if isinstance(state, LazyPacerState):
-            state = LazyPacerArrays.from_state(state,
-                                               self.num_advertisers)
         if state.num_advertisers != self.num_advertisers:
             raise ValueError(
                 f"state covers {state.num_advertisers} advertisers, "
@@ -132,9 +133,8 @@ class RhtaluEvaluator:
                           else top_depth)
         self.block_size = block_size
         # The sorted index covers exactly the advertisers registered in
-        # the pacer state (for the classic fixed-population build that
-        # is every row).  Under live churn (:mod:`repro.stream`) the
-        # two stay in lockstep through apply_join / apply_leave.
+        # the pacer state; join_many / apply_control keep the two in
+        # lockstep.
         self.slot_index = ColumnArgsortIndex(matrix,
                                              members=state.active_ids())
         # Preallocated per-auction buffers: TA score histories, the
@@ -213,45 +213,57 @@ class RhtaluEvaluator:
         """Forward a winner's charge to the lazy state."""
         self.state.record_win(advertiser, price, time)
 
-    # -- live advertiser churn (the online serving layer) ---------------
+    # -- population changes ---------------------------------------------
 
-    def apply_join(self, advertiser: int, target: float,
-                   bids: np.ndarray, maxbids: np.ndarray) -> None:
-        """Admit an advertiser mid-stream: pacer state + sorted index.
+    def join_many(self, advertisers: np.ndarray, targets: np.ndarray,
+                  bids: np.ndarray, maxbids: np.ndarray) -> None:
+        """Admit a batch of advertisers (a fixed population is one such
+        batch over the whole universe): one bulk placement in the pacer
+        state, one fresh argsort of the click index — which is exactly
+        the order one-at-a-time splices would have produced."""
+        self.state.join_many(advertisers, targets, bids, maxbids)
+        self.slot_index = ColumnArgsortIndex(
+            self.click_matrix, members=self.state.active_ids())
 
-        The pacer placement and the argsort-index splice are the two
-        incremental maintenance steps; both cost O(members) memmoves
-        instead of the O(m log m) re-sorts a rebuild pays.
+    def apply_control(self, notice: "ControlNotice",
+                      offset: int = 0) -> None:
+        """Apply one churn event: the lazy representation's one ladder
+        from :attr:`ControlNotice.kind` to a state operation.
+
+        Every host — the in-process service backend, the RHTALU shard —
+        changes its population through this method.  ``offset``
+        translates the notice's global advertiser id into this
+        evaluator's row (a shard's ``lo``).  Pacer placement and the
+        argsort-index splice are the two incremental maintenance
+        steps; both cost O(members) memmoves instead of the
+        O(m log m) re-sorts a rebuild pays.  Bid edits leave the index
+        alone (it is bid-independent), and so does the departure of a
+        budget-paused advertiser: it left the index when it was paused,
+        only its retained pacer capture is discarded.
         """
-        self.state.join(advertiser, target, bids, maxbids)
-        self.slot_index.insert(advertiser)
-
-    def apply_leave(self, advertiser: int) -> None:
-        """Retire an advertiser from the pacer state and the index.
-
-        A budget-paused advertiser left the index when it was paused;
-        its departure only discards the retained pacer capture.
-        """
-        paused = advertiser in self.state.paused
-        self.state.leave(advertiser)
-        if not paused:
+        advertiser = notice.advertiser - offset
+        kind = notice.kind
+        if kind == "join":
+            self.state.join_many(
+                np.array([advertiser]), np.array([notice.target]),
+                notice.bids[None, :], notice.maxbids[None, :])
+            self.slot_index.insert(advertiser)
+        elif kind == "leave":
+            indexed = advertiser not in self.state.paused
+            self.state.leave(advertiser)
+            if indexed:
+                self.slot_index.remove(advertiser)
+        elif kind == "update":
+            self.state.update_bid(advertiser, notice.keyword,
+                                  notice.bid, notice.maxbid)
+        elif kind == "pause":
+            self.state.pause(advertiser)
             self.slot_index.remove(advertiser)
-
-    def apply_update(self, advertiser: int, keyword: str, bid: float,
-                     maxbid: float) -> None:
-        """Edit one keyword bid (the click index is bid-independent)."""
-        self.state.update_bid(advertiser, keyword, bid, maxbid)
-
-    def apply_pause(self, advertiser: int) -> None:
-        """Budget exhaustion: retire from pacer state + index, but
-        retain the pacer row's frozen capture for re-admission."""
-        self.state.pause(advertiser)
-        self.slot_index.remove(advertiser)
-
-    def apply_resume(self, advertiser: int) -> None:
-        """Budget top-up past zero: re-admit a paused advertiser."""
-        self.state.resume(advertiser)
-        self.slot_index.insert(advertiser)
+        elif kind == "resume":
+            self.state.resume(advertiser)
+            self.slot_index.insert(advertiser)
+        else:
+            raise ValueError(f"unknown control kind {kind!r}")
 
     def rebuilt(self) -> "RhtaluEvaluator":
         """A from-scratch evaluator over the current primary state.

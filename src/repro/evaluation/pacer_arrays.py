@@ -1,13 +1,17 @@
-"""Array mirror of the lazily-maintained pacer state (Section IV-B).
+"""The lazily-maintained pacer state (Section IV-B), held in arrays.
 
-:class:`LazyPacerArrays` is to :class:`~repro.evaluation.pacer_state.
-LazyPacerState` what ``PacerArrays`` (PR 1) is to the eager program
-objects: the same semantics, operation for operation, but held in flat
-NumPy arrays so the per-auction protocol runs as boolean-mask kernels
-instead of per-program Python.  The dict-backed ``LazyPacerState``
-remains the reference implementation (its tests lock the Section IV-B
-invariant); the mirror is built from it once, at evaluator construction,
-and is the single live state from then on.
+:class:`LazyPacerArrays` is to the dict-backed reference
+:class:`~repro.evaluation.pacer_state.LazyPacerState` what
+``PacerArrays`` (PR 1) is to the eager program objects: the same
+semantics, operation for operation, but held in flat NumPy arrays so
+the per-auction protocol runs as boolean-mask kernels instead of
+per-program Python.  It is the one live representation: born empty
+over an id/keyword universe (:meth:`LazyPacerArrays.for_universe`) or
+from a capture, populated by :meth:`LazyPacerArrays.join_many`.  The
+reference implementation stays in the tree only for the parity tests
+(``tests/evaluation/test_pacer_arrays.py`` registers the same
+advertisers on both sides and drives them in lockstep); no production
+module imports it.
 
 Layout — ``n`` advertisers x ``K`` keywords, dense (every advertiser
 must bid on every keyword, which the threshold algorithm's shared-id
@@ -39,7 +43,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.evaluation.delta_list import ArrayDeltaList, merged_descending
-from repro.evaluation.pacer_state import LazyPacerState
 from repro.evaluation.trigger_queue import DeadlineArray
 
 INC, DEC, CONST = 0, 1, 2
@@ -86,19 +89,18 @@ class KeywordBidSource:
 class LazyPacerArrays:
     """All n pacing programs as arrays, maintained by masked kernels."""
 
-    def __init__(self, targets: np.ndarray, keywords: list[str],
+    def __init__(self, num_advertisers: int, keywords: list[str],
                  step: float = 1.0):
+        """An empty population over a fixed id/keyword universe,
+        populated by :meth:`join_many`."""
         if step <= 0:
             raise ValueError(f"step must be > 0, got {step}")
-        targets = np.asarray(targets, dtype=float)
-        if targets.ndim != 1 or np.any(targets <= 0):
-            raise ValueError("targets must be a 1-D array of positives")
         self.step = float(step)
         self.keywords = list(keywords)
         self.kw_index = {text: col for col, text in enumerate(keywords)}
-        n, width = len(targets), len(keywords)
+        n, width = num_advertisers, len(keywords)
         self.num_advertisers = n
-        self.target = targets
+        self.target = np.ones(n)  # placeholder until a row joins
         self.amt_spent = np.zeros(n)
         self.mode = np.full(n, INC, dtype=np.int8)
         self.cls = np.full((n, width), INC, dtype=np.int8)
@@ -113,7 +115,7 @@ class LazyPacerArrays:
         """Rows currently registered in the delta lists.  Everything the
         per-auction protocol touches is membership-driven, so inactive
         rows cost nothing; the online serving layer flips this mask
-        under advertiser churn (:meth:`join`, :meth:`leave`)."""
+        under advertiser churn (:meth:`join_many`, :meth:`leave`)."""
         self.paused: dict[int, dict] = {}
         """Frozen row captures of budget-paused advertisers, keyed by
         id.  A paused row is out of every delta list and trigger bank
@@ -131,64 +133,23 @@ class LazyPacerArrays:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_state(cls, state: LazyPacerState,
-                   num_advertisers: int) -> "LazyPacerArrays":
-        """Mirror a registered ``LazyPacerState`` into arrays.
-
-        Reads the reference state's registrations (targets, max bids,
-        effective bids, modes, keyword counters) and re-derives the
-        delta-list memberships and trigger deadlines through the same
-        placement rules the dict state uses, so the mirror starts bid-
-        for-bid equal.  Requires dense ids ``0..n-1`` with every
-        advertiser bidding on every keyword — the shape the threshold
-        algorithm needs anyway.
-        """
-        keywords = list(state._keywords)
-        advertisers = sorted(state._advertisers)
-        if advertisers != list(range(num_advertisers)):
-            raise ValueError(
-                "vectorized RHTALU needs dense advertiser ids 0..n-1; "
-                f"got {len(advertisers)} registered for n={num_advertisers}")
-        if not keywords:
-            raise ValueError("no keyword bids registered")
-        targets = np.array([state._advertisers[a].target
-                            for a in range(num_advertisers)])
-        mirror = cls(targets, keywords, step=state.step)
-        mirror.amt_spent[:] = [state._advertisers[a].amt_spent
-                               for a in range(num_advertisers)]
-        mirror.mode[:] = [INC if state.mode_of(a) == "inc" else DEC
-                          for a in range(num_advertisers)]
-        mirror.counts[:] = [state.keyword_count(text) for text in keywords]
-        dec_mask = mirror.mode == DEC
-        if dec_mask.any():
-            mirror.time_deadlines.schedule(
-                dec_mask,
-                mirror.amt_spent[dec_mask] / mirror.target[dec_mask])
-        mirror.active[:] = True
-        everyone = np.arange(num_advertisers)
-        for col, text in enumerate(keywords):
-            bids = state.bids_for_keyword(text)
-            if len(bids) != num_advertisers:
-                raise ValueError(
-                    f"keyword {text!r} has {len(bids)} bidders; the "
-                    "vectorized path needs every advertiser on every "
-                    "keyword")
-            effective = np.array([bids[a]
-                                  for a in range(num_advertisers)])
-            mirror.maxbid[:, col] = [
-                state._advertisers[a].keywords[text].maxbid
-                for a in range(num_advertisers)]
-            mirror._place_batch(everyone, col, effective)
-        mirror.physical_moves = 0  # construction is not churn
-        return mirror
+    def for_universe(cls, num_advertisers: int, keywords: list[str],
+                     step: float = 1.0, capture: dict | None = None
+                     ) -> "LazyPacerArrays":
+        """The one way a lazy state is born: empty over the universe,
+        or — given a non-empty :meth:`capture` of it — restored from
+        that (:meth:`from_capture`)."""
+        if capture:
+            return cls.from_capture(capture)
+        return cls(num_advertisers, keywords, step)
 
     # -- the per-auction protocol --------------------------------------------
 
     def begin_auction(self, keyword: str, time: float) -> KeywordBidSource:
         """Advance lazily to this auction and apply the logical update.
 
-        Same contract as :meth:`LazyPacerState.begin_auction`, returning
-        the keyword's merged descending bid view.
+        Same contract as the reference ``LazyPacerState.begin_auction``,
+        returning the keyword's merged descending bid view.
         """
         self._advance_time(time)
         col = self.kw_index.get(keyword)
@@ -228,45 +189,53 @@ class LazyPacerArrays:
         """Ascending ids of the currently registered advertisers."""
         return np.flatnonzero(self.active)
 
-    def join(self, advertiser: int, target: float, bids: np.ndarray,
-             maxbids: np.ndarray) -> None:
-        """Register an advertiser mid-stream with fresh pacing state.
+    def join_many(self, advertisers: np.ndarray, targets: np.ndarray,
+                  bids: np.ndarray, maxbids: np.ndarray) -> None:
+        """Register advertisers with fresh pacing state (a bulk join).
 
-        ``bids`` / ``maxbids`` are per-keyword (the constructor's
-        keyword order).  The newcomer starts underspending (mode
-        ``inc``, nothing spent) and is placed into each keyword's delta
-        list by the same rules initial registration uses, scheduling
-        its bound-saturation count triggers against the keyword
-        counters *as they stand now* — joining late means joining the
-        lists mid-adjustment, which is exactly what the delta-list
-        representation makes O(1) per keyword.
+        ``bids`` / ``maxbids`` hold one row per advertiser, one column
+        per keyword (the constructor's keyword order).  Newcomers start
+        underspending (mode ``inc``, nothing spent) and are placed into
+        each keyword's delta lists by the one set of placement rules
+        (:meth:`_place_batch`, one call per keyword), scheduling their
+        bound-saturation count triggers against the keyword counters
+        *as they stand now* — joining late means joining the lists
+        mid-adjustment, which is exactly what the delta-list
+        representation makes O(1) per keyword.  A fixed population is
+        this call over the whole universe; a stream join is its
+        one-row case.
         """
-        if not 0 <= advertiser < self.num_advertisers:
-            raise KeyError(f"advertiser {advertiser} outside capacity "
+        advertisers = np.asarray(advertisers, dtype=np.int64)
+        ids = advertisers.tolist()
+        if ids and not 0 <= min(ids) <= max(ids) < self.num_advertisers:
+            raise KeyError(f"advertiser {ids} outside capacity "
                            f"0..{self.num_advertisers - 1}")
-        if self.active[advertiser]:
-            raise KeyError(f"advertiser {advertiser} already active")
-        if advertiser in self.paused:
-            raise KeyError(f"advertiser {advertiser} is paused; "
-                           f"resume re-admits it")
-        if target <= 0:
-            raise ValueError(f"target spend rate must be > 0, got {target}")
+        if len(set(ids)) != len(ids) or self.active[advertisers].any():
+            raise KeyError(f"advertiser {ids} already active")
+        if not self.paused.keys().isdisjoint(ids):
+            raise KeyError(
+                f"advertiser {ids} is paused; resume re-admits it")
+        targets = np.asarray(targets, dtype=float)
+        if np.any(targets <= 0):
+            raise ValueError(
+                f"target spend rate must be > 0, got {targets.tolist()}")
         bids = np.asarray(bids, dtype=float)
         maxbids = np.asarray(maxbids, dtype=float)
-        width = len(self.keywords)
-        if bids.shape != (width,) or maxbids.shape != (width,):
+        shape = (len(advertisers), len(self.keywords))
+        if targets.shape != shape[:1] or bids.shape != shape \
+                or maxbids.shape != shape:
             raise ValueError(
-                f"join needs one bid and one cap per keyword "
-                f"({width}), got {bids.shape} / {maxbids.shape}")
-        self.active[advertiser] = True
-        self.target[advertiser] = target
-        self.amt_spent[advertiser] = 0.0
-        self.mode[advertiser] = INC
-        self.time_deadlines.cancel(advertiser)
-        self.maxbid[advertiser, :] = maxbids
-        who = np.array([advertiser])
-        for col in range(width):
-            self._place_batch(who, col, bids[col:col + 1])
+                f"join needs one target, and one bid and one cap per "
+                f"keyword ({shape[1]}), per advertiser; got "
+                f"{targets.shape} / {bids.shape} / {maxbids.shape}")
+        self.active[advertisers] = True
+        self.target[advertisers] = targets
+        self.amt_spent[advertisers] = 0.0
+        self.mode[advertisers] = INC
+        self.time_deadlines.cancel(advertisers)
+        self.maxbid[advertisers] = maxbids
+        for col in range(shape[1]):
+            self._place_batch(advertisers, col, bids[:, col])
 
     def leave(self, advertiser: int) -> None:
         """Retire an advertiser: delta-list removal, trigger cancels.
@@ -436,7 +405,7 @@ class LazyPacerArrays:
         """
         keywords = list(capture["keywords"])
         n = int(capture["num_advertisers"])
-        state = cls(np.ones(n), keywords, step=float(capture["step"]))
+        state = cls(n, keywords, float(capture["step"]))
         ids = np.asarray(capture["ids"], dtype=np.int64)
         state.active[ids] = True
         state.target[ids] = capture["target"]

@@ -22,12 +22,12 @@ after any auction sequence, every effective bid equals the bid an eager
 ``SimpleROIPacer`` ensemble would hold (to float tolerance).
 
 This dict-backed class is the *reference implementation* — the semantic
-spec the tests pin down.  The RHTALU evaluator's hot path runs on
-:class:`~repro.evaluation.pacer_arrays.LazyPacerArrays`, an array
-mirror built from a registered ``LazyPacerState`` at evaluator
-construction that replays the same placement and trigger rules as
-boolean-mask kernels (``tests/evaluation/test_pacer_arrays.py`` holds
-the two to bid-for-bid parity).
+spec the tests pin down — and nothing else: no production module
+imports it.  Every RHTALU evaluator runs on
+:class:`~repro.evaluation.pacer_arrays.LazyPacerArrays`, which replays
+the same placement and trigger rules as boolean-mask kernels
+(``tests/evaluation/test_pacer_arrays.py`` registers the same
+advertisers on both sides and holds the two to bid-for-bid parity).
 """
 
 from __future__ import annotations

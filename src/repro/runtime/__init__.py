@@ -22,7 +22,7 @@ Layers
   pricing, settlement, worker lifecycle.
 * :mod:`repro.runtime.supervision` — worker failure detection
   (:class:`WorkerFailure`) and the retained-capture + replay state
-  (:class:`WorkerSupervisor`) that lets the streaming runtime heal a
+  (:class:`WorkerSupervisor`) that lets a supervised runtime heal a
   dead or hung shard in place.
 
 See ``docs/runtime.md`` for the design and the bit-identity argument,

@@ -50,14 +50,13 @@ from repro.auction.pricing import (
 )
 from repro.auction.settlement import AuctionSettler
 from repro.auction.user_model import UserModel
-from repro.core.revenue import click_bid_revenue_matrix
 from repro.core.winner_determination import (
     allocation_from_matching,
-    solve,
     solve_on_subset,
 )
 from repro.matching.slot_lists import match_slot_lists, merge_slot_lists
 from repro.runtime.messages import (
+    SCAN_METHODS,
     ControlNotice,
     GatherReply,
     ScanReply,
@@ -72,7 +71,6 @@ from repro.runtime.messages import WorkerFailure as WorkerFailureReply
 from repro.runtime.sharding import ShardPlan
 from repro.runtime.supervision import WorkerFailure, WorkerSupervisor
 from repro.runtime.worker import (
-    StreamShardConfig,
     WorkerInit,
     _shift_capture_ids,
     worker_main,
@@ -87,10 +85,6 @@ from repro.workloads.paper_workload import (
 
 _LOG = logging.getLogger(__name__)
 
-SCAN_METHODS = frozenset({"rh", "rhtalu"})
-"""Methods whose per-slot top-list scan distributes over shards (an
-eager leaf scan for ``rh``, a shard-sized TA walk for ``rhtalu``)."""
-
 _POLL_TICK = 0.05
 """Seconds between liveness checks while waiting on a worker pipe."""
 
@@ -98,14 +92,35 @@ _ROUND_REPLIES = (ScanReply, GatherReply)
 
 
 class ShardedAuctionRuntime:
-    """A multi-process, engine-shaped auction runtime.
+    """A multi-process auction runtime: engine-shaped offline, the
+    online service's substrate when fed events.
 
-    Drop-in for :class:`~repro.auction.engine.AuctionEngine` where the
-    benchmarks and CLI need it: ``run_batch(count)`` / ``run(count)``
-    return :class:`~repro.auction.events.AuctionRecord` lists,
-    ``accounts`` holds the merged (coordinator-settled) balances,
-    ``config`` / ``last_batch_stats`` feed
-    :func:`repro.bench.profiles.profile_run`.
+    Offline it is a drop-in for :class:`~repro.auction.engine
+    .AuctionEngine` where the benchmarks and CLI need it: the workers
+    bulk-join the fixed Section V population, ``run_batch(count)`` /
+    ``run(count)`` draw each query from the decision RNG and return
+    :class:`~repro.auction.events.AuctionRecord` lists, ``accounts``
+    holds the merged (coordinator-settled) balances, ``config`` /
+    ``last_batch_stats`` feed :func:`repro.bench.profiles.profile_run`.
+    The online serving layer (:mod:`repro.stream`) drives the same
+    object event by event:
+
+    * workers start from per-shard captures — empty ones at genesis,
+      where the event log's joins populate them through the same
+      control path later churn uses;
+    * queries come from the event stream (:meth:`submit_query`) — the
+      decision RNG is then consumed for user clicks only;
+    * control events (:class:`~repro.runtime.messages.ControlNotice`,
+      :meth:`apply_control`) are routed to the owning shard and
+      piggyback on the next :class:`~repro.runtime.messages.ShardTask`
+      *after* that task's win notices, preserving the sequential
+      service's order (settlement of auction *t*, then churn, then
+      evaluation of *t+1*);
+    * the coordinator keeps the global active set so winner
+      determination runs on the surviving population only;
+    * :meth:`pull_shard_states` flushes pending wins/controls and
+      collects every shard's primary-state capture for service
+      snapshots.
 
     Parameters
     ----------
@@ -114,10 +129,9 @@ class ShardedAuctionRuntime:
         from it deterministically — construction ships a config, not
         state.
     method:
-        ``rh`` (sharded leaf scan), ``rhtalu`` (sharded TA scan), or a
-        full-matrix method (``lp``/``hungarian``/``separable``/
-        ``brute`` — evaluation shards, winner determination stays at
-        the coordinator, which those solvers require).
+        ``rh`` (sharded leaf scan), ``rhtalu`` (sharded TA scan), or
+        ``lp`` / ``hungarian`` (evaluation shards, winner determination
+        stays at the coordinator, which those solvers require).
     workers:
         OS processes to shard the population over.  More workers than
         advertisers leaves trailing shards empty (valid).
@@ -128,6 +142,22 @@ class ShardedAuctionRuntime:
     start_method:
         ``multiprocessing`` start method (``None`` = platform default;
         ``"spawn"`` is safest, ``"fork"`` is fastest to start).
+    maintenance:
+        ``incremental`` or ``rebuild`` — how shards apply control
+        events (see :mod:`repro.stream.service`).
+    restore_capture:
+        ``None`` (the default): the fixed Section V population — every
+        worker bulk-joins its span's rows and the whole universe is
+        active.  Otherwise the population's global primary capture,
+        sliced per shard at spawn (``{}`` = everyone starts empty) —
+        what the online service passes, at genesis and on restore
+        alike.
+    supervise, round_timeout, max_worker_restarts, capture_every:
+        Worker supervision (:mod:`repro.runtime.supervision`): heal a
+        failed shard in place instead of closing the fleet.
+    metrics:
+        Optional :class:`~repro.obs.MetricsRegistry`.  Sidecar only:
+        nothing on the decision path reads it.
 
     Use as a context manager, or call :meth:`close`; workers also shut
     down when the runtime is garbage-collected.
@@ -137,12 +167,26 @@ class ShardedAuctionRuntime:
                  method: str = "rh", workers: int = 2,
                  engine_seed: int = 0,
                  start_method: str | None = None,
-                 round_timeout: float | None = None):
+                 maintenance: str = "incremental",
+                 restore_capture: dict | None = None,
+                 supervise: bool = False,
+                 round_timeout: float | None = None,
+                 max_worker_restarts: int = 1,
+                 capture_every: int = 50,
+                 metrics=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if round_timeout is not None and round_timeout <= 0:
             raise ValueError(
                 f"round_timeout must be > 0, got {round_timeout}")
+        if maintenance not in ("incremental", "rebuild"):
+            raise ValueError(
+                f"maintenance must be 'incremental' or 'rebuild', "
+                f"got {maintenance!r}")
+        if max_worker_restarts < 0:
+            raise ValueError(
+                f"max_worker_restarts must be >= 0, "
+                f"got {max_worker_restarts}")
         self.workload = PaperWorkload(workload_config)
         self.workload_config = workload_config
         self.click_model = self.workload.click_model()
@@ -157,6 +201,7 @@ class ShardedAuctionRuntime:
         self.num_slots = workload_config.num_slots
         self.top_depth = self.num_slots + 1
         self.method = method
+        self.maintenance = maintenance
         self.rng = np.random.default_rng(engine_seed)
         self.user_model = UserModel(self.click_model,
                                     self.purchase_model)
@@ -165,39 +210,60 @@ class ShardedAuctionRuntime:
         self.settler = AuctionSettler(self.user_model, self.pricing,
                                       self.accounts, self.num_slots,
                                       self.rng)
-        self.plan = ShardPlan.plan(self.num_advertisers, workers)
-        self._owner = np.repeat(
-            np.arange(self.plan.num_shards, dtype=np.int64),
-            np.diff(self.plan.bounds))
+        self._plan_shards(workers)
         self.start_method = start_method
         self.auction_id = 0
         self.last_batch_stats: BatchStats | None = None
-        self._pending: list[list[WinNotice]] = [
-            [] for _ in range(self.plan.num_shards)]
-        self._pending_controls: list[list[ControlNotice]] = [
-            [] for _ in range(self.plan.num_shards)]
         self._bids_buf = np.zeros(self.num_advertisers)
         self._processes: list[multiprocessing.Process] | None = None
         self._conns: list = []
         self._closed = False
         self.round_timeout = round_timeout
+        self.capture_every = capture_every
         self.supervisor: WorkerSupervisor | None = None
-        self.metrics = None
-        """Optional :class:`~repro.obs.MetricsRegistry` — set by the
-        streaming subclass when observability is armed.  Sidecar only:
-        nothing on the decision path reads it."""
+        if supervise:
+            self.supervisor = WorkerSupervisor(
+                self.plan.num_shards,
+                max_worker_restarts=max_worker_restarts)
+        self.metrics = metrics
         self._worker_metrics: dict[int, dict] = {}
         """Latest piggybacked counters per shard (workers attach them
         to replies when spawned with ``observe_metrics``)."""
         self._generation = 0
         self._last_sent = [""] * self.plan.num_shards
         self._join_timeout = 5.0
+        self._restore_shards: list[dict] | None = None
+        self._active = np.ones(self.num_advertisers, dtype=bool)
+        """The live population: what winner determination may see
+        (departed rows are excluded, not zeroed — zero-weight edges
+        *can* enter a maximum matching)."""
+        if restore_capture is not None:
+            self._restore_from(restore_capture)
+            self._active[:] = False
+            self._active[np.asarray(restore_capture.get("ids", ()),
+                                    dtype=np.int64)] = True
+        self._in_window = False
+
+    def _plan_shards(self, workers: int) -> None:
+        """Lay the population out over ``workers`` shards, with empty
+        per-shard queues for the notices that ride the next task."""
+        self.plan = ShardPlan.plan(self.num_advertisers, workers)
+        self._owner = np.repeat(
+            np.arange(self.plan.num_shards, dtype=np.int64),
+            np.diff(self.plan.bounds))
+        self._pending: list[list[WinNotice]] = [
+            [] for _ in range(self.plan.num_shards)]
+        self._pending_controls: list[list[ControlNotice]] = [
+            [] for _ in range(self.plan.num_shards)]
+
+    def _restore_from(self, capture: dict) -> None:
+        """Spawn (and reconstruct) every shard from its local-frame
+        slice of the global ``capture``; ``{}`` starts them empty."""
+        self._restore_shards = [
+            slice_capture(capture, lo, hi) if capture else {}
+            for lo, hi in self.plan.spans()]
 
     # -- worker lifecycle --------------------------------------------------
-
-    @property
-    def num_workers(self) -> int:
-        return self.plan.num_shards
 
     def start(self) -> None:
         """Spawn the worker fleet now instead of on first use.
@@ -221,22 +287,12 @@ class ShardedAuctionRuntime:
             # silently desynchronise.  A closed runtime stays closed.
             raise RuntimeError(
                 "runtime is closed; build a new ShardedAuctionRuntime")
-        context = multiprocessing.get_context(self.start_method)
-        entropy = self.plan.seed_sequences(self.config.seed)
         processes, conns = [], []
         try:
-            for shard, (lo, hi) in enumerate(self.plan.spans()):
-                parent_conn, child_conn = context.Pipe(duplex=True)
-                init = self._make_worker_init(shard, lo, hi,
-                                              entropy[shard])
-                process = context.Process(
-                    target=worker_main, args=(child_conn, init),
-                    daemon=True,
-                    name=f"repro-shard-{shard}")
-                process.start()
-                child_conn.close()
+            for shard in range(self.plan.num_shards):
+                process, conn = self._spawn(shard)
                 processes.append(process)
-                conns.append(parent_conn)
+                conns.append(conn)
             for shard, conn in enumerate(conns):
                 self._handshake(shard, processes[shard], conn)
         except BaseException:
@@ -276,15 +332,38 @@ class ShardedAuctionRuntime:
         assert isinstance(ready, WorkerReady)
         return ready
 
-    def _make_worker_init(self, shard: int, lo: int, hi: int,
-                          seed_sequence) -> WorkerInit:
-        """The spawn recipe for one shard (streaming mode overrides)."""
+    def _make_worker_init(self, shard: int,
+                          capture: dict | None = None) -> WorkerInit:
+        """The spawn recipe for one shard: restored from ``capture``
+        when the supervisor retained one (a healed shard), else from
+        the runtime's own restore — which is also what
+        :meth:`WorkerSupervisor.reconstruct` builds its in-process
+        replay shard from."""
+        lo, hi = self.plan.spans()[shard]
+        if capture is None and self._restore_shards is not None:
+            capture = self._restore_shards[shard]
         return WorkerInit(
             shard=shard, lo=lo, hi=hi, method=self.method,
             workload_config=self.workload_config,
             top_depth=self.top_depth,
-            seed_sequence=seed_sequence,
-            generation=self._generation)
+            seed_sequence=self.plan.seed_sequences(
+                self.config.seed)[shard],
+            maintenance=self.maintenance, restore=capture,
+            generation=self._generation,
+            observe_metrics=self.metrics is not None)
+
+    def _spawn(self, shard: int, capture: dict | None = None):
+        """Start one worker process; returns it with the coordinator's
+        end of its pipe (not yet handshaken)."""
+        context = multiprocessing.get_context(self.start_method)
+        parent_conn, child_conn = context.Pipe(duplex=True)
+        process = context.Process(
+            target=worker_main,
+            args=(child_conn, self._make_worker_init(shard, capture)),
+            daemon=True, name=f"repro-shard-{shard}")
+        process.start()
+        child_conn.close()
+        return process, parent_conn
 
     def close(self) -> None:
         """Shut the worker fleet down.
@@ -401,22 +480,13 @@ class ShardedAuctionRuntime:
     # -- the engine-shaped API ---------------------------------------------
 
     def run_batch(self, count: int) -> list[AuctionRecord]:
-        """Run ``count`` auctions across the worker fleet."""
-        self._ensure_started()
+        """Run ``count`` auctions on queries drawn from the decision
+        RNG — the offline, engine-shaped entry: a query-only stream."""
         stats = BatchStats()
-        signatures: set[str] = set()
-        last_signature: str | None = None
         records = []
         for _ in range(count):
-            record = self._run_one()
-            keyword = record.keyword
-            if keyword not in signatures:
-                signatures.add(keyword)
-                stats.signatures += 1
-            if keyword != last_signature:
-                stats.groups += 1
-                last_signature = keyword
-            stats.auctions += 1
+            record = self.submit_query(self._draw_query().text)
+            stats.observe(record.keyword)
             records.append(record)
         self.last_batch_stats = stats
         return records
@@ -425,18 +495,71 @@ class ShardedAuctionRuntime:
         """Alias of :meth:`run_batch` (the runtime is always sharded)."""
         return self.run_batch(count)
 
-    # -- one lockstep auction ----------------------------------------------
-
     def _draw_query(self) -> Query:
-        """The next query — drawn from the decision stream by default;
-        the streaming runtime overrides this to consume its event log."""
+        """The next offline query, drawn from the decision stream in
+        the sequential engine's order (before the auction's clicks)."""
         return self.query_source(self.rng)
 
-    def _run_one(self) -> AuctionRecord:
+    # -- the event-facing API ----------------------------------------------
+
+    def submit_query(self, keyword: str) -> AuctionRecord:
+        """Run one auction for a query arrival."""
+        self._ensure_started()
+        if not self._in_window:
+            self._refresh_captures_if_due()
+        return self._run_one(keyword)
+
+    def _refresh_captures_if_due(self) -> None:
+        if self.supervisor is not None and self.capture_every \
+                and max(map(len, self.supervisor.histories),
+                        default=0) >= self.capture_every:
+            # Refresh the retained captures on the supervisor's own
+            # cadence (service checkpoints also refresh, for free, via
+            # pull_shard_states) so reconstruction never replays more
+            # than ~capture_every rounds.
+            self.pull_shard_states()
+
+    def begin_query_window(self) -> None:
+        """Open a micro-batch of consecutive stream queries.
+
+        The supervisor capture-refresh check runs once here instead
+        of per query; each query still runs its own lockstep round,
+        so the epoch/heal protocol is untouched (a worker death
+        mid-window heals exactly as it would mid-stream).  Refresh
+        cadence does not touch auction state, so records stay
+        bit-identical to per-query checks.
+        """
+        self._ensure_started()
+        self._refresh_captures_if_due()
+        self._in_window = True
+
+    def end_query_window(self) -> None:
+        self._in_window = False
+
+    def apply_control(self, notice: ControlNotice) -> None:
+        """Queue a churn event for its owning shard (coordinator order:
+        events apply before the next auction's evaluation).
+
+        Nothing is validated here.  A notice is applied with the next
+        task, where a worker exception kills the fleet, so the one
+        caller — the online service's sharded backend — forwards only
+        what :meth:`~repro.stream.service.OnlineAuctionService.check`
+        admitted.
+        """
+        if notice.kind in ("join", "resume"):
+            self._active[notice.advertiser] = True
+        elif notice.kind in ("leave", "pause"):
+            self._active[notice.advertiser] = False
+        shard = self.plan.owner_of(notice.advertiser)
+        self._pending_controls[shard].append(notice)
+
+    # -- one lockstep auction ----------------------------------------------
+
+    def _run_one(self, keyword: str) -> AuctionRecord:
         self.auction_id += 1
         now = float(self.auction_id)
-        query = self._draw_query()
-        replies = self._lockstep_round(query.text, now)
+        query = Query(text=keyword, relevance={keyword: 1.0})
+        replies = self._lockstep_round(keyword, now)
         if self.method in SCAN_METHODS:
             return self._merge_scan(query, now, replies)
         return self._merge_gather(query, now, replies)
@@ -549,15 +672,6 @@ class ShardedAuctionRuntime:
                 routed[owner].append(notice)
         return [tuple(bucket) for bucket in routed]
 
-    def _heal(self, failure: WorkerFailure) -> tuple[str, dict | None]:
-        """No supervision at this layer: tear down and re-raise.
-
-        :class:`StreamShardedRuntime` overrides this with the respawn /
-        degraded-re-shard paths when a supervisor is armed.
-        """
-        self.close()
-        raise failure
-
     def _route_notify(self, query: Query, now: float):
         """A settle callback that routes wins to their owning shards."""
 
@@ -611,9 +725,7 @@ class ShardedAuctionRuntime:
             # TA's candidates: whoever made any slot's list.
             num_candidates = len(np.unique(lists.ids))
         else:
-            active = self._active_ids()
-            num_candidates = (self.num_advertisers if active is None
-                              else len(active))
+            num_candidates = int(np.count_nonzero(self._active))
         return self.settler.settle(
             self.auction_id, query, allocation.slot_of, matching,
             expected, weights=None, bids=bids,
@@ -623,184 +735,45 @@ class ShardedAuctionRuntime:
             quote_fn=quote_fn,
             wd_stats=self._wd_stats(leaf_work_max, merge_work))
 
-    def _active_ids(self) -> np.ndarray | None:
-        """Ascending ids of live advertisers, or ``None`` for "all".
-
-        The fixed-population runtime serves its whole universe; the
-        streaming runtime overrides this with its churn-maintained
-        active set so winner determination never sees departed rows
-        (zero-weight edges *can* enter a maximum matching).
-        """
-        return None
-
     def _merge_gather(self, query: Query, now: float,
                       replies: Sequence[GatherReply]) -> AuctionRecord:
-        """Full-matrix methods: assemble bids, solve at the coordinator."""
+        """Full-matrix methods: assemble bids, solve at the coordinator
+        on the live population, through the same helper the in-process
+        service uses (float-identity across modes)."""
         start = time_module.perf_counter()
         bids = np.concatenate([reply.bids for reply in replies])
-        active = self._active_ids()
-        if active is None:
-            revenue = click_bid_revenue_matrix(bids, self.click_model)
-            weights = revenue.adjusted()
-            result = solve(revenue, method=self.method,
-                           adjusted=weights)
-            slot_of = result.allocation.slot_of
-            matching = result.matching
-            expected = result.expected_revenue
-            id_map = None
-            click_rows = None
-            candidate_bids = bids
-        else:
-            # Live-population subset, through the same helper the
-            # in-process service uses (float-identity across modes).
-            wd = solve_on_subset(self.click_matrix, bids, active,
-                                 method=self.method)
-            weights = wd.weights
-            matching = wd.matching
-            slot_of = wd.slot_of
-            expected = wd.expected_revenue
-            id_map = wd.id_map
-            click_rows = wd.click_rows
-            candidate_bids = wd.candidate_bids
+        wd = solve_on_subset(self.click_matrix, bids,
+                             np.flatnonzero(self._active),
+                             method=self.method)
         wd_seconds = time_module.perf_counter() - start
         eval_seconds = max(reply.eval_seconds for reply in replies)
         leaf_work_max = max(reply.leaf_work for reply in replies)
-        coordinator_scan = weights.shape[0] * self.num_slots
+        coordinator_scan = wd.weights.shape[0] * self.num_slots
         return self.settler.settle(
-            self.auction_id, query, slot_of,
-            matching, expected, weights=weights,
-            bids=candidate_bids, eval_seconds=eval_seconds,
+            self.auction_id, query, wd.slot_of,
+            wd.matching, wd.expected_revenue, weights=wd.weights,
+            bids=wd.candidate_bids, eval_seconds=eval_seconds,
             wd_seconds=wd_seconds,
-            num_candidates=weights.shape[0],
+            num_candidates=wd.weights.shape[0],
             notify_fn=self._route_notify(query, now),
-            id_map=id_map, click_rows=click_rows,
+            id_map=wd.id_map, click_rows=wd.click_rows,
             wd_stats=self._wd_stats(leaf_work_max, coordinator_scan))
-
-
-class StreamShardedRuntime(ShardedAuctionRuntime):
-    """The sharded runtime as an online service substrate.
-
-    Differences from the fixed-population parent, all driven by the
-    online serving layer (:mod:`repro.stream`):
-
-    * workers start **empty** — the event log's genesis joins populate
-      them through the same control path later churn uses (or from a
-      service snapshot's per-shard restore captures);
-    * queries come from the event stream (:meth:`submit_query`), not
-      from the decision RNG — the RNG is consumed for user clicks only;
-    * control events (:class:`~repro.runtime.messages.ControlNotice`)
-      are routed to the owning shard and piggyback on the next
-      :class:`~repro.runtime.messages.ShardTask` *after* that task's
-      win notices, preserving the sequential service's order
-      (settlement of auction *t*, then churn, then evaluation of
-      *t+1*);
-    * the coordinator keeps the global active set so full-matrix
-      winner determination runs on the surviving population only;
-    * :meth:`pull_shard_states` flushes pending wins/controls and
-      collects every shard's primary-state capture for service
-      snapshots.
-    """
-
-    def __init__(self, workload_config: PaperWorkloadConfig,
-                 method: str = "rh", workers: int = 2,
-                 engine_seed: int = 0,
-                 start_method: str | None = None,
-                 maintenance: str = "incremental",
-                 restore_shards: Sequence[dict] | None = None,
-                 supervise: bool = False,
-                 round_timeout: float | None = None,
-                 max_worker_restarts: int = 1,
-                 capture_every: int = 50,
-                 metrics=None):
-        if maintenance not in ("incremental", "rebuild"):
-            raise ValueError(
-                f"maintenance must be 'incremental' or 'rebuild', "
-                f"got {maintenance!r}")
-        if max_worker_restarts < 0:
-            raise ValueError(
-                f"max_worker_restarts must be >= 0, "
-                f"got {max_worker_restarts}")
-        super().__init__(workload_config, method=method,
-                         workers=workers, engine_seed=engine_seed,
-                         start_method=start_method,
-                         round_timeout=round_timeout)
-        self.maintenance = maintenance
-        self.capture_every = capture_every
-        self.metrics = metrics
-        if supervise:
-            self.supervisor = WorkerSupervisor(
-                self.plan.num_shards,
-                max_worker_restarts=max_worker_restarts)
-        if restore_shards is not None \
-                and len(restore_shards) != self.plan.num_shards:
-            raise ValueError(
-                f"{len(restore_shards)} restore captures for "
-                f"{self.plan.num_shards} shards")
-        self._restore_shards = (list(restore_shards)
-                                if restore_shards is not None else None)
-        self._active = np.zeros(self.num_advertisers, dtype=bool)
-        if self._restore_shards is not None:
-            for (lo, hi), capture in zip(self.plan.spans(),
-                                         self._restore_shards):
-                if capture:
-                    self._active[np.asarray(capture["ids"],
-                                            dtype=np.int64) + lo] = True
-        self._queued_keyword: str | None = None
-        self._in_window = False
-
-    # -- spawn recipe ------------------------------------------------------
-
-    def _make_worker_init(self, shard: int, lo: int, hi: int,
-                          seed_sequence) -> WorkerInit:
-        restore = None
-        if self._restore_shards is not None and hi > lo:
-            restore = self._restore_shards[shard]
-        return WorkerInit(
-            shard=shard, lo=lo, hi=hi, method=self.method,
-            workload_config=self.workload_config,
-            top_depth=self.top_depth,
-            seed_sequence=seed_sequence,
-            stream=StreamShardConfig(maintenance=self.maintenance,
-                                     restore=restore),
-            generation=self._generation,
-            observe_metrics=self.metrics is not None)
-
-    def _respawn_init(self, shard: int,
-                      capture: dict | None) -> WorkerInit:
-        """The spawn recipe for a *healed* shard: the supervisor's
-        retained capture when one exists, else the runtime's original
-        restore (also what :meth:`WorkerSupervisor.reconstruct` builds
-        its in-process replay shard from)."""
-        lo, hi = self.plan.spans()[shard]
-        if capture is None:
-            return self._make_worker_init(
-                shard, lo, hi,
-                self.plan.seed_sequences(self.config.seed)[shard])
-        return WorkerInit(
-            shard=shard, lo=lo, hi=hi, method=self.method,
-            workload_config=self.workload_config,
-            top_depth=self.top_depth,
-            seed_sequence=self.plan.seed_sequences(
-                self.config.seed)[shard],
-            stream=StreamShardConfig(maintenance=self.maintenance,
-                                     restore=capture),
-            generation=self._generation,
-            observe_metrics=self.metrics is not None)
 
     # -- healing -----------------------------------------------------------
 
     def _heal(self, failure: WorkerFailure) -> tuple[str, dict | None]:
-        """Heal a failed shard; returns ``(path, payload)``.
+        """Heal a failed shard; returns ``(path, payload)``.  Without a
+        supervisor there is no healing: tear down and re-raise.
 
         ``("respawn", capture)`` — the shard was rebuilt in place; the
         payload is its reconstructed global-id capture.
         ``("reshard", merged)`` — restarts were exhausted, the fleet
         degraded to one fewer worker; the payload is the merged global
-        capture the new fleet was spawned from (``None`` when no shard
-        held any state yet).
+        capture the new fleet was spawned from.
         """
         if self.supervisor is None:
-            return super()._heal(failure)
+            self.close()
+            raise failure
         start = time_module.perf_counter()
         stats = self.supervisor.stats
         stats.worker_failures += 1
@@ -850,14 +823,7 @@ class StreamShardedRuntime(ShardedAuctionRuntime):
         lo, hi = self.plan.spans()[shard]
         local = slice_capture(state, lo, hi) if state else None
         self._generation += 1
-        init = self._respawn_init(shard, local)
-        context = multiprocessing.get_context(self.start_method)
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        process = context.Process(
-            target=worker_main, args=(child_conn, init), daemon=True,
-            name=f"repro-shard-{shard}")
-        process.start()
-        child_conn.close()
+        process, parent_conn = self._spawn(shard, local)
         try:
             self._handshake(shard, process, parent_conn)
         except BaseException:
@@ -874,7 +840,7 @@ class StreamShardedRuntime(ShardedAuctionRuntime):
         self.supervisor.histories[shard] = []
         return state
 
-    def _degrade(self, failure: WorkerFailure) -> dict | None:
+    def _degrade(self, failure: WorkerFailure) -> dict:
         """Re-shard the population over one fewer worker.
 
         Every shard is reconstructed coordinator-side to its pre-round
@@ -905,28 +871,13 @@ class StreamShardedRuntime(ShardedAuctionRuntime):
         self._worker_metrics = {}
         states = [self.supervisor.reconstruct_capture(self, shard)
                   for shard in range(self.plan.num_shards)]
-        merged = (merge_captures(states, self.plan.spans(),
-                                 self.num_advertisers)
-                  if any(states) else None)
-        processes, conns = self._processes, self._conns
+        merged = merge_captures(states, self.plan.spans(),
+                                self.num_advertisers)
+        for shard in range(self.plan.num_shards):
+            self._discard_worker(shard)
         self._processes, self._conns = None, []
-        for conn in conns:
-            conn.close()
-        for process in processes:
-            if process.is_alive():
-                process.kill()
-        for process in processes:
-            process.join(timeout=self._join_timeout)
-        self.plan = ShardPlan.plan(self.num_advertisers, workers)
-        self._owner = np.repeat(
-            np.arange(self.plan.num_shards, dtype=np.int64),
-            np.diff(self.plan.bounds))
-        self._restore_shards = (
-            [slice_capture(merged, lo, hi)
-             for lo, hi in self.plan.spans()]
-            if merged is not None else None)
-        self._pending = [[] for _ in range(workers)]
-        self._pending_controls = [[] for _ in range(workers)]
+        self._plan_shards(workers)
+        self._restore_from(merged)
         self._generation += 1
         self._ensure_started()
         # Fresh supervisor slots sized to the new fleet; captures stay
@@ -934,77 +885,6 @@ class StreamShardedRuntime(ShardedAuctionRuntime):
         # so reconstruction-from-spawn is already correct.
         self.supervisor.reset(workers)
         return merged
-
-    # -- the event-facing API ----------------------------------------------
-
-    def _active_ids(self) -> np.ndarray | None:
-        return np.flatnonzero(self._active)
-
-    def _draw_query(self) -> Query:
-        keyword = self._queued_keyword
-        if keyword is None:
-            raise RuntimeError(
-                "streaming runtime runs auctions via submit_query")
-        self._queued_keyword = None
-        return Query(text=keyword, relevance={keyword: 1.0})
-
-    def submit_query(self, keyword: str) -> AuctionRecord:
-        """Run one auction for an event-stream query arrival."""
-        self._ensure_started()
-        if not self._in_window:
-            self._refresh_captures_if_due()
-        self._queued_keyword = keyword
-        return self._run_one()
-
-    def _refresh_captures_if_due(self) -> None:
-        if self.supervisor is not None and self.capture_every \
-                and max(map(len, self.supervisor.histories),
-                        default=0) >= self.capture_every:
-            # Refresh the retained captures on the supervisor's own
-            # cadence (service checkpoints also refresh, for free, via
-            # pull_shard_states) so reconstruction never replays more
-            # than ~capture_every rounds.
-            self.pull_shard_states()
-
-    def begin_query_window(self) -> None:
-        """Open a micro-batch of consecutive stream queries.
-
-        The supervisor capture-refresh check runs once here instead
-        of per query; each query still runs its own lockstep round,
-        so the epoch/heal protocol is untouched (a worker death
-        mid-window heals exactly as it would mid-stream).  Refresh
-        cadence does not touch auction state, so records stay
-        bit-identical to per-query checks.
-        """
-        self._ensure_started()
-        self._refresh_captures_if_due()
-        self._in_window = True
-
-    def end_query_window(self) -> None:
-        self._in_window = False
-
-    def run(self, count: int) -> list[AuctionRecord]:  # pragma: no cover
-        raise RuntimeError(
-            "streaming runtime consumes events; use submit_query")
-
-    run_batch = run
-
-    def apply_control(self, notice: ControlNotice) -> None:
-        """Queue a churn event for its owning shard (coordinator order:
-        events apply before the next auction's evaluation).
-
-        Nothing is validated here.  A notice is applied with the next
-        task, where a worker exception kills the fleet, so the one
-        caller — the online service's sharded backend — forwards only
-        what :meth:`~repro.stream.service.OnlineAuctionService.check`
-        admitted.
-        """
-        if notice.kind in ("join", "resume"):
-            self._active[notice.advertiser] = True
-        elif notice.kind in ("leave", "pause"):
-            self._active[notice.advertiser] = False
-        shard = self.plan.owner_of(notice.advertiser)
-        self._pending_controls[shard].append(notice)
 
     # -- snapshot support --------------------------------------------------
 
@@ -1060,7 +940,6 @@ class StreamShardedRuntime(ShardedAuctionRuntime):
                     # IS the pull; nothing more to exchange.
                     return [_shift_capture_ids(
                         slice_capture(payload, lo, hi), lo)
-                        if payload is not None else {}
                         for lo, hi in self.plan.spans()]
                 # Respawn: the replacement was spawned from the
                 # post-flush reconstruction; its slot fills without

@@ -21,6 +21,12 @@ import numpy as np
 
 from repro.matching.slot_lists import SlotLists
 
+SCAN_METHODS = frozenset({"rh", "rhtalu"})
+"""Methods whose per-slot top-list scan distributes over shards (an
+eager leaf scan for ``rh``, a shard-sized TA walk for ``rhtalu``) and
+is answered with a :class:`ScanReply`; every other method gathers bids
+(:class:`GatherReply`)."""
+
 
 @dataclass(frozen=True)
 class WinNotice:

@@ -30,7 +30,7 @@ the healing:
 
 Healing itself (respawn the shard from the reconstructed capture, or
 degrade by merging it into a smaller fleet) lives on
-:class:`~repro.runtime.executor.StreamShardedRuntime`, which owns the
+:class:`~repro.runtime.executor.ShardedAuctionRuntime`, which owns the
 processes; the supervisor owns the *state* that survives them.  The
 invariant both paths preserve: after healing and re-running the
 in-flight round under a bumped epoch, the merged records are
@@ -136,14 +136,11 @@ class WorkerSupervisor:
         self.stats = SupervisionStats()
         self.reset(num_shards)
 
-    def reset(self, num_shards: int,
-              captures: Sequence[dict | None] | None = None) -> None:
+    def reset(self, num_shards: int) -> None:
         """Fresh slots (after a degraded re-shard: new fleet, new
         spans, restart counters back to zero)."""
         self.num_shards = num_shards
-        self.captures: list[dict | None] = (
-            list(captures) if captures is not None
-            else [None] * num_shards)
+        self.captures: list[dict | None] = [None] * num_shards
         self.histories: list[list[tuple[str, object]]] = [
             [] for _ in range(num_shards)]
         self.restarts = [0] * num_shards
@@ -167,9 +164,6 @@ class WorkerSupervisor:
         self.captures[shard] = slice_capture(global_state, lo, hi)
         self.histories[shard] = []
 
-    def history_length(self, shard: int) -> int:
-        return len(self.histories[shard])
-
     # -- reconstruction ----------------------------------------------------
 
     def reconstruct(self, runtime: "ShardedAuctionRuntime",
@@ -183,7 +177,8 @@ class WorkerSupervisor:
         Returns the shard object, whose state equals the dead worker's
         at its last completed protocol step.
         """
-        init = runtime._respawn_init(shard, self.captures[shard])
+        init = runtime._make_worker_init(shard,
+                                         self.captures[shard])
         worker = build_shard(init)
         for kind, message in self.histories[shard]:
             if kind == _TASK:

@@ -1,11 +1,15 @@
 """Shard worker processes: build shard state, answer lockstep tasks.
 
-A worker owns one contiguous advertiser span and nothing else.  It
-rebuilds its shard state *deterministically from the workload seed*
-(every worker materialises the same :class:`~repro.workloads
-.paper_workload.PaperWorkload` and slices its rows), so process startup
-ships a small config instead of pickled populations.  Three shard
-kinds implement the three coordinator protocols:
+A worker owns one contiguous advertiser span and nothing else.  Its
+evaluation state has one lifecycle: born empty over the span (or from
+the shard's slice of a snapshot capture), populated by one bulk join of
+the span's rows when the runtime serves the fixed Section V population
+— derived *deterministically from the workload seed* (every worker
+materialises the same :class:`~repro.workloads.paper_workload
+.PaperWorkload` and slices its rows), so process startup ships a small
+config instead of pickled populations — then changed only by routed
+:class:`~repro.runtime.messages.ControlNotice` items and win folds.
+Three shard kinds implement the three coordinator protocols:
 
 * :class:`EagerScanShard` (method ``rh``) — vectorized pacer evaluation
   plus the shard-local per-slot top-list scan, i.e. one *leaf* of the
@@ -42,9 +46,12 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 
-from repro.auction.batch import PacerArrays, ShardEvalState
+from repro.auction.batch import ShardEvalState
+from repro.evaluation.evaluator import RhtaluEvaluator
+from repro.evaluation.pacer_arrays import LazyPacerArrays
 from repro.matching.slot_lists import SlotLists
 from repro.runtime.messages import (
+    SCAN_METHODS,
     ControlNotice,
     GatherReply,
     ScanReply,
@@ -73,27 +80,12 @@ remove, which is what the coordinator's ``close()`` escalation
 
 
 @dataclass(frozen=True)
-class StreamShardConfig:
-    """Streaming-mode knobs for a shard worker.
-
-    ``restore``, when set, is this shard's slice of a service
-    snapshot's primary-state capture (advertiser ids already local);
-    otherwise the shard starts *empty* and grows through routed
-    :class:`~repro.runtime.messages.ControlNotice` joins — the online
-    event log itself carries the genesis population.
-    """
-
-    maintenance: str = "incremental"  # or "rebuild"
-    restore: dict | None = None
-
-
-@dataclass(frozen=True)
 class WorkerInit:
     """Everything a worker needs to rebuild its shard: a recipe, not
     state.  Shipped once at spawn; must stay cheap to pickle.  (The one
-    exception is a streaming restore, where ``stream.restore`` carries
-    the shard's evolved primary state from a service snapshot —
-    evolved state cannot be re-derived from the workload seed.)"""
+    exception is ``restore``, which carries the shard's evolved primary
+    state from a service snapshot — evolved state cannot be re-derived
+    from the workload seed.)"""
 
     shard: int
     lo: int
@@ -106,10 +98,16 @@ class WorkerInit:
     (see :meth:`repro.runtime.sharding.ShardPlan.seed_sequences`),
     shipped whole so the spawn key survives pickling; carried for
     shard-local sampling needs, never for decision draws."""
-    stream: StreamShardConfig | None = None
-    """Present when the shard serves an online event stream (live
-    advertiser churn); ``None`` reproduces the fixed-population
-    runtime exactly."""
+    maintenance: str = "incremental"  # or "rebuild"
+    """How control events reach the shard's evaluation state: edited in
+    place, or followed by a from-capture rebuild (the oracle)."""
+    restore: dict | None = None
+    """``None``: the fixed Section V population — the shard bulk-joins
+    its span's rows from the workload recipe.  Otherwise this shard's
+    slice of a service snapshot's primary capture (advertiser ids
+    already local); ``{}`` starts the shard *empty*, to grow through
+    routed :class:`~repro.runtime.messages.ControlNotice` joins — the
+    online event log itself carries the genesis population."""
     generation: int = 0
     """How many times this shard slot has been (re)spawned.  Bumped by
     worker supervision on every respawn and re-shard; declared as the
@@ -137,70 +135,56 @@ def _shift_capture_ids(capture: dict, delta: int) -> dict:
     return shifted
 
 
-def _build_eager_state(workload: PaperWorkload,
-                       init: WorkerInit) -> ShardEvalState:
-    """The shard's eager evaluation state, fixed-population or stream."""
-    click_rows = workload.click_matrix[init.lo:init.hi]
-    if init.stream is None:
-        return ShardEvalState(
-            workload.build_shard_programs(init.lo, init.hi),
-            click_rows, top_depth=init.top_depth)
-    state = ShardEvalState([], click_rows, top_depth=init.top_depth,
-                           keywords=workload.keywords)
-    if init.stream.restore is not None:
-        state.arrays = PacerArrays.from_capture(init.stream.restore)
-    return state
+class _Shard:
+    """What every populated shard kind shares: its span, and the
+    snapshot flush — fold, apply, dump the state's capture."""
 
-
-class _EagerChurnMixin:
-    """Control-event application shared by the two eager shard kinds."""
-
-    def apply_control(self, notice: ControlNotice) -> None:
-        local = notice.advertiser - self.offset
-        arrays = self.state.arrays
-        if notice.kind == "join":
-            arrays.grow_row(local, notice.target, self.step,
-                            notice.bids, notice.maxbids, notice.values)
-        elif notice.kind == "leave":
-            arrays.retire_row(local)
-        elif notice.kind == "update":
-            arrays.update_bid(local, notice.keyword, notice.bid,
-                              notice.maxbid)
-        elif notice.kind == "pause":
-            arrays.pause_row(local)
-        elif notice.kind == "resume":
-            arrays.resume_row(local)
-        else:
-            raise ValueError(f"unknown control kind {notice.kind!r}")
-        if self.maintenance == "rebuild":
-            self.state.rebuild()
+    def __init__(self, init: WorkerInit):
+        self.shard = init.shard
+        self.offset = init.lo
+        self.num_local = init.hi - init.lo
+        self.maintenance = init.maintenance
 
     def snapshot(self, request: SnapshotRequest) -> SnapshotReply:
         for win in request.wins:
             self.fold(win)
         for control in request.controls:
             self.apply_control(control)
-        capture = _shift_capture_ids(self.state.arrays.capture(),
-                                     self.offset)
-        return SnapshotReply(shard=self.shard, state=capture)
+        return SnapshotReply(shard=self.shard, state=_shift_capture_ids(
+            self.capture(), self.offset))
 
 
-class EagerScanShard(_EagerChurnMixin):
-    """Method ``rh``: a leaf of the tree network as a process."""
+class _EagerShard(_Shard):
+    """The two eager shard kinds' evaluation state and its lifecycle:
+    born, populated, changed by control notices, captured."""
 
     def __init__(self, workload: PaperWorkload, init: WorkerInit):
-        self.shard = init.shard
-        self.offset = init.lo
-        self.num_local = init.hi - init.lo
+        super().__init__(init)
         self.step = workload.config.step
-        self.maintenance = (init.stream.maintenance if init.stream
-                            else "incremental")
-        self.state = _build_eager_state(workload, init)
+        self.state = ShardEvalState(
+            workload.click_matrix[init.lo:init.hi], init.top_depth,
+            workload.keywords, capture=init.restore)
+        if init.restore is None:
+            self.state.arrays.grow_rows(
+                np.arange(self.num_local),
+                *workload.pacer_rows(init.lo, init.hi), self.step)
         self.num_slots = self.state.num_slots
 
     def fold(self, win: WinNotice) -> None:
         self.state.fold_win(win.advertiser - self.offset, win.keyword,
                             win.clicked, win.charge)
+
+    def apply_control(self, notice: ControlNotice) -> None:
+        self.state.arrays.apply_control(notice, self.step, self.offset)
+        if self.maintenance == "rebuild":
+            self.state.rebuild()
+
+    def capture(self) -> dict:
+        return self.state.arrays.capture()
+
+
+class EagerScanShard(_EagerShard):
+    """Method ``rh``: a leaf of the tree network as a process."""
 
     def handle(self, task: ShardTask) -> ScanReply:
         start = time_module.process_time()
@@ -223,21 +207,8 @@ class EagerScanShard(_EagerChurnMixin):
         )
 
 
-class GatherShard(_EagerChurnMixin):
+class GatherShard(_EagerShard):
     """Full-matrix methods: evaluate the shard, ship the bid slice."""
-
-    def __init__(self, workload: PaperWorkload, init: WorkerInit):
-        self.shard = init.shard
-        self.offset = init.lo
-        self.num_local = init.hi - init.lo
-        self.step = workload.config.step
-        self.maintenance = (init.stream.maintenance if init.stream
-                            else "incremental")
-        self.state = _build_eager_state(workload, init)
-
-    def fold(self, win: WinNotice) -> None:
-        self.state.fold_win(win.advertiser - self.offset, win.keyword,
-                            win.clicked, win.charge)
 
     def handle(self, task: ShardTask) -> GatherReply:
         start = time_module.process_time()
@@ -254,63 +225,32 @@ class GatherShard(_EagerChurnMixin):
         )
 
 
-class RhtaluShard:
+class RhtaluShard(_Shard):
     """Method ``rhtalu``: a shard-sized lazy evaluator."""
 
     def __init__(self, workload: PaperWorkload, init: WorkerInit):
-        self.shard = init.shard
-        self.offset = init.lo
-        self.num_local = init.hi - init.lo
-        self.maintenance = (init.stream.maintenance if init.stream
-                            else "incremental")
-        if init.stream is None:
-            self.evaluator = workload.build_shard_rhtalu(init.lo,
-                                                         init.hi)
-        else:
-            from repro.evaluation.evaluator import RhtaluEvaluator
-            from repro.evaluation.pacer_arrays import LazyPacerArrays
-
-            if init.stream.restore is not None:
-                arrays = LazyPacerArrays.from_capture(
-                    init.stream.restore)
-            else:
-                arrays = LazyPacerArrays(
-                    np.ones(self.num_local), workload.keywords,
-                    step=workload.config.step)
-            self.evaluator = RhtaluEvaluator(
-                workload.click_matrix[init.lo:init.hi], arrays)
+        super().__init__(init)
+        self.evaluator = RhtaluEvaluator(
+            workload.click_matrix[init.lo:init.hi],
+            LazyPacerArrays.for_universe(
+                self.num_local, workload.keywords, workload.config.step,
+                capture=init.restore))
+        if init.restore is None:
+            self.evaluator.join_many(
+                np.arange(self.num_local),
+                *workload.pacer_rows(init.lo, init.hi)[:3])
 
     def fold(self, win: WinNotice) -> None:
         self.evaluator.record_win(win.advertiser - self.offset,
                                   win.charge, win.time)
 
     def apply_control(self, notice: ControlNotice) -> None:
-        local = notice.advertiser - self.offset
-        if notice.kind == "join":
-            self.evaluator.apply_join(local, notice.target,
-                                      notice.bids, notice.maxbids)
-        elif notice.kind == "leave":
-            self.evaluator.apply_leave(local)
-        elif notice.kind == "update":
-            self.evaluator.apply_update(local, notice.keyword,
-                                        notice.bid, notice.maxbid)
-        elif notice.kind == "pause":
-            self.evaluator.apply_pause(local)
-        elif notice.kind == "resume":
-            self.evaluator.apply_resume(local)
-        else:
-            raise ValueError(f"unknown control kind {notice.kind!r}")
+        self.evaluator.apply_control(notice, self.offset)
         if self.maintenance == "rebuild":
             self.evaluator = self.evaluator.rebuilt()
 
-    def snapshot(self, request: SnapshotRequest) -> SnapshotReply:
-        for win in request.wins:
-            self.fold(win)
-        for control in request.controls:
-            self.apply_control(control)
-        capture = _shift_capture_ids(
-            self.evaluator.state.capture(), self.offset)
-        return SnapshotReply(shard=self.shard, state=capture)
+    def capture(self) -> dict:
+        return self.evaluator.state.capture()
 
     def handle(self, task: ShardTask) -> ScanReply:
         start = time_module.process_time()
@@ -355,7 +295,7 @@ class EmptyShard:
         return SnapshotReply(shard=self.shard, state={})
 
     def handle(self, task: ShardTask):
-        if self.method in ("rh", "rhtalu"):
+        if self.method in SCAN_METHODS:
             empty = np.empty((self.num_slots, 0))
             return ScanReply(
                 task.auction_id,

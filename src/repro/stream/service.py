@@ -25,7 +25,7 @@ population *while queries flow*, by one of two maintenance strategies:
 The service runs in-process (``workers=0``, the vectorized PR-2
 kernels) or on the PR-3 multi-process sharded runtime (``workers>=1``,
 control events routed to owning shards through
-:class:`~repro.runtime.executor.StreamShardedRuntime`); both modes
+:class:`~repro.runtime.executor.ShardedAuctionRuntime`); both modes
 produce identical records from identical streams.  Identity hinges on
 one rule: **winner determination only ever sees the surviving
 population** (departed rows are excluded from the candidate space, not
@@ -80,9 +80,8 @@ from repro.obs import (
     ObservabilityConfig,
     SpanTracer,
 )
-from repro.runtime.executor import StreamShardedRuntime
+from repro.runtime.executor import ShardedAuctionRuntime
 from repro.runtime.messages import ControlNotice
-from repro.runtime.sharding import ShardPlan
 from repro.stream.batching import BatchingConfig, MicroBatcher
 from repro.stream.budget import BudgetRegistry
 from repro.stream.crash import crash_hook
@@ -104,7 +103,6 @@ from repro.stream.snapshot import (
     accounts_to_jsonable,
     merge_captures,
     restore_accounts,
-    slice_capture,
 )
 from repro.strategies.base import Query
 from repro.workloads.paper_workload import (
@@ -188,11 +186,8 @@ class _EagerBackend(_Backend):
         self.method = method
         self.step = config.step
         self.click_matrix = workload.click_matrix
-        if restore_capture is not None:
-            self.arrays = PacerArrays.from_capture(restore_capture)
-        else:
-            self.arrays = PacerArrays.for_universe(
-                config.num_advertisers, workload.keywords)
+        self.arrays = PacerArrays.for_universe(
+            config.num_advertisers, workload.keywords, restore_capture)
         click_model = workload.click_model()
         self.user_model = UserModel(click_model,
                                     workload.purchase_model())
@@ -240,24 +235,8 @@ class _EagerBackend(_Backend):
             notify_fn=notify, id_map=wd.id_map,
             click_rows=wd.click_rows, quote_fn=quote_fn)
 
-    def apply_join(self, event: AdvertiserJoin) -> None:
-        self.arrays.grow_row(event.advertiser, event.target, self.step,
-                             np.asarray(event.bids, dtype=float),
-                             np.asarray(event.maxbids, dtype=float),
-                             np.asarray(event.values, dtype=float))
-
-    def apply_leave(self, event: AdvertiserLeave) -> None:
-        self.arrays.retire_row(event.advertiser)
-
-    def apply_update(self, event: BidProgramUpdate) -> None:
-        self.arrays.update_bid(event.advertiser, event.keyword,
-                               event.bid, event.maxbid)
-
-    def apply_pause(self, advertiser: int) -> None:
-        self.arrays.pause_row(advertiser)
-
-    def apply_resume(self, advertiser: int) -> None:
-        self.arrays.resume_row(advertiser)
+    def apply_control(self, notice: ControlNotice) -> None:
+        self.arrays.apply_control(notice, self.step)
 
     def rebuild(self) -> None:
         self.arrays = PacerArrays.from_capture(self.arrays.capture())
@@ -273,19 +252,17 @@ class _RhtaluBackend(_AdapterBackend):
     members in, id-mapped settlement out), so the plain
     :class:`~repro.auction.engine.AuctionEngine` serves unchanged; the
     backend feeds it stream queries and forwards churn to the
-    evaluator's incremental maintenance ops.
+    evaluator's control ladder.
     """
 
     def __init__(self, workload: PaperWorkload, engine_seed: int,
                  restore_capture: dict | None = None):
         config = workload.config
-        if restore_capture is not None:
-            arrays = LazyPacerArrays.from_capture(restore_capture)
-        else:
-            arrays = LazyPacerArrays(
-                np.ones(config.num_advertisers), workload.keywords,
-                step=config.step)
-        evaluator = RhtaluEvaluator(workload.click_matrix, arrays)
+        evaluator = RhtaluEvaluator(
+            workload.click_matrix,
+            LazyPacerArrays.for_universe(
+                config.num_advertisers, workload.keywords, config.step,
+                capture=restore_capture))
         self._keyword: str | None = None
 
         def feeder(rng: np.random.Generator) -> Query:
@@ -305,25 +282,8 @@ class _RhtaluBackend(_AdapterBackend):
         self._keyword = keyword
         return self.engine.run_auction()
 
-    def apply_join(self, event: AdvertiserJoin) -> None:
-        self.engine.rhtalu.apply_join(
-            event.advertiser, event.target,
-            np.asarray(event.bids, dtype=float),
-            np.asarray(event.maxbids, dtype=float))
-
-    def apply_leave(self, event: AdvertiserLeave) -> None:
-        self.engine.rhtalu.apply_leave(event.advertiser)
-
-    def apply_update(self, event: BidProgramUpdate) -> None:
-        self.engine.rhtalu.apply_update(event.advertiser,
-                                        event.keyword, event.bid,
-                                        event.maxbid)
-
-    def apply_pause(self, advertiser: int) -> None:
-        self.engine.rhtalu.apply_pause(advertiser)
-
-    def apply_resume(self, advertiser: int) -> None:
-        self.engine.rhtalu.apply_resume(advertiser)
+    def apply_control(self, notice: ControlNotice) -> None:
+        self.engine.rhtalu.apply_control(notice)
 
     def rebuild(self) -> None:
         self.engine.rhtalu = self.engine.rhtalu.rebuilt()
@@ -336,24 +296,20 @@ class _ShardedBackend(_AdapterBackend):
     """Workers>=1 serving on the multi-process runtime.
 
     Thin adapter: queries go to the coordinator's lockstep round,
-    churn becomes routed :class:`~repro.runtime.messages
-    .ControlNotice` items (applied per shard, incremental or rebuild
-    per the maintenance flag shipped at spawn), snapshots pull and
-    merge per-shard captures.
+    control notices are routed to the owning shard (applied there,
+    incremental or rebuild per the maintenance flag shipped at
+    spawn), snapshots pull and merge per-shard captures.
     """
 
     def __init__(self, workload: PaperWorkload, workers: int,
                  restore_capture: dict | None = None,
                  **runtime_options):
-        config = workload.config
-        restore_shards = None
-        if restore_capture is not None:
-            plan = ShardPlan.plan(config.num_advertisers, workers)
-            restore_shards = [slice_capture(restore_capture, lo, hi)
-                              for lo, hi in plan.spans()]
-        self._core = self.runtime = StreamShardedRuntime(
-            config, workers=workers, restore_shards=restore_shards,
-            **runtime_options)
+        # The service's population comes from its event log (or its
+        # snapshot), never from the workload recipe: the runtime starts
+        # from a capture, an empty one at genesis.
+        self._core = self.runtime = ShardedAuctionRuntime(
+            workload.config, workers=workers,
+            restore_capture=restore_capture or {}, **runtime_options)
 
     def begin_window(self, size: int) -> None:
         self.runtime.begin_query_window()
@@ -364,31 +320,8 @@ class _ShardedBackend(_AdapterBackend):
     def run_query(self, keyword: str) -> AuctionRecord:
         return self.runtime.submit_query(keyword)
 
-    def apply_join(self, event: AdvertiserJoin) -> None:
-        self.runtime.apply_control(ControlNotice(
-            kind="join", advertiser=event.advertiser,
-            target=event.target,
-            bids=np.asarray(event.bids, dtype=float),
-            maxbids=np.asarray(event.maxbids, dtype=float),
-            values=np.asarray(event.values, dtype=float)))
-
-    def apply_leave(self, event: AdvertiserLeave) -> None:
-        self.runtime.apply_control(ControlNotice(
-            kind="leave", advertiser=event.advertiser))
-
-    def apply_update(self, event: BidProgramUpdate) -> None:
-        self.runtime.apply_control(ControlNotice(
-            kind="update", advertiser=event.advertiser,
-            keyword=event.keyword, bid=event.bid,
-            maxbid=event.maxbid))
-
-    def apply_pause(self, advertiser: int) -> None:
-        self.runtime.apply_control(ControlNotice(
-            kind="pause", advertiser=advertiser))
-
-    def apply_resume(self, advertiser: int) -> None:
-        self.runtime.apply_control(ControlNotice(
-            kind="resume", advertiser=advertiser))
+    def apply_control(self, notice: ControlNotice) -> None:
+        self.runtime.apply_control(notice)
 
     def capture_state(self) -> dict:
         states = self.runtime.pull_shard_states()
@@ -586,7 +519,7 @@ class OnlineAuctionService:
         vocabulary.  ``ValueError``: a numeric field that is not a
         number (bools and numeric strings are not) or not finite, a
         per-keyword column of the wrong length, a join with
-        ``target <= 0``, an update with ``maxbid < 0``.
+        ``target <= 0``, a join or update with a ``maxbid < 0``.
         """
         handlers = self._HANDLERS.get(type(event))
         if handlers is None:
@@ -662,6 +595,9 @@ class OnlineAuctionService:
         if error is None and event.target <= 0:
             return ValueError(f"target spend rate must be > 0, "
                               f"got {event.target}")
+        if error is None and min(event.maxbids) < 0:
+            return ValueError(
+                f"maxbid must be >= 0, got {min(event.maxbids)}")
         return error
 
     def _check_update(self, event: BidProgramUpdate
@@ -834,20 +770,32 @@ class OnlineAuctionService:
             metrics.histogram("latency.emit").observe(emit_seconds)
         return record
 
+    def _control(self, kind: str, advertiser: int, **payload) -> None:
+        """Every population change reaches the evaluation state as one
+        :class:`~repro.runtime.messages.ControlNotice` — in process or
+        routed to a shard, the same currency and the same ladder —
+        followed by the maintenance strategy's rebuild, if any."""
+        self.backend.apply_control(ControlNotice(
+            kind=kind, advertiser=advertiser, **payload))
+        if self.maintenance == "rebuild":
+            self.backend.rebuild()
+
     def _apply_join(self, event: AdvertiserJoin) -> None:
-        self.backend.apply_join(event)
+        self._control("join", event.advertiser, target=event.target,
+                      bids=np.asarray(event.bids, dtype=float),
+                      maxbids=np.asarray(event.maxbids, dtype=float),
+                      values=np.asarray(event.values, dtype=float))
         self.registry.admit(event.advertiser, event.target,
                             event.budget, self.events_processed)
-        self._maintain()
 
     def _apply_leave(self, event: AdvertiserLeave) -> None:
-        self.backend.apply_leave(event)
+        self._control("leave", event.advertiser)
         self.registry.retire(event.advertiser)
-        self._maintain()
 
     def _apply_update(self, event: BidProgramUpdate) -> None:
-        self.backend.apply_update(event)
-        self._maintain()
+        self._control("update", event.advertiser,
+                      keyword=event.keyword, bid=event.bid,
+                      maxbid=event.maxbid)
 
     def _apply_topup(self, event: BudgetTopUp) -> None:
         entry = self.registry.entry(event.advertiser)
@@ -917,14 +865,10 @@ class OnlineAuctionService:
             tracer.stage(base + offset, "ingress", wait,
                          attrs={"queue_depth": depth})
 
-    def _maintain(self) -> None:
-        if self.maintenance == "rebuild":
-            self.backend.rebuild()
-
     def _pause(self, advertiser: int, auction_id: int) -> None:
         """Exhaustion eviction: retire from every derived structure
         (retaining the primary row capture) and journal the emission."""
-        self.backend.apply_pause(advertiser)
+        self._control("pause", advertiser)
         self.registry.mark_paused(advertiser)
         self.emitted.append(AdvertiserPaused(advertiser=advertiser,
                                              auction_id=auction_id))
@@ -935,11 +879,10 @@ class OnlineAuctionService:
                    extra={"advertiser": advertiser,
                           "seq": self.events_processed,
                           "auction_id": auction_id})
-        self._maintain()
 
     def _resume(self, advertiser: int) -> None:
         """Top-up re-admission: re-place the retained row capture."""
-        self.backend.apply_resume(advertiser)
+        self._control("resume", advertiser)
         self.registry.mark_resumed(advertiser)
         self.emitted.append(AdvertiserResumed(
             advertiser=advertiser,
@@ -949,7 +892,6 @@ class OnlineAuctionService:
         _LOG.debug("resumed advertiser %d (topped up)", advertiser,
                    extra={"advertiser": advertiser,
                           "seq": self.events_processed})
-        self._maintain()
 
     # -- introspection -----------------------------------------------------
 

@@ -34,7 +34,8 @@ one of the fault-injection scenarios
 
 The module also hosts the capture plumbing the sharded service uses:
 :func:`slice_capture` cuts a global capture into one shard's local
-rows (shipped in :class:`repro.runtime.worker.StreamShardConfig`), and
+rows (shipped as :class:`repro.runtime.worker.WorkerInit`'s
+``restore``), and
 :func:`merge_captures` reassembles the global capture from per-shard
 dumps (ids are already global on the wire).
 """

@@ -9,9 +9,11 @@ clicked winners.
 
 One :class:`PaperWorkload` instance materialises all of it from a seed
 and can build every artifact the four methods need: eager program
-ensembles (LP/H/RH), the lazy RHTALU state, click models, and the query
-stream — all deterministic given the seed, so methods can be compared on
-identical auction sequences.
+ensembles (LP/H/RH), the lazy RHTALU evaluator, click models, and the
+query stream — all deterministic given the seed, so methods can be
+compared on identical auction sequences.  :meth:`PaperWorkload
+.pacer_rows` is the population as plain join rows: what a fixed
+population bulk-joins into an empty evaluation state.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.evaluation.evaluator import RhtaluEvaluator
-from repro.evaluation.pacer_state import LazyPacerState
+from repro.evaluation.pacer_arrays import LazyPacerArrays
 from repro.probability.click_models import TabularClickModel
 from repro.probability.purchase_models import PurchaseModel, no_purchases
 from repro.strategies.base import Query
@@ -88,22 +90,29 @@ class PaperWorkload:
         return (self.config.initial_bid_fraction
                 * float(self.values[advertiser, keyword_index]))
 
-    def build_shard_programs(self, lo: int, hi: int
-                             ) -> list[SimpleROIPacer]:
-        """Advertisers ``lo..hi-1`` as a pacer shard with *local* ids.
+    def pacer_rows(self, lo: int = 0, hi: int | None = None
+                   ) -> tuple[np.ndarray, ...]:
+        """Advertisers ``lo..hi-1``'s pacing programs as join rows:
+        ``(targets, bids, maxbids, values)``, one row each, one column
+        per keyword.
 
-        The multi-process runtime gives each worker a contiguous
-        advertiser span; inside the worker, rows are relabeled
-        ``0..hi-lo-1`` so the shard's arrays are dense (global id =
-        ``lo + local id``).  Every worker derives values, targets, and
-        initial bids from the one workload seed, so no state ever
-        crosses a process boundary at construction.  The full
-        :meth:`build_programs` ensemble is the ``(0, n)`` shard — one
-        construction path, so shard workers and the single-process
-        engine cannot drift apart.
+        This is the fixed population in the shape the evaluation state's
+        bulk join takes (``PacerArrays.grow_rows``,
+        ``RhtaluEvaluator.join_many``).  The multi-process runtime gives
+        each worker a contiguous advertiser span; every worker derives
+        its rows from the one workload seed, so no state ever crosses a
+        process boundary at construction, and the rows are the very
+        floats :meth:`build_programs` puts into program objects.
         """
+        values = self.values[lo:hi]
+        return (self.targets[lo:hi],
+                self.config.initial_bid_fraction * values, values,
+                values)
+
+    def build_programs(self) -> list[SimpleROIPacer]:
+        """The eager ROI-pacer ensemble (methods LP / H / RH)."""
         programs = []
-        for advertiser in range(lo, hi):
+        for advertiser in range(self.config.num_advertisers):
             records = [
                 KeywordRecord(
                     text=self.keywords[index],
@@ -117,47 +126,18 @@ class PaperWorkload:
             state = ProgramState(
                 target_spend_rate=float(self.targets[advertiser]),
                 keywords=records)
-            programs.append(SimpleROIPacer(advertiser - lo, state,
+            programs.append(SimpleROIPacer(advertiser, state,
                                            step=self.config.step))
         return programs
 
-    def build_programs(self) -> list[SimpleROIPacer]:
-        """The eager ROI-pacer ensemble (methods LP / H / RH)."""
-        return self.build_shard_programs(0, self.config.num_advertisers)
-
-    def build_shard_lazy_state(self, lo: int, hi: int) -> LazyPacerState:
-        """Advertisers ``lo..hi-1`` as a lazy-update shard (local ids).
-
-        Shares the id convention of :meth:`build_shard_programs`; the
-        full :meth:`build_lazy_state` is the ``(0, n)`` shard.
-        """
-        state = LazyPacerState(step=self.config.step)
-        for advertiser in range(lo, hi):
-            state.add_advertiser(advertiser - lo,
-                                 float(self.targets[advertiser]))
-            for index, keyword in enumerate(self.keywords):
-                state.add_keyword_bid(
-                    advertiser - lo, keyword,
-                    initial_bid=self.initial_bid(advertiser, index),
-                    maxbid=float(self.values[advertiser, index]))
-        return state
-
-    def build_lazy_state(self) -> LazyPacerState:
-        """The logical-update state (method RHTALU)."""
-        return self.build_shard_lazy_state(0, self.config.num_advertisers)
-
-    def build_shard_rhtalu(self, lo: int, hi: int) -> RhtaluEvaluator:
-        """A lazy evaluator over advertisers ``lo..hi-1`` (local ids).
-
-        The shard's click matrix is the corresponding row block of the
-        full matrix, so scores computed shard-locally are the very
-        floats the full evaluator would compute.
-        """
-        return RhtaluEvaluator(self.click_matrix[lo:hi],
-                               self.build_shard_lazy_state(lo, hi))
-
     def build_rhtalu(self) -> RhtaluEvaluator:
-        return RhtaluEvaluator(self.click_matrix, self.build_lazy_state())
+        """The lazy evaluator (method RHTALU): an empty universe plus
+        one bulk join of the whole population."""
+        count = self.config.num_advertisers
+        evaluator = RhtaluEvaluator(self.click_matrix, LazyPacerArrays(
+            count, self.keywords, self.config.step))
+        evaluator.join_many(np.arange(count), *self.pacer_rows()[:3])
+        return evaluator
 
     def build_engine(self, method: str, engine_seed: int = 0,
                      record_log: bool = False):

@@ -102,9 +102,10 @@ class TestWorkAccounting:
 class TestValidation:
     def test_bad_matrix_rejected(self):
         from repro.evaluation.evaluator import RhtaluEvaluator
-        from repro.evaluation.pacer_state import LazyPacerState
+        from repro.evaluation.pacer_arrays import LazyPacerArrays
         with pytest.raises(ValueError):
-            RhtaluEvaluator(np.ones(3), LazyPacerState())
+            RhtaluEvaluator(np.ones(3),
+                            LazyPacerArrays.for_universe(3, ["kw"]))
 
 
 class TestScanAuction:
@@ -140,7 +141,7 @@ class TestScanAuction:
             num_advertisers=30, num_slots=4, num_keywords=2, seed=9))
         evaluator = workload.build_rhtalu()
         scan = evaluator.scan_auction("kw0", 1.0)
-        state = workload.build_lazy_state()
+        state = workload.build_rhtalu().state
         state.begin_auction("kw0", 1.0)
         eff = np.array([state.effective_bid(a, "kw0")
                         for a in range(30)])

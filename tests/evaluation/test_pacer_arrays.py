@@ -19,6 +19,8 @@ from repro.evaluation.sorted_index import ColumnArgsortIndex
 
 
 def build_states(seed, n=15, n_keywords=3, initial_fraction=0.5):
+    """The same registrations on both sides: one at a time into the
+    dict-backed reference, one bulk join into the arrays."""
     rng = np.random.default_rng(seed)
     keywords = [f"kw{j}" for j in range(n_keywords)]
     values = rng.uniform(0.5, 20.0, size=(n, n_keywords))
@@ -31,8 +33,16 @@ def build_states(seed, n=15, n_keywords=3, initial_fraction=0.5):
                 i, text,
                 initial_bid=initial_fraction * float(values[i, j]),
                 maxbid=float(values[i, j]))
-    mirror = LazyPacerArrays.from_state(reference, n)
+    mirror = LazyPacerArrays.for_universe(n, keywords)
+    mirror.join_many(np.arange(n), targets, initial_fraction * values,
+                     values)
     return reference, mirror, keywords, rng
+
+
+def join(state, advertiser, target, bids, maxbids):
+    """One stream join: the bulk routine's one-row case."""
+    state.join_many(np.array([advertiser]), np.array([target]),
+                    np.asarray(bids)[None], np.asarray(maxbids)[None])
 
 
 def assert_parity(reference, mirror, keywords, context):
@@ -161,7 +171,7 @@ class TestChurnEqualsFreshBuild:
         keywords = [f"kw{j}" for j in range(n_keywords)]
         values = rng.uniform(0.5, 20.0, size=(capacity, n_keywords))
         matrix = rng.uniform(0.1, 0.9, size=(capacity, 3))
-        state = LazyPacerArrays(np.ones(capacity), keywords)
+        state = LazyPacerArrays(capacity, keywords)
         index = ColumnArgsortIndex(matrix, members=state.active_ids())
         active: list[int] = []
         time = 0.0
@@ -172,8 +182,8 @@ class TestChurnEqualsFreshBuild:
                 advertiser = int(rng.choice(
                     [a for a in range(capacity) if a not in active]))
                 caps = values[advertiser]
-                state.join(advertiser, float(rng.uniform(0.5, 5.0)),
-                           bids=caps * 0.5, maxbids=caps)
+                join(state, advertiser, float(rng.uniform(0.5, 5.0)),
+                     bids=caps * 0.5, maxbids=caps)
                 index.insert(advertiser)
                 active.append(advertiser)
             elif action < 0.4 and len(active) > 1:
@@ -234,25 +244,21 @@ class TestChurnEqualsFreshBuild:
 
 
 class TestValidation:
-    def test_sparse_registration_rejected(self):
-        state = LazyPacerState()
-        state.add_advertiser(0, 1.0)
-        state.add_advertiser(1, 1.0)
-        state.add_keyword_bid(0, "kw", initial_bid=1.0, maxbid=2.0)
-        with pytest.raises(ValueError):
-            LazyPacerArrays.from_state(state, 2)
-
-    def test_non_dense_ids_rejected(self):
-        state = LazyPacerState()
-        state.add_advertiser(3, 1.0)
-        state.add_keyword_bid(3, "kw", initial_bid=1.0, maxbid=2.0)
-        with pytest.raises(ValueError):
-            LazyPacerArrays.from_state(state, 2)
-
-    def test_no_keywords_rejected(self):
-        state = LazyPacerState()
-        with pytest.raises(ValueError):
-            LazyPacerArrays.from_state(state, 0)
+    def test_bulk_join_validation(self):
+        state = LazyPacerArrays.for_universe(3, ["kw"])
+        one, two = np.ones((1, 1)), np.ones((2, 1))
+        with pytest.raises(KeyError, match="outside capacity"):
+            state.join_many(np.array([0, 3]), np.ones(2), two, two)
+        with pytest.raises(KeyError, match="already active"):
+            state.join_many(np.array([1, 1]), np.ones(2), two, two)
+        with pytest.raises(ValueError):  # a non-positive target
+            state.join_many(np.array([0, 1]), np.array([1.0, 0.0]),
+                            two, two)
+        with pytest.raises(ValueError):  # one row short
+            state.join_many(np.array([0, 1]), np.ones(2), one, one)
+        assert not state.active.any()  # a refused batch joins nobody
+        state.join_many(np.array([2, 0]), np.ones(2), two, 2 * two)
+        assert state.active_ids().tolist() == [0, 2]
 
     def test_unknown_keyword_rejected(self):
         _, mirror, _, _ = build_states(1)
@@ -266,22 +272,22 @@ class TestValidation:
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
-            LazyPacerArrays(np.array([1.0]), ["kw"], step=0.0)
+            LazyPacerArrays(1, ["kw"], step=0.0)
 
     def test_churn_op_validation(self):
-        state = LazyPacerArrays(np.ones(3), ["kw"])
+        state = LazyPacerArrays(3, ["kw"])
         bid, cap = np.array([1.0]), np.array([2.0])
         with pytest.raises(KeyError, match="outside capacity"):
-            state.join(5, 1.0, bid, cap)
+            join(state, 5, 1.0, bid, cap)
         with pytest.raises(KeyError, match="outside capacity"):
-            state.join(-1, 1.0, bid, cap)
-        state.join(0, 1.0, bid, cap)
+            join(state, -1, 1.0, bid, cap)
+        join(state, 0, 1.0, bid, cap)
         with pytest.raises(KeyError, match="already active"):
-            state.join(0, 1.0, bid, cap)
+            join(state, 0, 1.0, bid, cap)
         with pytest.raises(ValueError):
-            state.join(1, 0.0, bid, cap)  # non-positive target
+            join(state, 1, 0.0, bid, cap)  # non-positive target
         with pytest.raises(ValueError):
-            state.join(1, 1.0, np.ones(2), np.ones(2))  # wrong width
+            join(state, 1, 1.0, np.ones(2), np.ones(2))  # wrong width
         with pytest.raises(KeyError):
             state.leave(2)  # never joined
         with pytest.raises(KeyError):

@@ -136,4 +136,7 @@ def invalid_events(join: AdvertiserJoin, active: int, capacity: int,
                 ValueError, "target spend rate must be > 0"),
         Invalid("update-negative-maxbid", update(maxbid=-1),
                 ValueError, "maxbid must be >= 0"),
+        Invalid("join-negative-maxbid",
+                replace(join, maxbids=join.maxbids[:-1] + (-1.0,)),
+                ValueError, "maxbid must be >= 0"),
     ]

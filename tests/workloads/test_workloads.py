@@ -86,7 +86,7 @@ class TestPaperWorkload:
                                                      num_keywords=2,
                                                      seed=11))
         programs = workload.build_programs()
-        lazy = workload.build_lazy_state()
+        lazy = workload.build_rhtalu().state
         for keyword in workload.keywords:
             lazy_bids = lazy.bids_for_keyword(keyword)
             for program in programs:
