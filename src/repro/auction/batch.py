@@ -27,13 +27,11 @@ Three pieces cooperate:
   vectorizable, owns the arrays and the plan cache, and tracks grouping
   statistics for the phase profiler.
 
-The RHTALU path plans through :class:`RhtaluBatchPlanner` instead: the
-lazy evaluator already holds its whole state (pacer mirror, argsorted
-click index, TA score histories, matching buffers) in preallocated
-arrays shared by the sequential and batched paths, so the planner's job
-is the keyword-signature grouping accounting; bit-identity with the
-sequential path is structural rather than replayed.
-:func:`planner_for_engine` picks the right planner per engine.
+RHTALU has no batch pipeline of its own: the lazy evaluator already
+holds its whole state (pacer mirror, argsorted click index, TA score
+histories) in preallocated arrays, so ``run_batch`` runs the sequential
+loop and keeps the same keyword-signature grouping accounting
+(:meth:`BatchStats.observe`).
 
 Engines whose populations are not vectorizable (arbitrary
 :class:`~repro.strategies.base.BiddingProgram` mixes, multi-row tables,
@@ -535,11 +533,17 @@ class ShardEvalState:
         allocated, and zero-weight edges *can* enter a maximum
         matching — so ids in the result always refer to live rows.
         """
-        self._solver = SubsetSolver.for_membership(
-            self._solver, self.click_rows, self.arrays.present)
-        lists = self._solver.scan(self.bid_out, self.top_depth)
-        return SlotLists(ids=self._solver.active[lists.ids],
+        solver = self.solver()
+        lists = solver.scan(self.bid_out, self.top_depth)
+        return SlotLists(ids=solver.active[lists.ids],
                          values=lists.values)
+
+    def solver(self, method: str = "rh") -> SubsetSolver:
+        """The winner-determination solver over the live rows, kept
+        until a join, leave, pause or resume moves the membership."""
+        self._solver = SubsetSolver.for_membership(
+            self._solver, self.click_rows, self.arrays.present, method)
+        return self._solver
 
 
 @dataclass
@@ -634,39 +638,3 @@ class BatchPlanner:
         plan = self._plans[keyword]
         plan.auctions += 1
         return plan
-
-
-class RhtaluBatchPlanner:
-    """Plans batched RHTALU auctions for one engine's evaluator.
-
-    The heavy lifting — the pacer-array state, the shared argsorted
-    click index, the TA score histories, the candidate/weight/solver
-    buffers — lives inside the :class:`~repro.evaluation.evaluator.
-    RhtaluEvaluator` and is reused by sequential runs too, which is
-    precisely what makes batched and sequential RHTALU bit-identical.
-    The planner tracks the same keyword-signature grouping statistics
-    the eager planner reports, so phase profiles stay comparable.
-    """
-
-    def __init__(self, evaluator):
-        self.evaluator = evaluator
-        self.stats = BatchStats()
-
-    @classmethod
-    def for_engine(cls, engine: "AuctionEngine"
-                   ) -> "RhtaluBatchPlanner | None":
-        if engine.config.method != "rhtalu" or engine.rhtalu is None:
-            return None
-        return cls(engine.rhtalu)
-
-    def plan_for(self, keyword: str) -> None:
-        """Record this auction's signature for the grouping stats."""
-        self.stats.observe(keyword)
-
-
-def planner_for_engine(engine: "AuctionEngine"
-                       ) -> "BatchPlanner | RhtaluBatchPlanner | None":
-    """The right batch planner for ``engine``, or ``None`` to fall back."""
-    if engine.config.method == "rhtalu":
-        return RhtaluBatchPlanner.for_engine(engine)
-    return BatchPlanner.for_engine(engine)

@@ -27,11 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.auction.accounts import AccountBook
 from repro.auction.events import AuctionRecord
-from repro.auction.pricing import GeneralizedSecondPrice, PricingRule
+from repro.auction.pricing import PricingRule
 from repro.auction.settlement import AuctionSettler, NotifyFn
-from repro.auction.user_model import UserModel
 from repro.core.parallel import solve_parallel
 from repro.core.revenue import (
     RevenueMatrix,
@@ -116,13 +114,12 @@ class AuctionEngine:
         self.config = config
         self.programs = programs or []
         self.rhtalu = rhtalu
-        self.pricing = pricing or GeneralizedSecondPrice()
-        self.rng = np.random.default_rng(config.seed)
-        self.user_model = UserModel(click_model, purchase_model)
-        self.accounts = AccountBook()
-        self.settler = AuctionSettler(self.user_model, self.pricing,
-                                      self.accounts, config.num_slots,
-                                      self.rng)
+        self.settler = AuctionSettler.build(
+            click_model, purchase_model, config.num_slots, config.seed,
+            pricing)
+        self.pricing = self.settler.pricing
+        self.rng = self.settler.rng
+        self.accounts = self.settler.accounts
         self.auction_id = 0
         self.last_batch_stats = None
         self.interaction_log = (
@@ -144,30 +141,35 @@ class AuctionEngine:
         but amortizes per-auction overhead across the stream: program
         evaluation and notification folding run as vectorized kernels
         over the whole population (:class:`~repro.auction.batch
-        .PacerArrays` for eager pacer populations, the evaluator's
-        array state for RHTALU), and revenue/weight buffers are
-        allocated once per keyword/candidate-set group and refilled in
-        place.
+        .PacerArrays`), and revenue/weight buffers are allocated once
+        per keyword/candidate-set group and refilled in place.
 
-        Populations the planner cannot vectorize (non-pacer programs,
-        multi-row or non-``Click`` bids) fall back to the sequential
+        RHTALU engines (whose evaluator state is array-backed on every
+        path) and populations the planner cannot vectorize (non-pacer
+        programs, multi-row or non-``Click`` bids) run the sequential
         per-auction loop.  Grouping statistics of the last call are
-        kept in :attr:`last_batch_stats`.
+        kept in :attr:`last_batch_stats` (``None`` after a
+        non-vectorizable fallback).
         """
-        from repro.auction.batch import RhtaluBatchPlanner, planner_for_engine
+        from repro.auction.batch import BatchPlanner, BatchStats
 
-        planner = planner_for_engine(self)
-        self.last_batch_stats = planner.stats if planner else None
-        if planner is None:
-            return [self.run_auction() for _ in range(count)]
+        planner = BatchPlanner.for_engine(self)
         records = []
-        if isinstance(planner, RhtaluBatchPlanner):
+        if planner is None:
+            # The lazy evaluator's array state is live for run() too,
+            # so an RHTALU batch is the sequential loop plus the
+            # grouping accounting; a population the planner cannot
+            # vectorize runs the same loop without it.
+            stats = (BatchStats() if self.config.method == "rhtalu"
+                     else None)
+            self.last_batch_stats = stats
             for _ in range(count):
-                record = self._run_batched_rhtalu(planner)
-                if self.interaction_log is not None:
-                    self.interaction_log.record_outcome(record.outcome)
+                record = self.run_auction()
+                if stats is not None:
+                    stats.observe(record.keyword)
                 records.append(record)
             return records
+        self.last_batch_stats = planner.stats
         try:
             for _ in range(count):
                 record = self._run_batched_auction(planner)
@@ -179,21 +181,6 @@ class AuctionEngine:
             # errors, so sequential runs can always resume.
             planner.arrays.sync_to_programs()
         return records
-
-    def _run_batched_rhtalu(self, planner) -> AuctionRecord:
-        """One RHTALU auction inside a planned batch.
-
-        The lazy evaluator's array state is the live state for the
-        sequential path too, so the batched stream is the *same* code
-        path — bit-identity with :meth:`run` is structural.  The
-        planner contributes the keyword-signature grouping statistics
-        the phase profiler reports.
-        """
-        self.auction_id += 1
-        now = float(self.auction_id)
-        query = self.query_source(self.rng)
-        planner.plan_for(query.text)
-        return self._run_rhtalu(query, now)
 
     def _run_batched_auction(self, planner) -> AuctionRecord:
         """One auction through the vectorized eager pipeline."""
@@ -220,11 +207,11 @@ class AuctionEngine:
             arrays.fold_notification(advertiser, query.text, clicked,
                                      charge)
 
-        return self._settle(query, now, result.allocation.slot_of,
-                            result.matching, result.expected_revenue,
-                            weights, bids, eval_seconds, wd_seconds,
-                            num_candidates=weights.shape[0],
-                            notify_fn=notify, wd_stats=wd_stats)
+        return self.settler.settle(
+            self.auction_id, query, result.allocation.slot_of,
+            result.matching, result.expected_revenue, weights, bids,
+            eval_seconds, wd_seconds, num_candidates=weights.shape[0],
+            notify_fn=notify, wd_stats=wd_stats)
 
     def run_auction(self) -> AuctionRecord:
         """One full pass through the six-step protocol."""
@@ -283,11 +270,11 @@ class AuctionEngine:
             bids = np.array([tables[i].total_declared_value()
                              if i in tables else 0.0
                              for i in range(weights.shape[0])])
-        return self._settle(query, now, result.allocation.slot_of,
-                            result.matching, result.expected_revenue,
-                            weights, bids, eval_seconds, wd_seconds,
-                            num_candidates=weights.shape[0],
-                            wd_stats=wd_stats)
+        return self.settler.settle(
+            self.auction_id, query, result.allocation.slot_of,
+            result.matching, result.expected_revenue, weights, bids,
+            eval_seconds, wd_seconds, num_candidates=weights.shape[0],
+            notify_fn=self._notifier(query, now), wd_stats=wd_stats)
 
     # -- RHTALU path -------------------------------------------------------------
 
@@ -307,65 +294,39 @@ class AuctionEngine:
         local_matching = MatchingResult(
             pairs=local_pairs, total_weight=result.matching.total_weight)
 
-        record = self._settle(
-            query, now, result.allocation.slot_of, local_matching,
-            result.expected_revenue, result.weights,
-            result.candidate_bids,
-            eval_seconds=0.0, wd_seconds=wd_seconds,
-            num_candidates=len(candidates),
-            id_map=candidates,
-            click_rows=result.candidate_clicks)
-        return record
-
-    # -- settlement (user action, pricing, notification) -------------------------
-
-    def _settle(self, query: Query, now: float,
-                slot_of: dict[int, int], matching: MatchingResult,
-                expected_revenue: float, weights: np.ndarray,
-                bids: np.ndarray, eval_seconds: float,
-                wd_seconds: float, num_candidates: int,
-                id_map: list[int] | None = None,
-                notify_fn: NotifyFn | None = None,
-                click_rows: np.ndarray | None = None,
-                wd_stats: dict | None = None) -> AuctionRecord:
-        """Delegate to the shared :class:`AuctionSettler`.
-
-        The engine's contribution is the notification default: fold the
-        win back into its own programs (or the lazy evaluator).  The
-        settler itself is execution-strategy agnostic — the sharded
-        runtime drives the very same one with a routing ``notify_fn``.
-        """
-        if notify_fn is None:
-            def notify_fn(advertiser: int, slot: int | None,
-                          clicked: bool, purchased: bool,
-                          charge: float) -> None:
-                self._notify(advertiser, query, now, slot, clicked,
-                             purchased, charge)
         return self.settler.settle(
-            self.auction_id, query, slot_of, matching, expected_revenue,
-            weights, bids, eval_seconds, wd_seconds, num_candidates,
-            notify_fn=notify_fn, id_map=id_map, click_rows=click_rows,
-            wd_stats=wd_stats)
+            self.auction_id, query, result.allocation.slot_of,
+            local_matching, result.expected_revenue, result.weights,
+            result.candidate_bids, eval_seconds=0.0,
+            wd_seconds=wd_seconds, num_candidates=len(candidates),
+            notify_fn=self._notifier(query, now), id_map=candidates,
+            click_rows=result.candidate_clicks)
 
-    def _notify(self, advertiser: int, query: Query, now: float,
-                slot: int | None, clicked: bool, purchased: bool,
-                charge: float) -> None:
-        if self.config.method == "rhtalu":
-            assert self.rhtalu is not None
-            self.rhtalu.record_win(advertiser, charge, now)
-            return
-        notification = ProgramNotification(
-            auction_id=self.auction_id,
-            keyword=query.text,
-            slot=slot,
-            clicked=clicked,
-            purchased=purchased,
-            price_paid=charge,
-        )
-        for program in self.programs:
-            if program.advertiser_id == advertiser:
-                program.notify(notification)
+    # -- notification ------------------------------------------------------------
+
+    def _notifier(self, query: Query, now: float) -> NotifyFn:
+        """The engine's own settlement callback: fold each win back
+        into the lazy evaluator, or notify the winner's program."""
+
+        def notify(advertiser: int, slot: int | None, clicked: bool,
+                   purchased: bool, charge: float) -> None:
+            if self.config.method == "rhtalu":
+                self.rhtalu.record_win(advertiser, charge, now)
                 return
+            notification = ProgramNotification(
+                auction_id=self.auction_id,
+                keyword=query.text,
+                slot=slot,
+                clicked=clicked,
+                purchased=purchased,
+                price_paid=charge,
+            )
+            for program in self.programs:
+                if program.advertiser_id == advertiser:
+                    program.notify(notification)
+                    return
+
+        return notify
 
 
 def extract_click_bids(tables: dict[int, BidsTable],

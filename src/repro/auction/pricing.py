@@ -134,10 +134,12 @@ class SlotListSecondPrice:
     column either way).  ``tests/auction/test_pricing.py`` holds the
     two implementations to equality on random instances.
 
-    Every served ``rh`` path prices this way — the in-process service
-    holds the same lists the sharded coordinator merges (the
-    :mod:`repro.matching.slot_lists` kernel), so no path reads a full
-    weight column after the selection scan.
+    Every served ``rh`` / ``rhtalu`` path prices this way, from one
+    call site (:meth:`repro.auction.settlement.AuctionSettler
+    .settle_slot_lists`) — the in-process service holds the same lists
+    the sharded coordinator merges (the :mod:`repro.matching.slot_lists`
+    kernel), so no path reads a full weight column after the selection
+    scan.
     """
 
     @staticmethod

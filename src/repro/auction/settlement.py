@@ -12,6 +12,12 @@ coordinator that reproduces the winner-determination inputs
 necessarily reproduces outcomes, prices, balances, and records,
 because this module is the only place they are computed.
 
+The served paths enter through two tails, shared by the in-process
+backends (one local leaf) and the sharded coordinator (a merge of
+many): :meth:`AuctionSettler.settle_slot_lists` for ``rh`` /
+``rhtalu`` and :meth:`AuctionSettler.settle_subset` for ``lp`` /
+``hungarian``.
+
 The settler deliberately owns **no per-advertiser evaluation state**
 (programs, pacer arrays, lazy evaluators); those are per-shard concerns
 in the sharded runtime. It owns exactly the global, unshardable pieces:
@@ -23,16 +29,29 @@ whose draw order defines a run's identity.
 from __future__ import annotations
 
 import time as time_module
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.auction.accounts import AccountBook
 from repro.auction.events import AuctionRecord
-from repro.auction.pricing import PriceQuote, PricingRule
+from repro.auction.pricing import (
+    GeneralizedSecondPrice,
+    PriceQuote,
+    PricingRule,
+    SlotListSecondPrice,
+)
 from repro.auction.user_model import UserModel
+from repro.core.winner_determination import (
+    SubsetWdResult,
+    allocation_from_matching,
+)
 from repro.lang.outcome import Allocation
+from repro.matching.slot_lists import SlotLists, match_slot_lists
 from repro.matching.types import MatchingResult
+from repro.probability.click_models import ClickModel
+from repro.probability.purchase_models import PurchaseModel
 from repro.strategies.base import Query
 
 NotifyFn = Callable[[int, int | None, bool, bool, float], None]
@@ -83,6 +102,64 @@ class AuctionSettler:
         prices, and the winner's own pacing-state notification.
         ``None`` (the default, and every fixed-population engine)
         charges quotes unclamped."""
+
+    @classmethod
+    def build(cls, click_model: ClickModel,
+              purchase_model: PurchaseModel, num_slots: int, seed: int,
+              pricing: PricingRule | None = None) -> "AuctionSettler":
+        """The one place a settlement stack is assembled: user model,
+        pricing rule (GSP unless given), a fresh account book, the
+        decision RNG seeded with ``seed``."""
+        return cls(UserModel(click_model, purchase_model),
+                   pricing or GeneralizedSecondPrice(), AccountBook(),
+                   num_slots, np.random.default_rng(seed))
+
+    def settle_slot_lists(self, auction_id: int, keyword: str,
+                          lists: SlotLists, bids: np.ndarray,
+                          click_probs: np.ndarray, *,
+                          eval_seconds: float, wd_seconds: float,
+                          num_candidates: int, notify_fn: NotifyFn,
+                          wd_stats: dict | None = None
+                          ) -> AuctionRecord:
+        """The one served ``rh`` / ``rhtalu`` tail: per-slot top lists
+        in, reduced Hungarian and GSP out — O(poly k), whatever
+        produced the lists.
+
+        ``lists`` are ``num_slots + 1`` deep (the matching reads the
+        top-k prefixes, GSP's rival scan one entry more); ``bids`` and
+        ``click_probs`` are indexed by the ids the lists carry.
+        ``wd_seconds`` is the time spent producing the lists; the
+        matching's is added here.
+        """
+        start = time_module.perf_counter()
+        matching = match_slot_lists(lists, self.num_slots)
+        allocation = allocation_from_matching(matching, self.num_slots)
+        quote_fn = partial(SlotListSecondPrice.quote_from_lists,
+                           lists.values, lists.ids, bids, click_probs)
+        wd_seconds += time_module.perf_counter() - start
+        expected = 0.0 + matching.total_weight  # zero unassigned baseline
+        return self.settle(
+            auction_id, Query(text=keyword), allocation.slot_of,
+            matching, expected, weights=None, bids=bids,
+            eval_seconds=eval_seconds,
+            wd_seconds=wd_seconds, num_candidates=num_candidates,
+            notify_fn=notify_fn, quote_fn=quote_fn, wd_stats=wd_stats)
+
+    def settle_subset(self, auction_id: int, keyword: str,
+                      wd: SubsetWdResult, *, eval_seconds: float,
+                      wd_seconds: float, notify_fn: NotifyFn,
+                      wd_stats: dict | None = None) -> AuctionRecord:
+        """The served full-matrix (``lp`` / ``hungarian``) tail: settle
+        a :class:`~repro.core.winner_determination.SubsetSolver` result
+        — subset-local rows, priced by the full-matrix rule on the
+        subset's weights, translated back through its id map."""
+        return self.settle(
+            auction_id, Query(text=keyword), wd.slot_of, wd.matching,
+            wd.expected_revenue, weights=wd.weights,
+            bids=wd.candidate_bids, eval_seconds=eval_seconds,
+            wd_seconds=wd_seconds, num_candidates=len(wd.id_map),
+            notify_fn=notify_fn, id_map=wd.id_map,
+            click_rows=wd.click_rows, wd_stats=wd_stats)
 
     def settle(self, auction_id: int, query: Query,
                slot_of: Mapping[int, int], matching: MatchingResult,

@@ -132,6 +132,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _durability_flags_refused(args: argparse.Namespace) -> bool:
+    """Whether the durability flags ``stream`` and ``serve`` share were
+    misused (the reason is then on stderr; the command exits 2)."""
+    if args.checkpoint_every and not args.checkpoint_dir:
+        print("--checkpoint-every needs --checkpoint-dir",
+              file=sys.stderr)
+        return True
+    if (args.checkpoint_every or args.checkpoint_dir) \
+            and not args.journal:
+        print("checkpoints need --journal (recovery replays the "
+              "journaled suffix)", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.auction.trace import write_trace
     from repro.stream import EventLog, OnlineAuctionService
@@ -142,6 +157,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         generate_stream,
     )
 
+    if _durability_flags_refused(args):
+        return 2
     config = PaperWorkloadConfig(
         num_advertisers=args.advertisers, num_slots=args.slots,
         num_keywords=args.keywords, seed=args.seed)
@@ -218,10 +235,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             print("--snapshot-at and --journal are mutually "
                   "exclusive (continuous checkpoints subsume the "
                   "one-shot snapshot)", file=sys.stderr)
-            return 2
-        if args.checkpoint_every and not args.checkpoint_dir:
-            print("--checkpoint-every needs --checkpoint-dir",
-                  file=sys.stderr)
             return 2
         from repro.stream import DurableAuctionService
 
@@ -388,14 +401,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig, run_server
 
-    if args.checkpoint_every and not args.checkpoint_dir:
-        print("--checkpoint-every needs --checkpoint-dir",
-              file=sys.stderr)
-        return 2
-    if (args.checkpoint_every or args.checkpoint_dir) \
-            and not args.journal:
-        print("checkpoints need --journal (recovery replays the "
-              "journaled suffix)", file=sys.stderr)
+    if _durability_flags_refused(args):
         return 2
     # Every ServeConfig field that has a flag is that flag's dest.
     return run_server(ServeConfig(**{

@@ -9,11 +9,16 @@ and sequential-identical:
 
 * the **decision RNG** (query draws, user clicks) — consumed in the
   sequential engine's exact order;
-* winner determination's **merge + matching** over the shards' top
-  lists (method ``rh``: ``O(w·k²)`` merge + the reduced Hungarian; the
-  full-matrix methods re-assemble the bid vector instead);
-* **pricing, accounting, settlement** through the very same
-  :class:`~repro.auction.settlement.AuctionSettler` the engine uses.
+* winner determination's **merge** of the shards' top lists (methods
+  ``rh`` / ``rhtalu``: ``O(w·k²)``; the full-matrix methods
+  re-assemble the bid vector instead);
+* **matching, pricing, accounting, settlement** through the very same
+  :class:`~repro.auction.settlement.AuctionSettler` tail the
+  in-process service runs on its single local leaf
+  (:meth:`~repro.auction.settlement.AuctionSettler.settle_slot_lists`
+  / :meth:`~repro.auction.settlement.AuctionSettler.settle_subset`) —
+  ``workers=0`` is this coordinator's merge over one leaf, without the
+  pipe.
 
 Each auction is one lockstep round — task out, reply in, per worker —
 because auction *t*'s winners must fold into pacer state before
@@ -35,28 +40,19 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import time as time_module
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from repro.auction.accounts import AccountBook
 from repro.auction.batch import BatchStats
 from repro.auction.engine import EngineConfig
 from repro.auction.events import AuctionRecord
-from repro.auction.pricing import (
-    GeneralizedSecondPrice,
-    SlotListSecondPrice,
-)
 from repro.auction.settlement import AuctionSettler
-from repro.auction.user_model import UserModel
-from repro.core.winner_determination import (
-    allocation_from_matching,
-    solve_on_subset,
-)
-from repro.matching.slot_lists import match_slot_lists, merge_slot_lists
+from repro.core.winner_determination import SubsetSolver
+from repro.matching.slot_lists import merge_slot_lists
 from repro.runtime.messages import (
     SCAN_METHODS,
+    SERVED_METHODS,
     ControlNotice,
     GatherReply,
     ScanReply,
@@ -174,6 +170,10 @@ class ShardedAuctionRuntime:
                  max_worker_restarts: int = 1,
                  capture_every: int = 50,
                  metrics=None):
+        if method not in SERVED_METHODS:
+            raise ValueError(
+                f"method must be one of {SERVED_METHODS}, "
+                f"got {method!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if round_timeout is not None and round_timeout <= 0:
@@ -189,10 +189,7 @@ class ShardedAuctionRuntime:
                 f"got {max_worker_restarts}")
         self.workload = PaperWorkload(workload_config)
         self.workload_config = workload_config
-        self.click_model = self.workload.click_model()
-        self.click_matrix = np.asarray(self.click_model.as_matrix(),
-                                       dtype=float)
-        self.purchase_model = self.workload.purchase_model()
+        self.click_matrix = self.workload.click_matrix
         self.query_source = self.workload.query_source()
         self.config = EngineConfig(
             num_slots=workload_config.num_slots, method=method,
@@ -202,19 +199,17 @@ class ShardedAuctionRuntime:
         self.top_depth = self.num_slots + 1
         self.method = method
         self.maintenance = maintenance
-        self.rng = np.random.default_rng(engine_seed)
-        self.user_model = UserModel(self.click_model,
-                                    self.purchase_model)
-        self.pricing = GeneralizedSecondPrice()
-        self.accounts = AccountBook()
-        self.settler = AuctionSettler(self.user_model, self.pricing,
-                                      self.accounts, self.num_slots,
-                                      self.rng)
+        self.settler = AuctionSettler.build(
+            self.workload.click_model(), self.workload.purchase_model(),
+            self.num_slots, engine_seed)
+        self.rng = self.settler.rng
+        self.accounts = self.settler.accounts
         self._plan_shards(workers)
         self.start_method = start_method
         self.auction_id = 0
         self.last_batch_stats: BatchStats | None = None
         self._bids_buf = np.zeros(self.num_advertisers)
+        self._solver: SubsetSolver | None = None
         self._processes: list[multiprocessing.Process] | None = None
         self._conns: list = []
         self._closed = False
@@ -558,11 +553,10 @@ class ShardedAuctionRuntime:
     def _run_one(self, keyword: str) -> AuctionRecord:
         self.auction_id += 1
         now = float(self.auction_id)
-        query = Query(text=keyword, relevance={keyword: 1.0})
         replies = self._lockstep_round(keyword, now)
         if self.method in SCAN_METHODS:
-            return self._merge_scan(query, now, replies)
-        return self._merge_gather(query, now, replies)
+            return self._merge_scan(keyword, now, replies)
+        return self._merge_gather(keyword, now, replies)
 
     def _lockstep_round(self, keyword: str, now: float) -> list:
         """One auction's task-out/reply-in exchange, retry-safe.
@@ -672,14 +666,14 @@ class ShardedAuctionRuntime:
                 routed[owner].append(notice)
         return [tuple(bucket) for bucket in routed]
 
-    def _route_notify(self, query: Query, now: float):
+    def _route_notify(self, keyword: str, now: float):
         """A settle callback that routes wins to their owning shards."""
 
         def notify(advertiser: int, slot: int | None, clicked: bool,
                    purchased: bool, charge: float) -> None:
             shard = int(self._owner[advertiser])
             self._pending[shard].append(WinNotice(
-                advertiser=advertiser, keyword=query.text, time=now,
+                advertiser=advertiser, keyword=keyword, time=now,
                 clicked=clicked, charge=charge))
 
         return notify
@@ -694,69 +688,50 @@ class ShardedAuctionRuntime:
             "critical_path_work": leaf_work_max + merge_work,
         }
 
-    def _merge_scan(self, query: Query, now: float,
+    def _merge_scan(self, keyword: str, now: float,
                     replies: Sequence[ScanReply]) -> AuctionRecord:
-        """Methods ``rh`` / ``rhtalu``: merge the leaves' slot lists,
-        match and price from them — the slot-list kernel
+        """Methods ``rh`` / ``rhtalu``: merge the leaves' slot lists
+        and hand them to the shared tail — the slot-list kernel
         (:mod:`repro.matching.slot_lists`) with its scan distributed."""
         start = time_module.perf_counter()
         lists = merge_slot_lists([reply.lists for reply in replies],
                                  self.top_depth)
-        # The k+1-deep lists exist for GSP's rival scans; the matching
-        # reads the top-k prefixes (the reduction's rule).
-        matching = match_slot_lists(lists, self.num_slots)
-        allocation = allocation_from_matching(matching, self.num_slots)
-        expected = 0.0 + matching.total_weight  # zero unassigned baseline
-
         bids = self._bids_buf
         for reply in replies:
             bids[reply.lists.ids] = reply.slot_bids
-        quote_fn = partial(SlotListSecondPrice.quote_from_lists,
-                           lists.values, lists.ids, bids,
-                           self.click_matrix)
-
-        eval_seconds = max(reply.eval_seconds for reply in replies)
-        scan_seconds = max(reply.scan_seconds for reply in replies)
-        leaf_work_max = max(reply.leaf_work for reply in replies)
-        merge_work = sum(reply.lists.ids.size for reply in replies)
-        wd_seconds = (scan_seconds
-                      + time_module.perf_counter() - start)
         if self.method == "rhtalu":
             # TA's candidates: whoever made any slot's list.
             num_candidates = len(np.unique(lists.ids))
         else:
             num_candidates = int(np.count_nonzero(self._active))
-        return self.settler.settle(
-            self.auction_id, query, allocation.slot_of, matching,
-            expected, weights=None, bids=bids,
-            eval_seconds=eval_seconds, wd_seconds=wd_seconds,
+        leaf_work_max = max(reply.leaf_work for reply in replies)
+        merge_work = sum(reply.lists.ids.size for reply in replies)
+        return self.settler.settle_slot_lists(
+            self.auction_id, keyword, lists, bids, self.click_matrix,
+            eval_seconds=max(reply.eval_seconds for reply in replies),
+            wd_seconds=(max(reply.scan_seconds for reply in replies)
+                        + time_module.perf_counter() - start),
             num_candidates=num_candidates,
-            notify_fn=self._route_notify(query, now),
-            quote_fn=quote_fn,
+            notify_fn=self._route_notify(keyword, now),
             wd_stats=self._wd_stats(leaf_work_max, merge_work))
 
-    def _merge_gather(self, query: Query, now: float,
+    def _merge_gather(self, keyword: str, now: float,
                       replies: Sequence[GatherReply]) -> AuctionRecord:
         """Full-matrix methods: assemble bids, solve at the coordinator
-        on the live population, through the same helper the in-process
-        service uses (float-identity across modes)."""
+        on the live population with the membership-cached solver the
+        in-process service's leaf uses (float-identity across modes)."""
         start = time_module.perf_counter()
         bids = np.concatenate([reply.bids for reply in replies])
-        wd = solve_on_subset(self.click_matrix, bids,
-                             np.flatnonzero(self._active),
-                             method=self.method)
-        wd_seconds = time_module.perf_counter() - start
-        eval_seconds = max(reply.eval_seconds for reply in replies)
+        self._solver = SubsetSolver.for_membership(
+            self._solver, self.click_matrix, self._active, self.method)
+        wd = self._solver.solve(bids)
         leaf_work_max = max(reply.leaf_work for reply in replies)
-        coordinator_scan = wd.weights.shape[0] * self.num_slots
-        return self.settler.settle(
-            self.auction_id, query, wd.slot_of,
-            wd.matching, wd.expected_revenue, weights=wd.weights,
-            bids=wd.candidate_bids, eval_seconds=eval_seconds,
-            wd_seconds=wd_seconds,
-            num_candidates=wd.weights.shape[0],
-            notify_fn=self._route_notify(query, now),
-            id_map=wd.id_map, click_rows=wd.click_rows,
+        coordinator_scan = len(wd.id_map) * self.num_slots
+        return self.settler.settle_subset(
+            self.auction_id, keyword, wd,
+            eval_seconds=max(reply.eval_seconds for reply in replies),
+            wd_seconds=time_module.perf_counter() - start,
+            notify_fn=self._route_notify(keyword, now),
             wd_stats=self._wd_stats(leaf_work_max, coordinator_scan))
 
     # -- healing -----------------------------------------------------------

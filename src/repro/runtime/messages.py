@@ -27,6 +27,11 @@ eager leaf scan for ``rh``, a shard-sized TA walk for ``rhtalu``) and
 is answered with a :class:`ScanReply`; every other method gathers bids
 (:class:`GatherReply`)."""
 
+SERVED_METHODS = ("rh", "lp", "hungarian", "rhtalu")
+"""Every method the runtime (and so the online service) serves: the
+two scan methods plus the full-matrix solvers the coordinator runs on
+gathered bids."""
+
 
 @dataclass(frozen=True)
 class WinNotice:

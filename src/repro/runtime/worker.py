@@ -14,9 +14,9 @@ Three shard kinds implement the three coordinator protocols:
 * :class:`EagerScanShard` (method ``rh``) — vectorized pacer evaluation
   plus the shard-local per-slot top-list scan, i.e. one *leaf* of the
   paper's Section III-E tree network, as a real process;
-* :class:`GatherShard` (``lp``/``hungarian``/``separable``/``brute``) —
-  pacer evaluation only; the full bid vector is assembled and solved at
-  the coordinator (those solvers need the whole matrix);
+* :class:`GatherShard` (``lp`` / ``hungarian``) — pacer evaluation
+  only; the full bid vector is assembled and solved at the coordinator
+  (those solvers need the whole matrix);
 * :class:`RhtaluShard` (method ``rhtalu``) — a shard-sized
   :class:`~repro.evaluation.evaluator.RhtaluEvaluator` whose TA scan
   runs over the shard's rows of the click matrix.

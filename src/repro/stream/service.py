@@ -22,10 +22,17 @@ population *while queries flow*, by one of two maintenance strategies:
     ``BENCH_stream.json`` shows what that per-event O(n log n) costs
     under churn.
 
-The service runs in-process (``workers=0``, the vectorized PR-2
-kernels) or on the PR-3 multi-process sharded runtime (``workers>=1``,
-control events routed to owning shards through
-:class:`~repro.runtime.executor.ShardedAuctionRuntime`); both modes
+The service runs in-process (``workers=0``) or on the multi-process
+sharded runtime (``workers>=1``, control events routed to owning shards
+through :class:`~repro.runtime.executor.ShardedAuctionRuntime`).  Both
+are one auction body: leaf state scans into per-slot top lists — the
+classes the shard workers run, :class:`~repro.auction.batch
+.ShardEvalState` for eager rows and :class:`~repro.evaluation.evaluator
+.RhtaluEvaluator` for lazy ones — and one tail
+(:meth:`~repro.auction.settlement.AuctionSettler.settle_slot_lists`)
+matches, prices and settles from them.  In-process is that body over
+**one local leaf**: no pipe, no task or reply objects; the coordinator
+merges many leaves' lists first and calls the same tail, so both modes
 produce identical records from identical streams.  Identity hinges on
 one rule: **winner determination only ever sees the surviving
 population** (departed rows are excluded from the candidate space, not
@@ -54,24 +61,16 @@ from __future__ import annotations
 import logging
 import math
 import time as time_module
-from functools import partial
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from repro.auction.accounts import AccountBook
-from repro.auction.batch import PacerArrays
-from repro.auction.engine import AuctionEngine, EngineConfig
+from repro.auction.batch import ShardEvalState
 from repro.auction.events import AuctionRecord
-from repro.auction.pricing import (
-    GeneralizedSecondPrice,
-    SlotListSecondPrice,
-)
 from repro.auction.settlement import AuctionSettler
-from repro.auction.user_model import UserModel
 from repro.bench.stream_stats import EventTimings
-from repro.core.winner_determination import SubsetSolver
 from repro.evaluation.evaluator import RhtaluEvaluator
 from repro.evaluation.pacer_arrays import LazyPacerArrays
 from repro.obs import (
@@ -81,7 +80,7 @@ from repro.obs import (
     SpanTracer,
 )
 from repro.runtime.executor import ShardedAuctionRuntime
-from repro.runtime.messages import ControlNotice
+from repro.runtime.messages import SERVED_METHODS, ControlNotice
 from repro.stream.batching import BatchingConfig, MicroBatcher
 from repro.stream.budget import BudgetRegistry
 from repro.stream.crash import crash_hook
@@ -104,21 +103,31 @@ from repro.stream.snapshot import (
     merge_captures,
     restore_accounts,
 )
-from repro.strategies.base import Query
 from repro.workloads.paper_workload import (
     PaperWorkload,
     PaperWorkloadConfig,
 )
 
-SERVICE_METHODS = ("rh", "lp", "hungarian", "rhtalu")
+SERVICE_METHODS = SERVED_METHODS
 MAINTENANCE_MODES = ("incremental", "rebuild")
 
 _LOG = logging.getLogger(__name__)
 
 
 class _Backend:
-    """What the three serving backends share: nothing window-scoped,
-    nothing to rebuild, no worker fleet to report on or shut down."""
+    """What the three serving backends share: the settlement stack is
+    read off :attr:`settler`; nothing window-scoped, nothing to
+    rebuild, no worker fleet to report on or shut down."""
+
+    settler: AuctionSettler
+
+    @property
+    def accounts(self) -> AccountBook:
+        return self.settler.accounts
+
+    @property
+    def rng(self) -> np.random.Generator:
+        return self.settler.rng
 
     def begin_window(self, size: int) -> None:
         pass
@@ -139,45 +148,20 @@ class _Backend:
         pass
 
 
-class _AdapterBackend(_Backend):
-    """A backend whose settlement stack lives in the object it adapts
-    (``_core``: the auction engine or the sharded runtime)."""
-
-    @property
-    def accounts(self) -> AccountBook:
-        return self._core.accounts
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._core.rng
-
-    @property
-    def settler(self) -> AuctionSettler:
-        return self._core.settler
-
-    @property
-    def auction_id(self) -> int:
-        return self._core.auction_id
-
-    @auction_id.setter
-    def auction_id(self, value: int) -> None:
-        self._core.auction_id = value
-
-
 class _EagerBackend(_Backend):
-    """Workers=0 serving for the eager methods (rh / lp / hungarian).
+    """Workers=0 serving for the eager methods (rh / lp / hungarian):
+    one local leaf, no pipe.
 
-    Owns a universe-sized :class:`~repro.auction.batch.PacerArrays`
-    (rows grow and retire under churn) plus the engine-identical
-    settlement stack.  Every auction evaluates the whole live
-    population with the PR-1/PR-2 masked kernels, then solves winner
-    determination on the *active row subset* and settles through the
-    shared :class:`~repro.auction.settlement.AuctionSettler` with an
-    id map — the same candidate-local pattern the RHTALU and sharded
-    paths use.  The subset solver is keyed on membership, so its
-    buffers serve every query — batched or not — until a join, leave,
-    pause or resume moves the active set; method ``rh`` prices from
-    the solver's slot lists, as the sharded coordinator does.
+    Owns the leaf state a scan or gather shard owns — a universe-wide
+    :class:`~repro.auction.batch.ShardEvalState` (rows grow and retire
+    under churn) — and a settler.  Method ``rh`` scans the leaf into
+    slot lists and hands them to the shared tail
+    (:meth:`~repro.auction.settlement.AuctionSettler
+    .settle_slot_lists`), exactly what the sharded coordinator does
+    with its merged lists; ``lp`` / ``hungarian`` solve on the leaf's
+    membership-cached subset solver and settle through
+    :meth:`~repro.auction.settlement.AuctionSettler.settle_subset`,
+    as the coordinator's gather path does.
     """
 
     def __init__(self, workload: PaperWorkload, method: str,
@@ -185,120 +169,113 @@ class _EagerBackend(_Backend):
         config = workload.config
         self.method = method
         self.step = config.step
-        self.click_matrix = workload.click_matrix
-        self.arrays = PacerArrays.for_universe(
-            config.num_advertisers, workload.keywords, restore_capture)
-        click_model = workload.click_model()
-        self.user_model = UserModel(click_model,
-                                    workload.purchase_model())
-        self.pricing = GeneralizedSecondPrice()
-        self.accounts = AccountBook()
-        self.rng = np.random.default_rng(engine_seed)
-        self.settler = AuctionSettler(self.user_model, self.pricing,
-                                      self.accounts, config.num_slots,
-                                      self.rng)
-        self.num_slots = config.num_slots
+        self.state = ShardEvalState(
+            workload.click_matrix, config.num_slots + 1,
+            workload.keywords, capture=restore_capture)
+        self.settler = AuctionSettler.build(
+            workload.click_model(), workload.purchase_model(),
+            config.num_slots, engine_seed)
         self.auction_id = 0
-        self._bid_out = np.zeros(config.num_advertisers)
-        self._solver: SubsetSolver | None = None
 
     def run_query(self, keyword: str) -> AuctionRecord:
         self.auction_id += 1
         now = float(self.auction_id)
-        query = Query(text=keyword, relevance={keyword: 1.0})
+        state = self.state
         start = time_module.perf_counter()
-        bids = self.arrays.evaluate(keyword, now, out=self._bid_out)
+        bids = state.evaluate(keyword, now)
         eval_seconds = time_module.perf_counter() - start
-
-        start = time_module.perf_counter()
-        self._solver = SubsetSolver.for_membership(
-            self._solver, self.click_matrix, self.arrays.present,
-            self.method)
-        wd = self._solver.solve(bids)
-        wd_seconds = time_module.perf_counter() - start
 
         def notify(advertiser: int, slot: int | None, clicked: bool,
                    purchased: bool, charge: float) -> None:
-            self.arrays.fold_notification(advertiser, keyword,
-                                          clicked, charge)
+            state.fold_win(advertiser, keyword, clicked, charge)
 
-        quote_fn = None
-        if wd.slot_lists is not None:
-            quote_fn = partial(SlotListSecondPrice.quote_from_lists,
-                               wd.slot_lists.values, wd.slot_lists.ids,
-                               wd.candidate_bids, wd.click_rows)
-        return self.settler.settle(
-            self.auction_id, query, wd.slot_of, wd.matching,
-            wd.expected_revenue, weights=wd.weights,
-            bids=wd.candidate_bids, eval_seconds=eval_seconds,
-            wd_seconds=wd_seconds, num_candidates=len(wd.id_map),
-            notify_fn=notify, id_map=wd.id_map,
-            click_rows=wd.click_rows, quote_fn=quote_fn)
+        start = time_module.perf_counter()
+        if self.method == "rh":
+            lists = state.scan()
+            return self.settler.settle_slot_lists(
+                self.auction_id, keyword, lists, bids, state.click_rows,
+                eval_seconds=eval_seconds,
+                wd_seconds=time_module.perf_counter() - start,
+                num_candidates=int(
+                    np.count_nonzero(state.arrays.present)),
+                notify_fn=notify)
+        wd = state.solver(self.method).solve(bids)
+        return self.settler.settle_subset(
+            self.auction_id, keyword, wd, eval_seconds=eval_seconds,
+            wd_seconds=time_module.perf_counter() - start,
+            notify_fn=notify)
 
     def apply_control(self, notice: ControlNotice) -> None:
-        self.arrays.apply_control(notice, self.step)
+        self.state.arrays.apply_control(notice, self.step)
 
     def rebuild(self) -> None:
-        self.arrays = PacerArrays.from_capture(self.arrays.capture())
+        self.state.rebuild()
 
     def capture_state(self) -> dict:
-        return self.arrays.capture()
+        return self.state.arrays.capture()
 
 
-class _RhtaluBackend(_AdapterBackend):
-    """Workers=0 RHTALU serving: the engine's lazy path, churn-aware.
+class _RhtaluBackend(_Backend):
+    """Workers=0 RHTALU serving: one local lazy leaf, no pipe.
 
-    The whole RHTALU pipeline is already candidate-local (delta-list
-    members in, id-mapped settlement out), so the plain
-    :class:`~repro.auction.engine.AuctionEngine` serves unchanged; the
-    backend feeds it stream queries and forwards churn to the
-    evaluator's control ladder.
+    Owns what an RHTALU shard owns — a universe-wide
+    :class:`~repro.evaluation.evaluator.RhtaluEvaluator` — and a
+    settler: the evaluator's TA scan yields the slot lists, the shared
+    tail matches, prices and settles from them.
     """
 
     def __init__(self, workload: PaperWorkload, engine_seed: int,
                  restore_capture: dict | None = None):
         config = workload.config
-        evaluator = RhtaluEvaluator(
+        self.evaluator = RhtaluEvaluator(
             workload.click_matrix,
             LazyPacerArrays.for_universe(
                 config.num_advertisers, workload.keywords, config.step,
                 capture=restore_capture))
-        self._keyword: str | None = None
-
-        def feeder(rng: np.random.Generator) -> Query:
-            assert self._keyword is not None
-            return Query(text=self._keyword,
-                         relevance={self._keyword: 1.0})
-
-        self._core = self.engine = AuctionEngine(
-            click_model=workload.click_model(),
-            purchase_model=workload.purchase_model(),
-            query_source=feeder,
-            config=EngineConfig(num_slots=config.num_slots,
-                                method="rhtalu", seed=engine_seed),
-            rhtalu=evaluator)
+        self.settler = AuctionSettler.build(
+            workload.click_model(), workload.purchase_model(),
+            config.num_slots, engine_seed)
+        self.auction_id = 0
+        self._bids = np.zeros(config.num_advertisers)
 
     def run_query(self, keyword: str) -> AuctionRecord:
-        self._keyword = keyword
-        return self.engine.run_auction()
+        self.auction_id += 1
+        now = float(self.auction_id)
+        evaluator = self.evaluator
+        start = time_module.perf_counter()
+        scan = evaluator.scan_auction(keyword, now)
+        # The tail reads bids by advertiser id; only the candidates'
+        # entries are ever read, so stale ones elsewhere are harmless.
+        self._bids[scan.candidates] = scan.candidate_bids
+
+        def notify(advertiser: int, slot: int | None, clicked: bool,
+                   purchased: bool, charge: float) -> None:
+            evaluator.record_win(advertiser, charge, now)
+
+        return self.settler.settle_slot_lists(
+            self.auction_id, keyword, scan.slot_lists, self._bids,
+            evaluator.click_matrix, eval_seconds=0.0,
+            wd_seconds=time_module.perf_counter() - start,
+            num_candidates=len(scan.candidates), notify_fn=notify)
 
     def apply_control(self, notice: ControlNotice) -> None:
-        self.engine.rhtalu.apply_control(notice)
+        self.evaluator.apply_control(notice)
 
     def rebuild(self) -> None:
-        self.engine.rhtalu = self.engine.rhtalu.rebuilt()
+        self.evaluator = self.evaluator.rebuilt()
 
     def capture_state(self) -> dict:
-        return self.engine.rhtalu.state.capture()
+        return self.evaluator.state.capture()
 
 
-class _ShardedBackend(_AdapterBackend):
+class _ShardedBackend(_Backend):
     """Workers>=1 serving on the multi-process runtime.
 
-    Thin adapter: queries go to the coordinator's lockstep round,
-    control notices are routed to the owning shard (applied there,
-    incremental or rebuild per the maintenance flag shipped at
-    spawn), snapshots pull and merge per-shard captures.
+    Thin adapter: queries go to the coordinator's lockstep round —
+    the same tail, over the merge of many leaves — control notices
+    are routed to the owning shard (applied there, incremental or
+    rebuild per the maintenance flag shipped at spawn), snapshots
+    pull and merge per-shard captures.
     """
 
     def __init__(self, workload: PaperWorkload, workers: int,
@@ -307,9 +284,18 @@ class _ShardedBackend(_AdapterBackend):
         # The service's population comes from its event log (or its
         # snapshot), never from the workload recipe: the runtime starts
         # from a capture, an empty one at genesis.
-        self._core = self.runtime = ShardedAuctionRuntime(
+        self.runtime = ShardedAuctionRuntime(
             workload.config, workers=workers,
             restore_capture=restore_capture or {}, **runtime_options)
+        self.settler = self.runtime.settler
+
+    @property
+    def auction_id(self) -> int:
+        return self.runtime.auction_id
+
+    @auction_id.setter
+    def auction_id(self, value: int) -> None:
+        self.runtime.auction_id = value
 
     def begin_window(self, size: int) -> None:
         self.runtime.begin_query_window()
@@ -643,9 +629,8 @@ class OnlineAuctionService:
         lifecycle individually and in order (an exhaustion pause
         lands *before the next query*, exactly as in :meth:`process`);
         what amortizes across the window is per-dispatch overhead —
-        the backends hook :meth:`begin_window`/:meth:`end_window` to
-        reuse membership-scoped solver state, the sharded runtime's
-        capture-refresh check, or the RHTALU planner.  ``after_each``
+        the sharded backend hooks ``begin_window`` / ``end_window``
+        to run its capture-refresh check once.  ``after_each``
         (the durable wrapper's journaling callback) fires after each
         event is applied and counted.  The window's wall time is
         amortized per event in :class:`~repro.bench.stream_stats

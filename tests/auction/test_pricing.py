@@ -9,8 +9,14 @@ from repro.auction.pricing import (
     SlotListSecondPrice,
     VickreyPricing,
 )
+from repro.auction.settlement import AuctionSettler
 from repro.matching.hungarian import max_weight_matching
 from repro.matching.reduction import top_k_for_slot
+from repro.matching.slot_lists import select_slot_lists
+from repro.matching.types import MatchingResult
+from repro.probability.click_models import TabularClickModel
+from repro.probability.purchase_models import no_purchases
+from repro.strategies.base import Query
 
 
 def _setup(bids, click_probs):
@@ -82,6 +88,30 @@ class TestSlotListGsp:
         listed = SlotListSecondPrice.quote_from_lists(
             values, ids, bids, probs, matching)
         assert listed == full  # dataclass equality: exact floats
+        self.assert_tail_prices_equal(weights, bids, probs)
+
+    def assert_tail_prices_equal(self, weights, bids, probs):
+        """The served tail matches and prices from lists cut at depth
+        k + 1 alone; its charges must be the full-matrix rule's quotes
+        for its own matching (a user who always clicks turns every
+        quote into a charge)."""
+        n, k = weights.shape
+        settler = AuctionSettler.build(
+            TabularClickModel(np.ones((n, k))), no_purchases(n, k), k,
+            seed=0)
+        record = settler.settle_slot_lists(
+            1, Query(text="kw"), select_slot_lists(weights.T, k + 1),
+            bids, probs, eval_seconds=0.0, wd_seconds=0.0,
+            num_candidates=n, notify_fn=lambda *win: None)
+        matching = MatchingResult(
+            pairs=tuple(sorted(
+                (advertiser, slot - 1) for advertiser, slot
+                in record.allocation.slot_of.items())),
+            total_weight=record.expected_revenue)
+        full = GeneralizedSecondPrice().quote(weights, bids, probs,
+                                              matching)
+        assert record.prices == {quote.advertiser: quote.per_click
+                                 for quote in full}
 
     def test_matches_on_random_instances(self, rng):
         for _ in range(50):

@@ -376,6 +376,21 @@ class TestDurableStream:
         assert code == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ARGS, ["serve", "--port", "0", "--advertisers", "30",
+               "--slots", "3", "--keywords", "2"]],
+        ids=["stream", "serve"])
+    def test_checkpoint_flags_need_a_journal(self, command, capsys,
+                                             tmp_path):
+        """`stream` used to exit 0 and write nothing here; both
+        commands refuse with the same words and exit code."""
+        checkpoints = tmp_path / "checkpoints"
+        code = main(command + ["--checkpoint-every", "5",
+                               "--checkpoint-dir", str(checkpoints)])
+        assert code == 2
+        assert "checkpoints need --journal" in capsys.readouterr().err
+        assert not checkpoints.exists()
+
     def test_recover_reports_failure_cleanly(self, capsys,
                                              tmp_path):
         code = main(["recover", "--journal",
