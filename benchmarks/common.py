@@ -2,15 +2,14 @@
 
 Everything uses the Section V paper workload (15 slots, 10 keywords, ROI
 pacing bidders) at parameterised advertiser counts.  Engines are built
-fresh per benchmark so state evolution inside one measurement reflects a
-real auction sequence, while measurements across methods start from
+fresh per measurement so state evolution inside one measurement reflects
+a real auction sequence, while measurements across methods start from
 identical seeds.
 """
 
 from __future__ import annotations
 
 from repro.auction import AuctionEngine
-from repro.bench import profile_from_records
 from repro.workloads import PaperWorkload, PaperWorkloadConfig
 
 WORKLOAD_SEED = 1
@@ -30,24 +29,3 @@ def build_engine(method: str, num_advertisers: int,
                  num_keywords: int = 10) -> AuctionEngine:
     workload = build_workload(num_advertisers, num_slots, num_keywords)
     return workload.build_engine(method, engine_seed=ENGINE_SEED)
-
-
-def bench_with_profile(benchmark, engine: AuctionEngine, rounds: int,
-                       label: str) -> None:
-    """Run a pytest-benchmark over evolving auctions, with phase info.
-
-    Warms the engine, measures ``rounds`` single auctions, and attaches
-    the per-phase means (plus the standard identifying fields) to
-    ``benchmark.extra_info`` — shared by the figure benchmark modules.
-    """
-    engine.run(2)  # warm caches and the first trigger wave
-    records = []
-    benchmark.pedantic(lambda: records.append(engine.run_auction()),
-                       rounds=rounds, iterations=1)
-    profile = profile_from_records(
-        label, str(engine.config.method), records,
-        wall_seconds=sum(r.pipeline_seconds for r in records))
-    benchmark.extra_info["num_advertisers"] = \
-        engine.click_model.num_advertisers
-    benchmark.extra_info["method"] = str(engine.config.method)
-    benchmark.extra_info["phase_ms_per_auction"] = profile.phase_ms()

@@ -1,37 +1,21 @@
-"""Benchmark harness utilities: timing, profiling, series, reporting."""
+"""Benchmark utilities: per-phase profiles, record identity, event timings."""
 
 from repro.bench.profiles import (
     PHASES,
     PhaseProfile,
-    ThroughputReport,
     aggregate_wd_stats,
-    compare_throughput,
     profile_from_records,
     profile_run,
     records_identical,
-    write_report_artifacts,
 )
-from repro.bench.reporting import SpeedupReport, ordering_holds, speedup
-from repro.bench.series import FigureSeries
 from repro.bench.stream_stats import EventTimings
-from repro.bench.timing import TimingResult, time_auction_run, time_callable
 
 __all__ = [
     "EventTimings",
-    "FigureSeries",
     "PHASES",
     "PhaseProfile",
-    "SpeedupReport",
-    "ThroughputReport",
-    "TimingResult",
     "aggregate_wd_stats",
-    "compare_throughput",
-    "ordering_holds",
     "profile_from_records",
     "profile_run",
     "records_identical",
-    "speedup",
-    "time_auction_run",
-    "time_callable",
-    "write_report_artifacts",
 ]

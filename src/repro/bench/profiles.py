@@ -1,22 +1,18 @@
-"""Per-phase profiling of auction runs, with JSON artifacts.
+"""Per-phase profiling of auction runs.
 
 The engine stamps every :class:`~repro.auction.events.AuctionRecord`
 with the wall-clock cost of the four pipeline phases — program
 **eval**uation, **wd** (winner determination), **price** quoting, and
 **settle**ment (user simulation, accounting, notification).  This module
-aggregates those stamps over a run into a :class:`PhaseProfile`, writes
-profiles as JSON artifacts the benchmark harness and CI can archive, and
-drives the sequential-vs-batched throughput comparison
-(:func:`compare_throughput`) behind ``benchmarks/bench_batch_throughput
-.py`` and the ``repro bench-throughput`` CLI command.
+aggregates those stamps over a run into a :class:`PhaseProfile`: the
+throughput and per-phase split the offline benchmark cells
+(``benchmarks/offline.py``) report, Figures 12 and 13 included.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.auction.events import AuctionRecord
@@ -84,37 +80,6 @@ class PhaseProfile:
             "settle": self.settle_seconds * scale,
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "method": self.method,
-            "auctions": self.auctions,
-            "batched": self.batched,
-            "groups": self.groups,
-            "wall_seconds": self.wall_seconds,
-            "auctions_per_second": self.auctions_per_second,
-            "pipeline_seconds": self.pipeline_seconds,
-            "pipeline_auctions_per_second":
-                self.pipeline_auctions_per_second,
-            "phase_seconds": {
-                "eval": self.eval_seconds,
-                "wd": self.wd_seconds,
-                "price": self.price_seconds,
-                "settle": self.settle_seconds,
-            },
-            "phase_ms_per_auction": self.phase_ms(),
-            **self.extra,
-        }
-
-    def write(self, path: str | Path) -> Path:
-        """Write the profile as a JSON artifact; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2,
-                                   sort_keys=True) + "\n",
-                        encoding="utf-8")
-        return path
-
 
 def aggregate_wd_stats(records: Sequence[AuctionRecord]
                        ) -> dict | None:
@@ -152,7 +117,7 @@ def profile_from_records(label: str, method: str,
 
     Parallel winner-determination accounting, when the records carry
     it, lands in ``extra["parallel_wd"]`` (see
-    :func:`aggregate_wd_stats`) and flows into the JSON artifacts.
+    :func:`aggregate_wd_stats`).
     """
     parallel_wd = aggregate_wd_stats(records)
     if parallel_wd is not None:
@@ -221,105 +186,3 @@ def records_identical(left: Sequence[AuctionRecord],
         and a.realized_revenue == b.realized_revenue
         and a.prices == b.prices
         for a, b in zip(left, right))
-
-
-@dataclass(frozen=True)
-class ThroughputReport:
-    """Sequential vs batched throughput on identical auction streams."""
-
-    sequential: PhaseProfile
-    batched: PhaseProfile
-    identical: bool
-
-    @property
-    def speedup(self) -> float:
-        if self.sequential.wall_seconds <= 0.0:
-            return 0.0
-        return (self.sequential.wall_seconds
-                / max(self.batched.wall_seconds, 1e-12))
-
-    def to_dict(self) -> dict:
-        return {
-            "identical": self.identical,
-            "speedup": self.speedup,
-            "sequential": self.sequential.to_dict(),
-            "batched": self.batched.to_dict(),
-        }
-
-    def to_lines(self) -> list[str]:
-        lines = []
-        for profile in (self.sequential, self.batched):
-            phases = profile.phase_ms()
-            phase_text = "  ".join(
-                f"{phase}={phases[phase]:.3f}ms" for phase in PHASES)
-            parallel = ""
-            if "parallel_wd" in profile.extra:
-                # Sharded run: phase stamps are critical-path times, so
-                # also report the modeled parallel throughput (what
-                # wall-clock becomes with enough free cores).
-                parallel = (" critical-path "
-                            f"{profile.pipeline_auctions_per_second:.1f}"
-                            "/s")
-            lines.append(
-                f"{profile.label:>10s}: {profile.auctions_per_second:8.1f} "
-                f"auctions/s over {profile.auctions} auctions  "
-                f"[{phase_text}]{parallel}")
-        lines.append(
-            f"   speedup: {self.speedup:.2f}x  "
-            f"(results identical: {self.identical})")
-        return lines
-
-
-def write_report_artifacts(report: "ThroughputReport",
-                           directory: str | Path,
-                           stem: str) -> list[Path]:
-    """Write a throughput report's JSON artifacts under ``directory``.
-
-    One profile file per pipeline plus a ``<stem>_throughput.json``
-    summary — the shared artifact layout of
-    ``benchmarks/bench_batch_throughput.py`` and the
-    ``repro bench-throughput`` CLI command.
-    """
-    directory = Path(directory)
-    paths = [report.sequential.write(
-                 directory / f"{stem}_{report.sequential.label}.json"),
-             report.batched.write(
-                 directory / f"{stem}_{report.batched.label}.json")]
-    summary = directory / f"{stem}_throughput.json"
-    summary.write_text(json.dumps(report.to_dict(), indent=2,
-                                  sort_keys=True) + "\n",
-                       encoding="utf-8")
-    paths.append(summary)
-    return paths
-
-
-def compare_throughput(sequential_engine: "AuctionEngine",
-                       batched_engine: "AuctionEngine",
-                       auctions: int, warmup: int = 2,
-                       labels: tuple[str, str] | None = None,
-                       **extra) -> ThroughputReport:
-    """Measure both pipelines on the same auction stream.
-
-    Both engines must be freshly built from identical seeds.  Warmup
-    auctions run through each engine's respective path (keeping the two
-    in lockstep) before the measured segment; the report carries the
-    measured profiles plus an exact-equivalence verdict.
-
-    ``batched_engine`` may be any engine-shaped runner — the CLI passes
-    a :class:`~repro.runtime.executor.ShardedAuctionRuntime` for
-    ``--workers`` comparisons, with ``labels`` naming the two sides.
-    """
-    if warmup:
-        sequential_engine.run(warmup)
-        batched_engine.run_batch(warmup)
-    seq_label, batch_label = labels or ("sequential", "batched")
-    seq_records, seq_profile = profile_run(
-        sequential_engine, auctions, batch=False, label=seq_label,
-        **extra)
-    batch_records, batch_profile = profile_run(
-        batched_engine, auctions, batch=True, label=batch_label,
-        **extra)
-    return ThroughputReport(
-        sequential=seq_profile,
-        batched=batch_profile,
-        identical=records_identical(seq_records, batch_records))

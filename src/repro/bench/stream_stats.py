@@ -5,8 +5,8 @@ into eval/wd/price/settle; a streaming service additionally spends
 time on control events — joins, leaves, bid edits, top-ups — whose
 cost is exactly what the incremental-vs-rebuild maintenance comparison
 measures.  :class:`EventTimings` folds one wall-clock stamp per
-processed event into per-kind counts and totals, and renders the JSON
-cell ``benchmarks/bench_stream_churn.py`` commits.
+processed event into per-kind counts and totals — the per-kind
+timings the ``stream-churn`` cell of ``benchmarks/offline.py`` records.
 """
 
 from __future__ import annotations

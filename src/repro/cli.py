@@ -8,12 +8,6 @@ Commands
 ``validate``
     Self-check: solve random instances with every exact method and
     verify they agree (the Theorem 2 equivalence, as a smoke test).
-``bench-throughput``
-    Compare the sequential and batched pipelines on the Section V
-    workload: auctions/sec, per-phase split, exact-equivalence verdict,
-    optional per-phase JSON profile artifacts.  With ``--churn-rate``
-    the comparison becomes streaming: two online services (incremental
-    vs rebuild-per-event maintenance) consume the same churn stream.
 ``stream``
     Run the online serving layer: a deterministic event stream with
     live advertiser churn and budget-lifecycle enforcement through
@@ -470,114 +464,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 1 if summary["errors"] else 0
 
 
-def _cmd_bench_throughput(args: argparse.Namespace) -> int:
-    from repro.bench import compare_throughput, write_report_artifacts
-    from repro.workloads import PaperWorkload, PaperWorkloadConfig
-
-    config = PaperWorkloadConfig(
-        num_advertisers=args.advertisers, num_slots=args.slots,
-        num_keywords=args.keywords, seed=args.seed)
-
-    if args.churn_rate:
-        return _bench_churn(args, config)
-
-    def fresh_engine():
-        return PaperWorkload(config).build_engine(
-            args.method, engine_seed=args.seed + 1)
-
-    if args.workers:
-        from repro.runtime import ShardedAuctionRuntime
-
-        with ShardedAuctionRuntime(
-                config, method=args.method, workers=args.workers,
-                engine_seed=args.seed + 1) as runtime:
-            # Worker count reaches the sharded profile through its
-            # parallel_wd accounting (num_leaves); stamping it as a
-            # shared extra would mislabel the sequential profile too.
-            report = compare_throughput(
-                fresh_engine(), runtime, args.auctions,
-                labels=("sequential", f"sharded-{args.workers}w"),
-                num_advertisers=args.advertisers, num_slots=args.slots,
-                num_keywords=args.keywords)
-    else:
-        report = compare_throughput(fresh_engine(), fresh_engine(),
-                                    args.auctions,
-                                    num_advertisers=args.advertisers,
-                                    num_slots=args.slots,
-                                    num_keywords=args.keywords)
-    print(f"bench-throughput: method={args.method} "
-          f"n={args.advertisers} k={args.slots} "
-          f"keywords={args.keywords} auctions={args.auctions}"
-          + (f" workers={args.workers}" if args.workers else ""))
-    for line in report.to_lines():
-        print(line)
-
-    if args.profile_dir is not None:
-        write_report_artifacts(report, args.profile_dir,
-                               stem=f"{args.method}_n{args.advertisers}")
-        print(f"profiles written to {args.profile_dir}/")
-
-    if not report.identical:
-        print("error: batched results differ from sequential",
-              file=sys.stderr)
-        return 1
-    if args.min_speedup and report.speedup < args.min_speedup:
-        print(f"error: speedup {report.speedup:.2f}x below "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _bench_churn(args: argparse.Namespace, config) -> int:
-    """Streaming throughput: incremental vs rebuild-per-event."""
-    import time as time_module
-
-    from repro.bench import records_identical
-    from repro.stream import OnlineAuctionService
-    from repro.workloads import (
-        ChurnStreamConfig,
-        PaperWorkload,
-        generate_stream,
-    )
-
-    workload = PaperWorkload(config)
-    stream = generate_stream(workload, ChurnStreamConfig(
-        num_events=args.auctions, churn_rate=args.churn_rate,
-        genesis=max(args.advertisers // 2, 1),
-        min_active=args.slots + 1, seed=args.seed + 17))
-    results = {}
-    for maintenance in ("incremental", "rebuild"):
-        with OnlineAuctionService(
-                config, method=args.method, maintenance=maintenance,
-                workers=args.workers,
-                engine_seed=args.seed + 1) as service:
-            start = time_module.perf_counter()
-            records = service.run(stream)
-            wall = time_module.perf_counter() - start
-            results[maintenance] = (records, wall,
-                                    service.stats.to_dict())
-        rate = len(records) / wall if wall > 0 else 0.0
-        control_ms = 1e3 * results[maintenance][2]["control_seconds"]
-        print(f"{maintenance:>12s}: {rate:8.1f} auctions/s "
-              f"({len(records)} auctions, "
-              f"control events cost {control_ms:.1f} ms total)")
-    identical = records_identical(results["incremental"][0],
-                                  results["rebuild"][0])
-    speedup = (results["rebuild"][1]
-               / max(results["incremental"][1], 1e-12))
-    print(f"   incremental vs rebuild speedup: {speedup:.2f}x  "
-          f"(results identical: {identical})")
-    if not identical:
-        print("error: incremental maintenance diverged from "
-              "rebuild-per-event", file=sys.stderr)
-        return 1
-    if args.min_speedup and speedup < args.min_speedup:
-        print(f"error: speedup {speedup:.2f}x below "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_sql(args: argparse.Namespace) -> int:
     from repro.sqlmini import Database, SelectResult, SqlError
 
@@ -696,31 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="shard the population over this many "
                                "worker processes (0 = in-process)")
     simulate.set_defaults(func=_cmd_simulate)
-
-    bench = commands.add_parser(
-        "bench-throughput",
-        help="sequential vs batched pipeline throughput")
-    bench.add_argument("--advertisers", type=int, default=500)
-    bench.add_argument("--auctions", type=int, default=100)
-    bench.add_argument("--slots", type=int, default=15)
-    bench.add_argument("--keywords", type=int, default=10)
-    bench.add_argument("--method", default="rh",
-                       choices=["lp", "hungarian", "rh", "rhtalu"])
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--workers", type=int, default=0,
-                       help="compare against the sharded runtime with "
-                            "this many worker processes (0 = batched "
-                            "in-process pipeline)")
-    bench.add_argument("--min-speedup", type=float, default=0.0,
-                       help="fail below this speedup (0 = report only)")
-    bench.add_argument("--profile-dir", default=None,
-                       help="write per-phase JSON profiles here")
-    bench.add_argument("--churn-rate", type=float, default=0.0,
-                       help="stream this fraction of control events "
-                            "through two online services (incremental "
-                            "vs rebuild-per-event maintenance) instead "
-                            "of the batch comparison")
-    bench.set_defaults(func=_cmd_bench_throughput)
 
     stream = commands.add_parser(
         "stream",

@@ -29,8 +29,9 @@ perturbing**.  This package is the layer that makes that possible:
 Everything is **zero-cost when disabled**: the service holds ``None``
 instead of a recorder and every call site is guarded, so a run without
 ``--metrics-out``/``--trace-spans`` executes the exact pre-existing
-code path.  ``benchmarks/bench_obs.py`` pins the enabled-vs-disabled
-overhead and re-proves bit-identity with observability on.
+code path.  The ``obs`` cell of ``benchmarks/offline.py`` bounds the
+enabled-vs-disabled overhead and re-proves bit-identity with
+observability on.
 """
 
 from repro.obs.config import ObservabilityConfig

@@ -26,8 +26,8 @@ Layers
   dead or hung shard in place.
 
 See ``docs/runtime.md`` for the design and the bit-identity argument,
-and ``benchmarks/bench_shard_scaling.py`` for the worker-sweep
-acceptance benchmark (``BENCH_shards.json``).
+and the ``shards`` cell of ``benchmarks/offline.py`` for the
+worker-sweep acceptance benchmark (committed in ``BENCH_offline.json``).
 """
 
 from repro.runtime.executor import ShardedAuctionRuntime

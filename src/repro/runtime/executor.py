@@ -92,7 +92,8 @@ class ShardedAuctionRuntime:
     online service's substrate when fed events.
 
     Offline it is a drop-in for :class:`~repro.auction.engine
-    .AuctionEngine` where the benchmarks and CLI need it: the workers
+    .AuctionEngine` where the ``shards`` benchmark cell and ``repro
+    simulate --workers`` need it: the workers
     bulk-join the fixed Section V population, ``run_batch(count)`` /
     ``run(count)`` draw each query from the decision RNG and return
     :class:`~repro.auction.events.AuctionRecord` lists, ``accounts``

@@ -48,9 +48,9 @@ is the operator entry point (see the crash-recovery runbook in
 ``docs/operations.md``).
 
 Deterministic churn workloads are generated by
-:mod:`repro.workloads.churn`; the acceptance benchmark is
-``benchmarks/bench_stream_churn.py`` (committed as
-``BENCH_stream.json``).  See ``docs/streaming.md`` for the design and
+:mod:`repro.workloads.churn`; the acceptance benchmark is the
+``stream-churn`` cell of ``benchmarks/offline.py`` (committed in
+``BENCH_offline.json``).  See ``docs/streaming.md`` for the design and
 the bit-identity (incremental == rebuild == sharded == restored)
 argument.
 """

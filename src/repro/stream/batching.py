@@ -3,8 +3,8 @@
 The one-event-at-a-time loop of :class:`~repro.stream.service
 .OnlineAuctionService` pays full per-query dispatch cost — subset
 extraction, weight-buffer allocation, planner lookups — on every
-arrival, which is the throughput gap ``BENCH_stream.json`` documents
-against the batched offline kernels.  This module closes it without
+arrival, which is the throughput gap between the ``stream-churn`` and
+``batch`` cells of ``BENCH_offline.json``.  This module closes it without
 changing anything observable:
 
 * :class:`MicroBatcher` pulls admitted events into a bounded ingress

@@ -18,9 +18,9 @@ population *while queries flow*, by one of two maintenance strategies:
     re-derived from scratch.  This is the oracle: incremental
     maintenance must produce **bit-identical auction records** to
     rebuild-per-event after any event prefix
-    (``tests/stream/test_service.py``), and the committed
-    ``BENCH_stream.json`` shows what that per-event O(n log n) costs
-    under churn.
+    (``tests/stream/test_service.py``), and the ``stream-churn``
+    cell of the committed ``BENCH_offline.json`` shows what that
+    per-event O(n log n) costs under churn.
 
 The service runs in-process (``workers=0``) or on the multi-process
 sharded runtime (``workers>=1``, control events routed to owning shards

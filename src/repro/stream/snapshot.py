@@ -302,7 +302,8 @@ class CheckpointPolicy:
     (:mod:`repro.stream.recovery`) validates on read and falls back to
     the previous checkpoint when the newest is torn, so a crash
     mid-write costs at most one checkpoint interval of replay — the
-    exact trade-off ``benchmarks/bench_recovery.py`` measures.
+    exact trade-off the ``recovery`` cell of ``benchmarks/offline.py``
+    measures.
     Retention prunes all but the newest ``retain`` files *after* the
     new checkpoint is fsync'd (never before: until the newcomer is
     durable, the previous checkpoint is the recovery point).

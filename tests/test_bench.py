@@ -1,113 +1,17 @@
-"""Tests for the benchmark-harness utilities."""
+"""Tests for the benchmark utilities."""
 
-import pytest
-
-from repro.bench import (
-    FigureSeries,
-    ordering_holds,
-    speedup,
-    time_auction_run,
-    time_callable,
-)
-
-
-def _series():
-    series = FigureSeries(name="Figure X", x_label="n",
-                          y_label="ms", methods=["lp", "rh"])
-    series.record(100, "lp", 10.0)
-    series.record(100, "rh", 2.0)
-    series.record(200, "lp", 25.0)
-    series.record(200, "rh", 2.5)
-    return series
-
-
-class TestFigureSeries:
-    def test_record_and_query(self):
-        series = _series()
-        assert series.xs() == [100.0, 200.0]
-        assert series.value(100, "lp") == 10.0
-        assert series.value(300, "lp") is None
-        assert series.series_for("rh") == [(100.0, 2.0), (200.0, 2.5)]
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            _series().record(100, "quantum", 1.0)
-
-    def test_table_rendering(self):
-        table = _series().to_table()
-        assert "Figure X" in table
-        assert "lp" in table and "rh" in table
-        assert "25" in table
-
-    def test_missing_cells_render_dash(self):
-        series = FigureSeries(name="f", x_label="n", y_label="ms",
-                              methods=["a", "b"])
-        series.record(1, "a", 1.0)
-        rows = series.to_rows()
-        assert rows[1][2] == "-"
-
-    def test_csv_round_trippable(self):
-        csv_text = _series().to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "n,lp,rh"
-        assert len(lines) == 3
-
-
-class TestReporting:
-    def test_speedup(self):
-        report = speedup(_series(), "lp", "rh")
-        assert report.rows == ((100.0, 5.0), (200.0, 10.0))
-        assert "5.0x" in "\n".join(report.to_lines())
-
-    def test_speedup_skips_missing(self):
-        series = FigureSeries(name="f", x_label="n", y_label="ms",
-                              methods=["a", "b"])
-        series.record(1, "a", 4.0)
-        assert speedup(series, "a", "b").rows == ()
-
-    def test_ordering_holds(self):
-        assert ordering_holds(_series(), ["lp", "rh"])
-        assert not ordering_holds(_series(), ["rh", "lp"])
-
-    def test_ordering_with_missing_method(self):
-        series = FigureSeries(name="f", x_label="n", y_label="ms",
-                              methods=["a", "b"])
-        series.record(1, "a", 4.0)
-        assert not ordering_holds(series, ["a", "b"])
-
-
-class TestTiming:
-    def test_time_callable_counts(self):
-        calls = []
-        result = time_callable(lambda: calls.append(1), repeats=5,
-                               warmup=2)
-        assert len(calls) == 7
-        assert len(result.samples) == 5
-        assert result.min_s <= result.median_s
-        assert result.mean_ms == pytest.approx(1e3 * result.mean_s)
-
-    def test_invalid_repeats(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repeats=0)
-
-    def test_time_auction_run_no_warmup(self):
-        calls = []
-        result = time_auction_run(lambda: calls.append(1), auctions=3)
-        assert len(calls) == 3
-        assert len(result.samples) == 3
+from repro.bench import PHASES, profile_run, records_identical
+from repro.workloads import PaperWorkload, PaperWorkloadConfig
 
 
 class TestPhaseProfiles:
     def _engine(self):
-        from repro.workloads import PaperWorkload, PaperWorkloadConfig
         workload = PaperWorkload(PaperWorkloadConfig(
             num_advertisers=15, num_slots=3, num_keywords=2, seed=1))
         return workload.build_engine("rh", engine_seed=2)
 
     def test_profile_run_aggregates_phases(self):
-        from repro.bench import PHASES, profile_run
-        records, profile = profile_run(self._engine(), 12, batch=True,
-                                       num_advertisers=15)
+        records, profile = profile_run(self._engine(), 12, batch=True)
         assert len(records) == 12
         assert profile.auctions == 12
         assert profile.batched
@@ -116,36 +20,11 @@ class TestPhaseProfiles:
         phases = profile.phase_ms()
         assert set(phases) == set(PHASES)
         assert all(value >= 0.0 for value in phases.values())
-        assert profile.to_dict()["num_advertisers"] == 15
-
-    def test_profile_write_roundtrip(self, tmp_path):
-        import json
-
-        from repro.bench import profile_run
-        _, profile = profile_run(self._engine(), 4)
-        path = profile.write(tmp_path / "deep" / "cell.json")
-        data = json.loads(path.read_text())
-        assert data["auctions"] == 4
-        assert data["batched"] is False
-        assert set(data["phase_seconds"]) == {"eval", "wd", "price",
-                                              "settle"}
 
     def test_records_identical_detects_differences(self):
-        from repro.bench import records_identical
         engine_a, engine_b = self._engine(), self._engine()
         records_a = engine_a.run(6)
         records_b = engine_b.run_batch(6)
         assert records_identical(records_a, records_b)
         assert not records_identical(records_a, records_b[:-1])
         assert not records_identical(records_a[:3], records_b[3:])
-
-    def test_compare_throughput_verdict(self):
-        from repro.bench import compare_throughput
-        report = compare_throughput(self._engine(), self._engine(),
-                                    auctions=10, warmup=1)
-        assert report.identical
-        assert report.speedup > 0
-        assert report.sequential.auctions == 10
-        assert report.batched.auctions == 10
-        assert any("speedup" in line for line in report.to_lines())
-        assert report.to_dict()["identical"] is True

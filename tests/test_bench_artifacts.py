@@ -1,23 +1,22 @@
-"""The committed benchmark artifacts back the claims the docs make.
+"""The committed ``BENCH_offline.json`` holds every claim its cells make.
 
-``BENCH_rhtalu.json`` (PR 2), ``BENCH_shards.json`` (PR 3),
-``BENCH_stream.json`` (PR 4), ``BENCH_recovery.json`` (PR 6),
-``BENCH_supervision.json`` (PR 7) and ``BENCH_obs.json`` (PR 9)
-are regenerated by their
-``benchmarks/bench_*.py`` drivers and committed;
-these tests pin the *structure and acceptance properties* of what is
-committed — bit-identity verdicts recorded true, the shard sweep
-showing >= 2x critical-path speedup at 4 workers over 1, incremental
-churn maintenance beating rebuild-per-event, every recovery cell
-replaying to an identical trace — so a regenerated artifact that
-regresses fails the suite instead of silently landing.  No wall-clock
-numbers are pinned (they vary per machine); shapes, verdicts, and
-monotone relations are.
+``benchmarks/offline.py`` is the one offline benchmark driver: a
+registry ``CELLS`` of ``run(quick)`` / ``check(result)`` pairs, each bar
+stated once, in its cell's ``check`` — the driver's exit code and these
+tests read it there.  The tests assert that every committed entry is
+full size and passes its ``check``; that every ``check`` *detects* —
+a copy of the committed entry pushed just past any one bar fails; that
+the two-sided identity verdict sees accounts, not only records;
+and that ``run`` feeds ``check`` end to end on one cheap cell.  No
+wall-clock number is pinned here: the bars are the checks' own.
 """
 
 from __future__ import annotations
 
+import copy
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,304 +24,168 @@ import pytest
 REPO = Path(__file__).parent.parent
 
 
-def load(name: str) -> dict:
-    path = REPO / name
-    assert path.exists(), f"{name} must be committed at the repo root"
-    return json.loads(path.read_text(encoding="utf-8"))
+def _load_offline():
+    spec = importlib.util.spec_from_file_location(
+        "offline", REPO / "benchmarks" / "offline.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(spec.name, None)
+    return module
 
 
-class TestShardScalingArtifact:
-    @pytest.fixture(scope="class")
-    def artifact(self) -> dict:
-        return load("BENCH_shards.json")
-
-    def test_figure_12_workload(self, artifact):
-        workload = artifact["workload"]
-        assert workload["num_slots"] == 15
-        assert workload["num_keywords"] == 10
-        assert workload["method"] == "rh"
-        assert workload["num_advertisers"] >= 5000
-
-    def test_sweep_covers_1_2_4_workers(self, artifact):
-        assert [cell["workers"] for cell in artifact["cells"]] \
-            == [1, 2, 4]
-
-    def test_all_cells_bit_identical_to_sequential(self, artifact):
-        assert artifact["summary"]["all_identical"] is True
-        for cell in artifact["cells"]:
-            assert cell["identical_to_sequential"] is True
-
-    def test_four_workers_at_least_twice_one_worker(self, artifact):
-        # The PR's acceptance bar: >= 2x auctions/sec (median measured
-        # critical path) at 4 workers over 1 worker.
-        assert artifact["summary"]["max_workers"] == 4
-        speedup = artifact["summary"]["critical_path_speedup_max_vs_1w"]
-        assert speedup >= 2.0
-        cells = {cell["workers"]: cell for cell in artifact["cells"]}
-        assert (cells[4]["median_critical_path_auctions_per_second"]
-                >= 2.0 * cells[1][
-                    "median_critical_path_auctions_per_second"])
-
-    def test_cells_carry_parallel_wd_accounting(self, artifact):
-        for cell in artifact["cells"]:
-            parallel = cell["profile"]["parallel_wd"]
-            assert parallel["num_leaves"] == cell["workers"]
-            assert parallel["critical_path_max"] >= parallel[
-                "leaf_work_max"]
-
-    def test_model_speedup_recorded_for_comparison(self, artifact):
-        for cell in artifact["cells"]:
-            assert cell["model_scan_speedup"] >= 1.0
+OFFLINE = _load_offline()
+COMMITTED = json.loads((REPO / "BENCH_offline.json").read_text(
+    encoding="utf-8"))
 
 
-class TestStreamChurnArtifact:
-    @pytest.fixture(scope="class")
-    def artifact(self) -> dict:
-        return load("BENCH_stream.json")
-
-    def test_figure_12_workload_under_churn(self, artifact):
-        workload = artifact["workload"]
-        assert workload["num_slots"] == 15
-        assert workload["num_keywords"] == 10
-        assert workload["num_advertisers"] >= 2000
-        assert workload["method"] == "rhtalu"
-
-    def test_sweep_covers_no_churn_and_heavy_churn(self, artifact):
-        rates = [cell["churn_rate"] for cell in artifact["cells"]]
-        assert rates == sorted(rates)
-        assert rates[0] == 0.0
-        assert rates[-1] >= 0.2
-
-    def test_incremental_is_bit_identical_to_rebuild(self, artifact):
-        assert artifact["summary"]["all_identical"] is True
-        for cell in artifact["cells"]:
-            assert cell["identical"] is True
-
-    def test_incremental_beats_rebuild_under_churn(self, artifact):
-        # The PR's acceptance bar: incremental maintenance wins on the
-        # Figure-12 workload under churn.
-        top = artifact["summary"][
-            "incremental_speedup_at_max_churn"]
-        assert top >= 1.2
-        for cell in artifact["cells"]:
-            if cell["churn_rate"] > 0:
-                assert cell["incremental_speedup"] >= 1.1
-
-    def test_cells_carry_per_event_type_timings(self, artifact):
-        for cell in artifact["cells"]:
-            for side in ("incremental", "rebuild"):
-                timings = cell[side]["event_timings"]["by_kind"]
-                assert "query" in timings
-                assert timings["query"]["count"] == cell["auctions"]
-            if cell["churn_rate"] > 0:
-                kinds = set(
-                    cell["incremental"]["event_timings"]["by_kind"])
-                assert {"join", "leave", "update"} <= kinds
-
-    def test_exhaustion_cell_exercises_the_budget_lifecycle(
-            self, artifact):
-        # The sweep's final cell runs under exhaustion pressure: small
-        # join budgets, frequent top-ups.  Pauses AND top-up
-        # re-admissions must actually fire there — and the cell is
-        # still bit-identical between maintenance strategies, which is
-        # the PR's acceptance bar for pause/resume maintenance.
-        cell = artifact["cells"][-1]
-        assert cell["label"] == "exhaustion"
-        lifecycle = cell["budget_lifecycle"]
-        assert lifecycle["budget_high"] < 50.0
-        assert lifecycle["pauses"] > 0
-        assert lifecycle["resumes"] > 0
-        assert cell["identical"] is True
-        assert artifact["summary"]["exhaustion_pauses"] \
-            == lifecycle["pauses"]
-        assert artifact["summary"]["exhaustion_resumes"] \
-            == lifecycle["resumes"]
-        # Incremental maintenance must win under lifecycle pressure
-        # too; the summary reports it separately from the plain
-        # max-churn speedup the --min-speedup gate reads.
-        assert artifact["summary"]["exhaustion_speedup"] \
-            == cell["incremental_speedup"]
-        assert artifact["summary"]["exhaustion_speedup"] >= 1.1
-        # ... and the gate's key comes from a plain churn cell.
-        churn_cells = [other for other in artifact["cells"]
-                       if other["label"] == "churn"]
-        assert artifact["summary"]["incremental_speedup_at_max_churn"] \
-            == churn_cells[-1]["incremental_speedup"]
-
-    def test_every_cell_reports_lifecycle_counts(self, artifact):
-        for cell in artifact["cells"]:
-            lifecycle = cell["budget_lifecycle"]
-            assert lifecycle["pauses"] >= 0
-            assert lifecycle["resumes"] >= 0
-            assert lifecycle["paused_at_end"] >= 0
+def test_committed_file_holds_exactly_the_registry():
+    assert sorted(COMMITTED) == sorted(OFFLINE.CELLS)
 
 
-class TestRecoveryArtifact:
-    @pytest.fixture(scope="class")
-    def artifact(self) -> dict:
-        return load("BENCH_recovery.json")
-
-    def test_sweep_includes_journal_only_and_checkpoints(
-            self, artifact):
-        intervals = [cell["checkpoint_every"]
-                     for cell in artifact["cells"]]
-        assert intervals == sorted(intervals)
-        assert intervals[0] == 0  # the journal-only cell
-        assert artifact["cells"][0]["label"] == "journal-only"
-        assert len([every for every in intervals if every > 0]) >= 2
-
-    def test_every_cell_recovered_identically(self, artifact):
-        assert artifact["all_identical"] is True
-        for cell in artifact["cells"]:
-            assert cell["identical"] is True
-
-    def test_replay_length_is_the_watermark_gap(self, artifact):
-        cut = artifact["config"]["cut"]
-        for cell in artifact["cells"]:
-            recovery = cell["recovery"]
-            assert recovery["replayed_events"] \
-                == cut - recovery["checkpoint_events"]
-            if cell["checkpoint_every"] == 0:
-                assert recovery["checkpoint_events"] == 0
-            else:
-                # The newest checkpoint is the last interval multiple
-                # at or before the cut.
-                assert recovery["checkpoint_events"] \
-                    == (cut // cell["checkpoint_every"]) \
-                    * cell["checkpoint_every"]
-
-    def test_tighter_intervals_replay_no_more(self, artifact):
-        # The trade-off's monotone half: a finer checkpoint schedule
-        # never lengthens the replayed suffix.
-        checkpointed = [cell for cell in artifact["cells"]
-                        if cell["checkpoint_every"] > 0]
-        replays = [cell["recovery"]["replayed_events"]
-                   for cell in checkpointed]
-        assert replays == sorted(replays)
-        journal_only = artifact["cells"][0]
-        assert all(replay
-                   <= journal_only["recovery"]["replayed_events"]
-                   for replay in replays)
-
-    def test_serving_cost_is_accounted(self, artifact):
-        for cell in artifact["cells"]:
-            serving = cell["serving"]
-            assert serving["journal_bytes"] > 0
-            if cell["checkpoint_every"] == 0:
-                assert serving["checkpoints_written"] == 0
-                assert serving["checkpoints_retained"] == 0
-            else:
-                assert serving["checkpoints_written"] \
-                    == (artifact["config"]["cut"]
-                        // cell["checkpoint_every"])
-                assert 1 <= serving["checkpoints_retained"] \
-                    <= artifact["config"]["retain"]
-                assert serving["checkpoint_bytes_retained"] > 0
+@pytest.mark.parametrize("name", list(OFFLINE.CELLS))
+def test_committed_cell_is_full_size_and_passes(name):
+    entry = COMMITTED[name]
+    assert entry["workload"]["quick"] is False
+    assert OFFLINE.CELLS[name].check(entry) == []
 
 
-class TestSupervisionArtifact:
-    @pytest.fixture(scope="class")
-    def artifact(self) -> dict:
-        return load("BENCH_supervision.json")
+# -- every bar detects ---------------------------------------------------
 
-    def test_cells_cover_baseline_and_both_heal_paths(self, artifact):
-        assert [cell["label"] for cell in artifact["cells"]] \
-            == ["baseline", "respawn", "degraded"]
-
-    def test_every_cell_is_bit_identical_to_the_oracle(self,
-                                                       artifact):
-        # The PR's acceptance bar: healing never costs correctness.
-        assert artifact["all_identical"] is True
-        for cell in artifact["cells"]:
-            assert cell["identical"] is True
-
-    def test_baseline_cell_saw_no_failures(self, artifact):
-        baseline = artifact["cells"][0]
-        assert baseline["kills"] == 0
-        assert baseline["supervision"]["worker_failures"] == 0
-        assert baseline["workers_at_end"] \
-            == artifact["config"]["workers"]
-
-    def test_respawn_cell_healed_in_place(self, artifact):
-        respawn = artifact["cells"][1]
-        supervision = respawn["supervision"]
-        assert respawn["kills"] >= 1
-        assert supervision["respawns"] >= 1
-        assert supervision["reshards"] == 0
-        assert supervision["mean_heal_seconds"] > 0
-        assert supervision["max_heal_seconds"] \
-            >= supervision["mean_heal_seconds"]
-        # Fleet size preserved: the dead shard came back.
-        assert respawn["workers_at_end"] \
-            == artifact["config"]["workers"]
-
-    def test_degraded_cell_reshards_to_fewer_workers(self, artifact):
-        degraded = artifact["cells"][2]
-        supervision = degraded["supervision"]
-        assert degraded["max_worker_restarts"] == 0
-        assert supervision["reshards"] >= 1
-        assert supervision["respawns"] == 0
-        assert degraded["workers_at_end"] \
-            == artifact["config"]["workers"] - 1
-
-    def test_throughputs_recorded_not_pinned(self, artifact):
-        # Wall-clock varies per machine: require only presence and
-        # positivity, never magnitudes.
-        assert artifact["oracle_wall_seconds"] > 0
-        for cell in artifact["cells"]:
-            assert cell["wall_seconds"] > 0
-            assert cell["events_per_second"] > 0
+def _largest_n(rows) -> dict[str, int]:
+    """method -> row index at the figure's largest n."""
+    n = max(row["n"] for row in rows)
+    return {row["method"]: index for index, row in enumerate(rows)
+            if row["n"] == n}
 
 
-class TestObsArtifact:
-    @pytest.fixture(scope="class")
-    def artifact(self) -> dict:
-        return load("BENCH_obs.json")
-
-    def test_full_size_figure_12_workload(self, artifact):
-        workload = artifact["workload"]
-        assert workload["num_slots"] == 15
-        assert workload["num_keywords"] == 10
-        assert workload["quick"] is False
-        assert workload["repeats"] >= 2
-
-    def test_cells_cover_inproc_batched_and_sharded(self, artifact):
-        assert [cell["label"] for cell in artifact["cells"]] \
-            == ["rh-inproc", "rh-batched", "rh-sharded"]
-        cells = {cell["label"]: cell for cell in artifact["cells"]}
-        assert cells["rh-batched"]["window"] >= 2
-        assert cells["rh-sharded"]["workers"] >= 2
-
-    def test_instrumented_runs_are_non_perturbing(self, artifact):
-        # The PR's correctness headline: observing never moves a
-        # decision, and the span trace covers every event exactly
-        # once, per cell.
-        assert artifact["summary"]["all_identical"] is True
-        for cell in artifact["cells"]:
-            assert cell["identical"] is True
-            assert cell["trace_schema_clean"] is True
-            assert cell["root_spans"] == cell["events"]
-
-    def test_overhead_within_asserted_bound(self, artifact):
-        # The PR's acceptance bar: instrumented query-serving time
-        # within the committed bound of the dark run's, every cell.
-        summary = artifact["summary"]
-        assert summary["within_bound"] is True
-        assert summary["max_overhead_ratio"] <= summary["bound"]
-        assert summary["max_overhead_ratio"] == max(
-            cell["overhead_ratio"] for cell in artifact["cells"])
-        for cell in artifact["cells"]:
-            assert cell["overhead_ratio"] <= summary["bound"]
-
-    def test_timings_recorded_not_pinned(self, artifact):
-        for cell in artifact["cells"]:
-            assert cell["dark_query_seconds"] > 0
-            assert cell["instrumented_query_seconds"] > 0
-            assert cell["auctions"] > 0
+def _one_more(value):
+    return value + 1
 
 
-class TestRhtaluArtifactStillPresent:
-    def test_pr2_artifact_remains_and_is_identical(self):
-        artifact = load("BENCH_rhtalu.json")
-        for cell in artifact["cells"]:
-            assert cell["identical"] is True
+def _one_fewer(value):
+    return value - 1
+
+
+def _bars(name: str, entry: dict) -> list[tuple[tuple, object]]:
+    """(path, doctored value) pairs, each pushing one bar just past
+    its threshold; a callable value maps the committed one."""
+    rows = entry["rows"]
+    flips = [(("rows", index, key), False)
+             for index, row in enumerate(rows)
+             for key in ("identical", "trace_schema_clean") if key in row]
+    if name == "batch":
+        return [(("summary", "identical"), False),
+                (("summary", "speedup"), 1.99)]
+    if name == "shards":
+        top = max(index for index, row in enumerate(rows)
+                  if row["method"] == "rh")
+        return flips + [(("rows", top, "speedup_vs_1w"), 1.99),
+                        (("rows", top, "leaves"), rows[top]["leaves"] - 1)]
+    if name == "stream-churn":
+        top = max(index for index, row in enumerate(rows)
+                  if row["label"] == "churn")
+        return flips + [(("rows", top, "speedup"), 1.19)] + [
+            (("rows", index, "speedup"), 1.09)
+            for index, row in enumerate(rows) if row["churn_rate"] > 0
+        ] + [(("rows", len(rows) - 1, key), 0)
+             for key in ("pauses", "resumes")]
+    if name == "recovery":
+        retain = entry["workload"]["retain"]
+        return flips + [
+            (("rows", index, "replayed_events"), _one_more)
+            for index in range(len(rows))
+        ] + [(("rows", index, "checkpoints_retained"), retain + 1)
+             for index, row in enumerate(rows) if row["checkpoint_every"]]
+    if name == "supervision":
+        index = {row["label"]: i for i, row in enumerate(rows)}
+        return flips + [
+            (("rows", index["baseline"], "supervision",
+              "worker_failures"), 1),
+            (("rows", index["respawn"], "supervision", "reshards"), 1),
+            (("rows", index["respawn"], "supervision",
+              "mean_heal_seconds"), 0.0),
+            (("rows", index["respawn"], "workers_at_end"), _one_fewer),
+            (("rows", index["degraded"], "supervision", "respawns"), 1),
+            (("rows", index["degraded"], "workers_at_end"), _one_more),
+        ]
+    if name == "obs":
+        bound = entry["workload"]["bound"]
+        return flips + [
+            (("rows", index, key), value)
+            for index, row in enumerate(rows)
+            for key, value in (("root_spans", row["events"] - 1),
+                               ("overhead_ratio", bound + 0.001))]
+    at = _largest_n(rows)
+    slow_to_fast = (("lp", "hungarian", "rh") if name == "fig12"
+                    else ("rh", "rhtalu"))
+    return [(("rows", at[fast], "total_ms"),
+             rows[at[slow]]["total_ms"] * 1.001)
+            for slow, fast in zip(slow_to_fast, slow_to_fast[1:])]
+
+
+def _doctor(entry: dict, path: tuple, value) -> dict:
+    doctored = copy.deepcopy(entry)
+    *parents, leaf = path
+    target = doctored
+    for key in parents:
+        target = target[key]
+    target[leaf] = value(target[leaf]) if callable(value) else value
+    return doctored
+
+
+def _bar_params(name: str):
+    """One test per bar, named by the doctored path (and by the value
+    where two bars doctor the same path)."""
+    bars = _bars(name, COMMITTED[name])
+    paths = [path for path, _ in bars]
+    for path, value in bars:
+        bar_id = f"{name}:{'.'.join(map(str, path))}"
+        if paths.count(path) > 1:
+            bar_id += f"={value}"
+        yield pytest.param(name, path, value, id=bar_id)
+
+
+BARS = [bar for name in OFFLINE.CELLS for bar in _bar_params(name)]
+
+
+def test_every_cell_has_a_bar():
+    assert {bar.values[0] for bar in BARS} == set(OFFLINE.CELLS)
+
+
+@pytest.mark.parametrize(("name", "path", "value"), BARS)
+def test_bar_detects(name, path, value):
+    doctored = _doctor(COMMITTED[name], path, value)
+    assert OFFLINE.CELLS[name].check(doctored), \
+        f"{name}: check passes with {path} doctored"
+
+
+# -- the identity verdict and the run -> check wiring --------------------
+
+def test_same_outcome_sees_accounts_not_only_records():
+    def side():
+        engine = OFFLINE.build_engine("rh", 30, 3, 2)
+        return engine, engine.run(8)
+
+    (left_engine, left_records), (right_engine, right_records) = \
+        side(), side()
+    left = OFFLINE.outcome(left_records, left_engine)
+    assert OFFLINE.same_outcome(left, OFFLINE.outcome(right_records,
+                                                      right_engine))
+    winner = next(iter(right_engine.accounts.accounts))
+    right_engine.accounts.accounts[winner].charged += 1e-9
+    right = OFFLINE.outcome(right_records, right_engine)
+    assert OFFLINE.diff_traces(left["records"],
+                               right["records"]).identical
+    assert not OFFLINE.same_outcome(left, right)
+    assert not OFFLINE.same_outcome(left, dict(left, revenue=-1.0))
+
+
+def test_recovery_cell_runs_into_its_check():
+    cell = OFFLINE.CELLS["recovery"]
+    result = cell.run(True)
+    assert result["workload"]["quick"] is True
+    assert len(result["rows"]) == len(result["workload"]["intervals"])
+    assert cell.check(result) == []

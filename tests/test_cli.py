@@ -59,18 +59,6 @@ class TestSimulateWorkers:
         assert len(trace.read_text().strip().splitlines()) == 8
 
 
-class TestBenchThroughputWorkers:
-    def test_sharded_comparison_is_identical(self, capsys):
-        code = main(["bench-throughput", "--advertisers", "40",
-                     "--auctions", "15", "--slots", "3",
-                     "--keywords", "2", "--workers", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "sharded-2w" in out
-        assert "critical-path" in out
-        assert "results identical: True" in out
-
-
 class TestSimulateBatch:
     def test_batch_matches_sequential(self, capsys):
         code = main(["simulate", "--advertisers", "20",
@@ -86,46 +74,6 @@ class TestSimulateBatch:
         # Same revenue/click totals; timing lines legitimately differ.
         assert (sequential_out.split("eval=")[0]
                 == batch_out.split("eval=")[0])
-
-
-class TestBenchThroughput:
-    def test_reports_and_writes_profiles(self, capsys, tmp_path):
-        code = main(["bench-throughput", "--advertisers", "30",
-                     "--auctions", "20", "--slots", "3",
-                     "--keywords", "2", "--profile-dir",
-                     str(tmp_path / "profiles")])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "results identical: True" in out
-        written = sorted(p.name for p in (tmp_path / "profiles").iterdir())
-        assert written == ["rh_n30_batched.json",
-                           "rh_n30_sequential.json",
-                           "rh_n30_throughput.json"]
-
-    def test_rhtalu_method_batches(self, capsys, tmp_path):
-        """The lazy path is a first-class bench-throughput method."""
-        code = main(["bench-throughput", "--advertisers", "30",
-                     "--auctions", "20", "--slots", "3",
-                     "--keywords", "2", "--method", "rhtalu",
-                     "--profile-dir", str(tmp_path / "profiles")])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "method=rhtalu" in out
-        assert "results identical: True" in out
-        written = sorted(p.name
-                         for p in (tmp_path / "profiles").iterdir())
-        assert written == ["rhtalu_n30_batched.json",
-                           "rhtalu_n30_sequential.json",
-                           "rhtalu_n30_throughput.json"]
-
-    def test_min_speedup_can_fail(self, capsys, tmp_path):
-        # An absurd bar must trip the failure exit path.
-        code = main(["bench-throughput", "--advertisers", "10",
-                     "--auctions", "5", "--slots", "2",
-                     "--keywords", "2", "--min-speedup", "1e9"])
-        assert code == 1
-        assert "below" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -397,18 +345,6 @@ class TestDurableStream:
                      str(tmp_path / "missing.jsonl")])
         assert code == 1
         assert "recovery failed" in capsys.readouterr().err
-
-
-class TestBenchChurn:
-    def test_incremental_vs_rebuild_gate(self, capsys):
-        code = main(["bench-throughput", "--advertisers", "40",
-                     "--auctions", "60", "--slots", "3",
-                     "--keywords", "2", "--churn-rate", "0.3",
-                     "--method", "rhtalu"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "incremental" in out and "rebuild" in out
-        assert "results identical: True" in out
 
 
 class TestParser:
