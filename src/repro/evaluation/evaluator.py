@@ -217,13 +217,15 @@ class RhtaluEvaluator:
 
     def join_many(self, advertisers: np.ndarray, targets: np.ndarray,
                   bids: np.ndarray, maxbids: np.ndarray) -> None:
-        """Admit a batch of advertisers (a fixed population is one such
-        batch over the whole universe): one bulk placement in the pacer
-        state, one fresh argsort of the click index — which is exactly
-        the order one-at-a-time splices would have produced."""
+        """Admit a batch of advertisers: one bulk placement in the
+        pacer state, one merge into the click index
+        (:meth:`~repro.evaluation.sorted_index.ColumnArgsortIndex
+        .insert_many`) — exactly the state one-at-a-time joins would
+        have produced.  A fixed population is one such batch over the
+        whole universe, a stream join its one-row case, and a served
+        run of queued joins one batch of the run."""
         self.state.join_many(advertisers, targets, bids, maxbids)
-        self.slot_index = ColumnArgsortIndex(
-            self.click_matrix, members=self.state.active_ids())
+        self.slot_index.insert_many(advertisers)
 
     def apply_control(self, notice: "ControlNotice",
                       offset: int = 0) -> None:
@@ -233,7 +235,8 @@ class RhtaluEvaluator:
         Every host — the in-process service backend, the RHTALU shard —
         changes its population through this method.  ``offset``
         translates the notice's global advertiser id into this
-        evaluator's row (a shard's ``lo``).  Pacer placement and the
+        evaluator's row (a shard's ``lo``).  A join is
+        :meth:`join_many`'s one-row case.  Pacer placement and the
         argsort-index splice are the two incremental maintenance
         steps; both cost O(members) memmoves instead of the
         O(m log m) re-sorts a rebuild pays.  Bid edits leave the index
@@ -244,10 +247,9 @@ class RhtaluEvaluator:
         advertiser = notice.advertiser - offset
         kind = notice.kind
         if kind == "join":
-            self.state.join_many(
-                np.array([advertiser]), np.array([notice.target]),
-                notice.bids[None, :], notice.maxbids[None, :])
-            self.slot_index.insert(advertiser)
+            self.join_many(np.array([advertiser]),
+                           np.array([notice.target]),
+                           notice.bids[None, :], notice.maxbids[None, :])
         elif kind == "leave":
             indexed = advertiser not in self.state.paused
             self.state.leave(advertiser)

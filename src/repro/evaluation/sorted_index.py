@@ -104,9 +104,10 @@ class ColumnArgsortIndex:
     ``members`` defaults to every row of the matrix — the static
     full-population index the batch pipeline builds once.  The online
     serving layer (:mod:`repro.stream`) instead maintains the member
-    set *incrementally* under advertiser churn: :meth:`insert` and
-    :meth:`remove` splice one id in or out of every column's order in
-    O(m) memmoves, preserving exactly the order a fresh stable argsort
+    set *incrementally* under advertiser churn: :meth:`insert_many`
+    merges a batch of ids (:meth:`insert`, one id) into, and
+    :meth:`remove` splices one id out of, every column's order in
+    O(m) passes, preserving exactly the order a fresh stable argsort
     of the surviving members would produce (``tests/evaluation/
     test_sorted_index.py`` pins the equivalence).
     """
@@ -172,43 +173,86 @@ class ColumnArgsortIndex:
     # -- incremental membership (live advertiser churn) -----------------
 
     def insert(self, item: int) -> None:
-        """Splice a matrix row into every column's descending order.
+        """Splice one matrix row in: :meth:`insert_many` of one id."""
+        self.insert_many([item])
 
-        The insertion point per column is exactly where a fresh stable
-        argsort would put the id: descending by value, ties descending
-        by id.  Cost is O(m) work per column — the order/value memmove
-        plus a rank bump for the entries the splice displaces — versus
-        O(m log m) per column for a full re-argsort, and independent of
-        the id universe's size.
+    def insert_many(self, items) -> None:
+        """Merge matrix rows into every column's descending order.
+
+        Each newcomer lands exactly where a fresh stable argsort of the
+        grown member set would put it — descending by value, ties
+        descending by id — so merging b ids equals b one-id splices in
+        any order.  Per column the newcomers are sorted among
+        themselves (O(b log b)) and binary-searched into the members
+        (O(b log m)); then one O(m) pass per column moves the members
+        down past them and re-ranks the displaced suffix.  So one id
+        costs what a splice costs, and a batch of b costs about one
+        splice rather than b of them, never an O(m log m) re-argsort.
         """
-        if item in self:
-            raise KeyError(f"id {item} already indexed")
-        if not 0 <= item < self.matrix.shape[0]:
-            raise KeyError(f"id {item} outside the matrix's rows")
-        values = self.matrix[item]
-        greater = (self.sorted_values > values).sum(axis=0)
-        tied_above = ((self.sorted_values == values)
-                      & (self.order > item)).sum(axis=0)
-        positions = greater + tied_above
-        num_cols = self.order.shape[1]
-        grown_order = np.empty((len(self.order) + 1, num_cols),
-                               dtype=np.int64)
-        grown_values = np.empty_like(grown_order, dtype=float)
+        items = np.sort(np.asarray(items, dtype=np.int64).reshape(-1))
+        if len(items) == 0:
+            return
+        universe = self.matrix.shape[0]
+        if items[0] < 0 or items[-1] >= universe:
+            raise KeyError(f"ids {items.tolist()} outside the matrix's "
+                           f"rows")
+        num_ids, num_cols = self.order.shape
+        if np.any(items[1:] == items[:-1]) \
+                or np.any(self.rank[items, 0] < num_ids):
+            raise KeyError(f"ids {items.tolist()} already indexed")
+        count = len(items)
+        # The newcomers' own descending order, built the way the
+        # constructor builds the members' (ids ascend, so the reversed
+        # stable argsort breaks value ties by descending id).
+        values = self.matrix[items]
+        ascending = np.argsort(values, axis=0, kind="stable")[::-1]
+        new_ids = items[ascending]
+        new_values = np.take_along_axis(values, ascending, axis=0)
+        # How many members precede each newcomer: those with a larger
+        # value, plus tied members with a larger id.
+        above = np.empty((count, num_cols), dtype=np.int64)
         for col in range(num_cols):
-            split = positions[col]
-            grown_order[:split, col] = self.order[:split, col]
-            grown_order[split, col] = item
-            grown_order[split + 1:, col] = self.order[split:, col]
-            grown_values[:split, col] = self.sorted_values[:split, col]
-            grown_values[split, col] = values[col]
-            grown_values[split + 1:, col] = \
-                self.sorted_values[split:, col]
-            # Entries displaced by the splice move down one rank; the
-            # prefix is untouched.
-            self.rank[self.order[split:, col], col] += 1
-            self.rank[item, col] = split
-        self.order = grown_order
-        self.sorted_values = grown_values
+            rising = self.sorted_values[::-1, col]
+            wanted = new_values[:, col]
+            at_most = np.searchsorted(rising, wanted, side="right")
+            below = np.searchsorted(rising, wanted, side="left")
+            above[:, col] = num_ids - at_most
+            tied = np.flatnonzero(at_most > below)
+            if len(tied):
+                # Tie blocks are runs of descending ids; count the
+                # ones above each tied newcomer's id.
+                starts = num_ids - at_most[tied]
+                lengths = at_most[tied] - below[tied]
+                owner = np.repeat(np.arange(len(tied)), lengths)
+                rows = (np.arange(lengths.sum())
+                        - np.repeat(np.cumsum(lengths) - lengths,
+                                    lengths) + starts[owner])
+                higher = self.order[rows, col] > new_ids[tied[owner], col]
+                above[tied, col] += np.bincount(
+                    owner, weights=higher,
+                    minlength=len(tied)).astype(np.int64)
+        positions = above + np.arange(count)[:, None]
+        columns = np.arange(num_cols)
+        fresh = np.zeros((num_ids + count, num_cols), dtype=bool)
+        fresh[positions, columns] = True
+        order = np.empty((num_ids + count, num_cols), dtype=np.int64)
+        sorted_values = np.empty((num_ids + count, num_cols))
+        order[positions, columns] = new_ids
+        sorted_values[positions, columns] = new_values
+        # Members fill the remaining cells in their own order, column
+        # by column (the transposed views walk columns).
+        kept = ~fresh.T
+        order.T[kept] = self.order.T.ravel()
+        sorted_values.T[kept] = self.sorted_values.T.ravel()
+        self.order = order
+        self.sorted_values = sorted_values
+        # Ranks above the first newcomer of every column are unchanged.
+        first = int(above.min())
+        np.put_along_axis(
+            self.rank, order[first:],
+            np.arange(first, len(order))[:, None].repeat(num_cols,
+                                                         axis=1),
+            axis=0)
 
     def remove(self, item: int) -> None:
         """Drop an id from every column's order (one memmove each,

@@ -52,12 +52,27 @@ costing one.  Released replies go to a shared outbox, and a
 pending, so whatever accumulates before the loop runs shares one
 self-pipe write, one wake-up and one socket write per connection.
 
-With ``batch_window > 1`` the apply thread opportunistically coalesces
-runs of already-queued query arrivals into
+**Windows.**  The apply thread coalesces runs of already-queued events
+of one kind into
 :meth:`~repro.stream.service.OnlineAuctionService.process_window`
 dispatches — adaptive exactly like
 :class:`~repro.stream.batching.MicroBatcher`: it never waits for a
-window to fill, and control events flush it.
+window to fill, and an event of another kind ends it.  Runs of
+queries coalesce only with ``batch_window > 1``, up to that size.
+Runs of joins always coalesce, bounded only by what the sequencer
+already holds: a window of joins is one bulk state operation (for
+RHTALU one pacer placement and one click-index merge instead of one
+of each per join), while each join keeps its own seq, journal line,
+registry entry, root span and ``ok`` reply.  Two cuts keep a join
+window equal to its joins applied one at a time.  A join for an
+advertiser already in the window ends it and applies after it:
+admission runs against live state, where the first join has not
+applied yet, so only once the window has applied can the duplicate
+be refused as an unwindowed server refuses it.  And under
+``--checkpoint-every`` the durable wrapper cuts a join window at each
+checkpoint watermark, so every checkpoint describes exactly its seq.
+A refused event also ends a window, so its ``rejected`` reply never
+overtakes the replies of events its connection sent before it.
 
 Graceful shutdown (SIGTERM/SIGINT or :meth:`AuctionWireServer
 .shutdown`) runs the drain ladder: stop accepting → cancel readers →
@@ -73,6 +88,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
+import struct
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
@@ -82,6 +98,7 @@ from time import perf_counter
 from repro.serve import protocol
 from repro.serve.sequencer import IngressSequencer, SequencedEvent
 from repro.stream.events import (
+    AdvertiserJoin,
     Event,
     EventLog,
     QueryArrival,
@@ -93,6 +110,14 @@ from repro.stream.service import (
     OnlineAuctionService,
 )
 from repro.workloads.paper_workload import PaperWorkloadConfig
+
+try:
+    import fcntl
+    import termios
+
+    _OUTQ: int | None = termios.TIOCOUTQ
+except (ImportError, AttributeError):  # no kernel send-queue probe
+    _OUTQ = None
 
 
 @dataclass
@@ -128,12 +153,31 @@ class ServeConfig:
 
 
 MAX_WRITE_BACKLOG = 32 * 1024 * 1024
-"""Bytes a connection's transport may hold unsent before the server
-drops the connection as a slow client.  Replies are written without
-waiting for the peer, so this is the only bound on what a client that
-stops reading can make the server buffer; it sits far above the
-replies to one full ingress queue (about 200 KB), which a merely busy
-client legitimately has in flight."""
+"""Bytes written to a connection that its peer has not yet taken
+before the server drops the connection as a slow client: what the
+transport still buffers plus what the kernel's send queue holds
+(:func:`_write_backlog`).  Replies are written without waiting for
+the peer, so this is the only bound on what a client that stops
+reading can make the server buffer; it sits far above the replies to
+one full ingress queue (about 200 KB), which a merely busy client
+legitimately has in flight."""
+
+
+def _write_backlog(transport: asyncio.WriteTransport) -> int:
+    """Unsent bytes of a connection: the transport's buffer plus the
+    socket's kernel send queue (``TIOCOUTQ``, where the platform has
+    it).  The kernel's share matters: its send buffer autotunes to
+    megabytes, so a peer that never reads can strand every reply
+    there while the transport's own buffer stays empty — and once
+    that peer's stack stalls, no frame arrives, no reply is written,
+    and a check on the transport alone would never fire."""
+    backlog = transport.get_write_buffer_size()
+    sock = transport.get_extra_info("socket")
+    if _OUTQ is not None and sock is not None:
+        with contextlib.suppress(OSError, ValueError):
+            backlog += struct.unpack("i", fcntl.ioctl(
+                sock.fileno(), _OUTQ, b"\0\0\0\0"))[0]
+    return backlog
 
 
 class _Connection:
@@ -368,7 +412,6 @@ class AuctionWireServer:
         of queued events, behind the group's commit.  Runs on the
         ``serve-apply`` thread — the only thread that ever touches
         the service."""
-        window = max(self.config.batch_window, 1)
         capacity = self.config.ingress_capacity
         carry: SequencedEvent | None = None
         try:
@@ -384,18 +427,9 @@ class AuctionWireServer:
                     if item is None:
                         break
                 if self._admit(item):
-                    if window > 1 \
-                            and isinstance(item.event, QueryArrival):
-                        batch = [item]
-                        while len(batch) < window:
-                            nxt = self.sequencer.try_take()
-                            if nxt is None:
-                                break  # empty or closed: dispatch now
-                            if not isinstance(nxt.event, QueryArrival):
-                                carry = nxt  # control flushes the window
-                                break
-                            if self._admit(nxt):
-                                batch.append(nxt)
+                    limit = self._window_limit(item.event)
+                    if limit:
+                        batch, carry = self._take_run(item, limit)
                         self._apply_window(batch)
                     else:
                         self._apply_one(item)
@@ -427,10 +461,66 @@ class AuctionWireServer:
             "rejected", error.args[0], item.tag))
         return False
 
+    def _window_limit(self, event: Event) -> int:
+        """How many queued events may share ``event``'s window: a run
+        of joins always windows (up to the ingress capacity, all the
+        sequencer can hold), a run of queries only with
+        ``batch_window >= 2``; 0 = apply ``event`` alone."""
+        if isinstance(event, AdvertiserJoin):
+            return self.config.ingress_capacity
+        if isinstance(event, QueryArrival):
+            return self.config.batch_window
+        return 0
+
+    def _take_run(self, first: SequencedEvent, limit: int
+                  ) -> tuple[list[SequencedEvent], SequencedEvent | None]:
+        """Extend ``first``'s window with the already-queued events
+        behind it — it never waits for a window to fill.  Returns the
+        window and the item that ended it (``None`` if the queue ran
+        dry or the window filled), which the loop admits next.
+
+        An event of another kind ends the window, and so does one the
+        admission rule refuses, so that its ``rejected`` reply follows
+        the window's replies on its connection.  So does a join for an
+        advertiser already joining in this window: live state cannot
+        refuse it yet (the first join has not applied), but once the
+        window has applied, its admission refuses it exactly as an
+        unwindowed server would."""
+        batch = [first]
+        kind = type(first.event)
+        joining = {first.event.advertiser} if kind is AdvertiserJoin \
+            else None
+        while len(batch) < limit:
+            item = self.sequencer.try_take()
+            if item is None:
+                return batch, None  # empty or closed: dispatch now
+            event = item.event
+            if type(event) is not kind \
+                    or self._service.check(event) is not None \
+                    or (joining is not None
+                        and event.advertiser in joining):
+                return batch, item
+            if joining is not None:
+                joining.add(event.advertiser)
+            batch.append(item)
+        return batch, None
+
     def _apply_one(self, item: SequencedEvent) -> None:
         record = self._served.process(item.event, **self._barrier)
+        self._reply(item, self._service.events_processed - 1, record)
+
+    def _apply_window(self, batch: list[SequencedEvent]) -> None:
+        results = self._served.process_window(
+            [item.event for item in batch], **self._barrier)
+        base = self._service.events_processed - len(batch)
+        for offset, (item, record) in enumerate(zip(batch, results)):
+            self._reply(item, base + offset, record)
+
+    def _reply(self, item: SequencedEvent, seq: int,
+               record) -> None:
+        """Record an applied event and hold its reply: the auction
+        result of a query, an ``ok`` for anything else."""
         self.applied.append(item.event)
-        seq = self._service.events_processed - 1
         if record is not None:
             self.records.append(record)
             reply = protocol.result_payload(item.tag, seq, record)
@@ -438,16 +528,6 @@ class AuctionWireServer:
             reply = protocol.ok_payload(item.tag, seq,
                                         event_kind(item.event))
         self._hold(item.conn_id, reply, item.arrival)
-
-    def _apply_window(self, batch: list[SequencedEvent]) -> None:
-        events = [item.event for item in batch]
-        records = self._served.process_window(events, **self._barrier)
-        base = self._service.events_processed - len(batch)
-        for offset, (item, record) in enumerate(zip(batch, records)):
-            self.applied.append(item.event)
-            self.records.append(record)
-            self._hold(item.conn_id, protocol.result_payload(
-                item.tag, base + offset, record), item.arrival)
 
     def _hold(self, conn_id: int, payload: dict,
               stamped: float | None = None) -> None:
@@ -511,7 +591,7 @@ class AuctionWireServer:
         if transport.is_closing():
             return
         conn.writer.write(data)
-        if transport.get_write_buffer_size() > MAX_WRITE_BACKLOG:
+        if _write_backlog(transport) > MAX_WRITE_BACKLOG:
             self.errors += 1
             self._count("serve.errors.slow-client")
             self._count("serve.connections.closed")

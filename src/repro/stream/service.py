@@ -135,6 +135,12 @@ class _Backend:
     def end_window(self) -> None:
         pass
 
+    def join(self, notices: "list[ControlNotice]") -> None:
+        """Admit a run of joins; a representation with a bulk
+        placement routine applies the whole run as one call."""
+        for notice in notices:
+            self.apply_control(notice)
+
     def rebuild(self) -> None:
         pass
 
@@ -146,6 +152,16 @@ class _Backend:
 
     def close(self) -> None:
         pass
+
+
+def _join_rows(notices: "list[ControlNotice]") -> tuple[np.ndarray, ...]:
+    """A run of join notices as bulk-join rows: ``(advertisers,
+    targets, bids, maxbids, values)``, one row per notice."""
+    return (np.array([notice.advertiser for notice in notices]),
+            np.array([notice.target for notice in notices], dtype=float),
+            np.stack([notice.bids for notice in notices]),
+            np.stack([notice.maxbids for notice in notices]),
+            np.stack([notice.values for notice in notices]))
 
 
 class _EagerBackend(_Backend):
@@ -208,6 +224,9 @@ class _EagerBackend(_Backend):
     def apply_control(self, notice: ControlNotice) -> None:
         self.state.arrays.apply_control(notice, self.step)
 
+    def join(self, notices: "list[ControlNotice]") -> None:
+        self.state.arrays.grow_rows(*_join_rows(notices), self.step)
+
     def rebuild(self) -> None:
         self.state.rebuild()
 
@@ -260,6 +279,9 @@ class _RhtaluBackend(_Backend):
 
     def apply_control(self, notice: ControlNotice) -> None:
         self.evaluator.apply_control(notice)
+
+    def join(self, notices: "list[ControlNotice]") -> None:
+        self.evaluator.join_many(*_join_rows(notices)[:4])
 
     def rebuild(self) -> None:
         self.evaluator = self.evaluator.rebuilt()
@@ -620,30 +642,44 @@ class OnlineAuctionService:
         self._end_dispatch()
         return record
 
-    def process_window(self, queries: "list[QueryArrival]",
-                       after_each=None) -> list[AuctionRecord]:
-        """Apply one micro-batch window of consecutive query arrivals.
+    def process_window(self, events: "list[QueryArrival] | "
+                       "list[AdvertiserJoin]", after_each=None
+                       ) -> "list[AuctionRecord | None]":
+        """Apply one window: a run of consecutive query arrivals (a
+        micro-batch) or of consecutive advertiser joins.  Returns one
+        entry per event — the auction record of a query, ``None`` for
+        a join.
 
-        The whole window is checked before any of it applies.  Each
-        query still runs, settles, and drives the budget
+        The whole window is checked before any of it applies; a join
+        window also refuses an advertiser that joins twice in it (the
+        second join would be refused once the first had applied).
+        Each query still runs, settles, and drives the budget
         lifecycle individually and in order (an exhaustion pause
         lands *before the next query*, exactly as in :meth:`process`);
         what amortizes across the window is per-dispatch overhead —
         the sharded backend hooks ``begin_window`` / ``end_window``
-        to run its capture-refresh check once.  ``after_each``
-        (the durable wrapper's journaling callback) fires after each
-        event is applied and counted.  The window's wall time is
-        amortized per event in :class:`~repro.bench.stream_stats
-        .EventTimings` with a batch-level entry alongside.
+        to run its capture-refresh check once.  The window's wall
+        time is amortized per event in :class:`~repro.bench
+        .stream_stats.EventTimings` with a batch-level entry
+        alongside.  A join window is one state operation
+        (:meth:`_join`) followed by each join's own bookkeeping in
+        order — registry entry at its own seq, watermark, counters,
+        root span — with the operation's wall time shared evenly.
+        ``after_each`` (the durable wrapper's journaling callback)
+        fires after each event is applied and counted.
         """
-        if not queries:
+        if not events:
             return []
-        for event in queries:
-            self._admit(event)
+        self._admit_window(events)
         tracer = self.tracer
         first_seq = self.events_processed
         if tracer is not None:
             tracer.flush_upto(first_seq)
+        if isinstance(events[0], AdvertiserJoin):
+            self._apply_joins(events, after_each)
+            self._end_dispatch()
+            return [None] * len(events)
+        queries = events
         start = time_module.perf_counter()
         records = []
         self.backend.begin_window(len(queries))
@@ -671,18 +707,56 @@ class OnlineAuctionService:
         self._end_dispatch()
         return records
 
+    def _admit_window(self, events: list[Event]) -> None:
+        """Check a whole window before any of it applies."""
+        window_type = type(events[0])
+        if window_type not in (QueryArrival, AdvertiserJoin) or any(
+                type(event) is not window_type for event in events):
+            raise TypeError("a window is a run of query arrivals or a "
+                            "run of advertiser joins")
+        joining: set[int] = set()
+        for event in events:
+            self._admit(event)
+            if window_type is AdvertiserJoin:
+                if event.advertiser in joining:
+                    raise KeyError(f"advertiser {event.advertiser} "
+                                   f"already active")
+                joining.add(event.advertiser)
+
+    def _apply_joins(self, joins: "list[AdvertiserJoin]",
+                     after_each) -> None:
+        """A join window's body: one state operation, then each
+        join's bookkeeping in stream order."""
+        start = time_module.perf_counter()
+        self._join(joins)
+        elapsed = time_module.perf_counter() - start
+        for event in joins:
+            self._register(event)
+            self._applied(event, elapsed / len(joins))
+            if after_each is not None:
+                after_each(event, None)
+        if self.metrics is not None:
+            self.metrics.histogram("latency.join_window").observe(
+                elapsed)
+
     def _apply(self, event: Event,
                windowed: bool = False) -> AuctionRecord | None:
         """The one apply body, for an event :meth:`check` admitted:
-        run its kind's handler, advance the applied-event watermark,
-        fold the per-event sidecar tail.  A windowed apply leaves
-        :attr:`stats` to the window, which amortizes its wall time."""
-        seq = self.events_processed
+        run its kind's handler, then :meth:`_applied`."""
         start = time_module.perf_counter()
         record = self._HANDLERS[type(event)][1](self, event)
+        self._applied(event, time_module.perf_counter() - start,
+                      windowed)
+        return record
+
+    def _applied(self, event: Event, elapsed: float,
+                 windowed: bool = False) -> None:
+        """The per-event tail: advance the applied-event watermark,
+        fold the sidecars.  A windowed query leaves :attr:`stats` to
+        its window, which amortizes its wall time."""
+        seq = self.events_processed
         self.events_processed = seq + 1
         kind = event_kind(event)
-        elapsed = time_module.perf_counter() - start
         if not windowed:
             self.stats.record(kind, elapsed)
         if self.metrics is not None:
@@ -697,7 +771,6 @@ class OnlineAuctionService:
             # flush_upto.
             self.tracer.open(seq, kind)
             self.tracer.set_duration(seq, elapsed)
-        return record
 
     def _end_dispatch(self) -> None:
         """Once per :meth:`process` call or window: refresh the
@@ -765,13 +838,29 @@ class OnlineAuctionService:
         if self.maintenance == "rebuild":
             self.backend.rebuild()
 
-    def _apply_join(self, event: AdvertiserJoin) -> None:
-        self._control("join", event.advertiser, target=event.target,
-                      bids=np.asarray(event.bids, dtype=float),
-                      maxbids=np.asarray(event.maxbids, dtype=float),
-                      values=np.asarray(event.values, dtype=float))
+    def _join(self, joins: "list[AdvertiserJoin]") -> None:
+        """The state half of a run of joins: one backend call for the
+        whole run (the bulk placement routine of the representation —
+        one join is its one-row case), then, under ``rebuild``
+        maintenance, one rebuild."""
+        self.backend.join([ControlNotice(
+            kind="join", advertiser=event.advertiser,
+            target=event.target,
+            bids=np.asarray(event.bids, dtype=float),
+            maxbids=np.asarray(event.maxbids, dtype=float),
+            values=np.asarray(event.values, dtype=float))
+            for event in joins])
+        if self.maintenance == "rebuild":
+            self.backend.rebuild()
+
+    def _register(self, event: AdvertiserJoin) -> None:
+        """A join's ledger entry, at the join's own seq."""
         self.registry.admit(event.advertiser, event.target,
                             event.budget, self.events_processed)
+
+    def _apply_join(self, event: AdvertiserJoin) -> None:
+        self._join([event])
+        self._register(event)
 
     def _apply_leave(self, event: AdvertiserLeave) -> None:
         self._control("leave", event.advertiser)
@@ -1150,36 +1239,42 @@ class DurableAuctionService:
                        self.service.events_processed})
         crash_hook("service-post-checkpoint")
 
-    def process_window(self, queries: "list[QueryArrival]", *,
-                       commit: bool = True) -> list[AuctionRecord]:
-        """Durably apply one micro-batch window of query arrivals.
+    def process_window(self, events: "list[QueryArrival] | "
+                       "list[AdvertiserJoin]", *, commit: bool = True
+                       ) -> "list[AuctionRecord | None]":
+        """Durably apply one window: a micro-batch of query arrivals
+        or a run of advertiser joins
+        (:meth:`OnlineAuctionService.process_window`).
 
         The write-ahead contract holds at window granularity: every
         event of the window is checked before any of it is journaled
-        (one bad query journals none of the window) and journaled
-        before *any* of it is applied, then each query applies in
+        (one bad event journals none of the window) and journaled
+        before *any* of it is applied, then each event applies in
         order with its emissions journaled at its own seq and the
-        checkpoint schedule consulted per event, exactly as the unbatched loop does; one
-        :meth:`commit` closes the window (``commit=False`` leaves it
-        to the caller, as in :meth:`process`).  Batch boundaries
-        therefore never leak into the recorded event order: per
-        origin — the ``input`` sequence and the ``service`` emission
-        sequence — the journal is entry for entry the one an
-        unbatched run writes (only the interleaving *between* the two
-        origins shifts, since a window's inputs land ahead of its
-        emissions), and recovery replays each origin independently,
-        so it needs no batching awareness at all.  A crash after the
-        inputs are journaled (``batch-post-flush``) leaves
-        journaled-but-unapplied events that recovery replays; a crash
-        between in-window applies (``batch-mid-window``) is the
-        classic mid-batch kill.
+        checkpoint schedule consulted per event, exactly as the
+        unbatched loop does; one :meth:`commit` closes the window
+        (``commit=False`` leaves it to the caller, as in
+        :meth:`process`).  A join window applies as one state
+        operation, so it is cut at every checkpoint watermark it
+        spans: the joins up to the watermark apply, the checkpoint
+        describes exactly that seq, then the rest apply.  Window
+        boundaries therefore never leak into the recorded event
+        order: per origin — the ``input`` sequence and the
+        ``service`` emission sequence — the journal is entry for entry
+        the one an unbatched run writes (only the interleaving
+        *between* the two origins shifts, since a window's inputs land
+        ahead of its emissions), and recovery replays each origin
+        independently, so it needs no batching awareness at all.  A
+        crash after the inputs are journaled (``batch-post-flush``)
+        leaves journaled-but-unapplied events that recovery replays;
+        a crash between in-window applies (``batch-mid-window``) is
+        the classic mid-batch kill.
         """
-        if not queries:
+        if not events:
             return []
-        for event in queries:
-            self.service._admit(event)
+        self.service._admit_window(events)
         base_seq = self.service.events_processed
-        for offset, event in enumerate(queries):
+        for offset, event in enumerate(events):
             self.journal.append(base_seq + offset, event,
                                 origin="input")
         crash_hook("batch-post-flush")
@@ -1193,11 +1288,28 @@ class DurableAuctionService:
             crash_hook("batch-mid-window")
             self._checkpoint_if_due(seq)
 
-        records = self.service.process_window(queries,
-                                              after_each=after_each)
+        results = []
+        for part in self._cut(events, base_seq):
+            results.extend(self.service.process_window(
+                part, after_each=after_each))
         if commit:
             self.commit()
-        return records
+        return results
+
+    def _cut(self, events: list[Event], base_seq: int
+             ) -> list[list[Event]]:
+        """A join window's parts, each ending at a checkpoint
+        watermark (or the window's end); a query window, whole."""
+        if self.checkpoints is None \
+                or not isinstance(events[0], AdvertiserJoin):
+            return [events]
+        parts, start = [], 0
+        for offset in range(len(events)):
+            if self.checkpoints.due(base_seq + offset + 1):
+                parts.append(events[start:offset + 1])
+                start = offset + 1
+        return parts + [events[start:]] if start < len(events) \
+            else parts
 
     def run(self, events: Iterable[Event]) -> list[AuctionRecord]:
         """Consume a stream durably, returning records in order: the

@@ -234,3 +234,63 @@ class TestColumnArgsortIndexChurn:
                                       members=np.arange(15))
         np.testing.assert_array_equal(full.order, explicit.order)
         np.testing.assert_array_equal(full.rank, explicit.rank)
+
+
+def _splice(order, values, matrix, item):
+    """Reference one-id splice, independent of the index's own code:
+    per column, the new id goes after every larger value and every
+    tied larger id."""
+    row = matrix[item]
+    columns = []
+    for col in range(order.shape[1]):
+        at = int(np.count_nonzero(values[:, col] > row[col])
+                 + np.count_nonzero((values[:, col] == row[col])
+                                    & (order[:, col] > item)))
+        columns.append((np.insert(order[:, col], at, item),
+                        np.insert(values[:, col], at, row[col])))
+    return (np.stack([c[0] for c in columns], axis=1),
+            np.stack([c[1] for c in columns], axis=1))
+
+
+class TestInsertMany:
+    """The index path of a bulk join: merging a batch of ids equals
+    splicing them in one at a time, in any order, ties included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 2),
+           st.data())
+    def test_merge_equals_sequential_splices(self, universe, columns,
+                                             digits, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        # Few digits: heavy value ties within and across the batch.
+        matrix = rng.uniform(0.0, 1.0,
+                             size=(universe, columns)).round(digits)
+        ids = data.draw(st.permutations(range(universe)))
+        split = data.draw(st.integers(0, universe))
+        members = np.sort(np.asarray(ids[:split], dtype=np.int64))
+        batch = list(ids[split:])
+
+        merged = ColumnArgsortIndex(matrix, members=members)
+        merged.insert_many(np.asarray(batch, dtype=np.int64))
+        start = ColumnArgsortIndex(matrix, members=members)
+        order, values = start.order, start.sorted_values
+        for item in batch:
+            order, values = _splice(order, values, matrix, item)
+        np.testing.assert_array_equal(merged.order, order)
+        np.testing.assert_array_equal(merged.sorted_values, values)
+        rank = np.full((universe, columns), universe, dtype=np.int64)
+        for col in range(columns):
+            rank[order[:, col], col] = np.arange(len(order))
+        np.testing.assert_array_equal(merged.rank, rank)
+
+    def test_batch_errors_leave_the_index_unchanged(self):
+        matrix = np.random.default_rng(15).uniform(size=(6, 2))
+        index = ColumnArgsortIndex(matrix, members=np.array([1, 4]))
+        before = index.order.copy(), index.rank.copy()
+        for bad in ([2, 2], [0, 4], [3, 6], [-1]):
+            with pytest.raises(KeyError):
+                index.insert_many(np.array(bad))
+        np.testing.assert_array_equal(index.order, before[0])
+        np.testing.assert_array_equal(index.rank, before[1])
+        index.insert_many(np.empty(0, dtype=np.int64))
+        np.testing.assert_array_equal(index.order, before[0])

@@ -254,13 +254,15 @@ class TestExecutorFreeIngest:
     def test_full_queue_stalls_that_connection_only(
             self, serve_factory, monkeypatch):
         gate = threading.Event()
-        inner = OnlineAuctionService.process
+        inner = OnlineAuctionService.check
 
+        # The apply thread asks the admission rule about every event
+        # it takes before it applies anything, windowed or not.
         def gated(service, event):
             assert gate.wait(60)
             return inner(service, event)
 
-        monkeypatch.setattr(OnlineAuctionService, "process", gated)
+        monkeypatch.setattr(OnlineAuctionService, "check", gated)
         capacity = 2
         live = serve_factory(ingress_capacity=capacity)
         # 16 KB tags: ~10 MB of requests, more than loopback socket
