@@ -488,6 +488,21 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for an integer flag with a floor: a value
+    below it is a usage error (exit 2), not a traceback."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    return parse
+
+
 def _add_service_flags(parser: argparse.ArgumentParser,
                        ingress_capacity: int) -> None:
     """The flags ``stream`` and ``serve`` share — the service both
@@ -508,12 +523,15 @@ def _add_service_flags(parser: argparse.ArgumentParser,
     add("--seed", type=int, default=0,
         help="engine seed is seed+1 (one convention for stream and "
              "serve, so offline replays match)")
-    add("--batch-window", type=int, default=0, metavar="N",
+    add("--batch-window", type=_int_at_least(0), default=0,
+        metavar="N",
         help="coalesce up to N consecutive query arrivals per "
              "dispatch (adaptive: never waits for a window to fill; "
-             "control events flush it; 0 = unbatched). Records stay "
-             "bit-identical to the unbatched service")
-    add("--ingress-capacity", type=int, default=ingress_capacity,
+             "control events flush it; 0/1 = queries apply one at a "
+             "time). Records stay bit-identical to the unbatched "
+             "service")
+    add("--ingress-capacity", type=_int_at_least(1),
+        default=ingress_capacity,
         metavar="N",
         help="bound on the ingress queue. `stream` (with "
              "--batch-window): admission beyond it applies "

@@ -77,6 +77,18 @@ class ControlNotice:
     maxbid: float = 0.0
 
 
+def join_rows(notices: "list[ControlNotice]", offset: int = 0
+              ) -> tuple[np.ndarray, ...]:
+    """A run of join notices as bulk-join rows: ``(advertisers,
+    targets, bids, maxbids, values)``, one row per notice, ids
+    translated by ``offset`` (a shard's ``lo``)."""
+    return (np.array([notice.advertiser - offset for notice in notices]),
+            np.array([notice.target for notice in notices], dtype=float),
+            np.stack([notice.bids for notice in notices]),
+            np.stack([notice.maxbids for notice in notices]),
+            np.stack([notice.values for notice in notices]))
+
+
 @dataclass(frozen=True)
 class ShardTask:
     """One auction's work order: fold these wins, apply these control

@@ -42,6 +42,7 @@ import os
 import signal
 import traceback
 from dataclasses import dataclass
+from itertools import groupby
 from multiprocessing.connection import Connection
 
 import numpy as np
@@ -62,6 +63,7 @@ from repro.runtime.messages import (
     WinNotice,
     WorkerFailure,
     WorkerReady,
+    join_rows,
 )
 from repro.stream.crash import crash_hook, set_scope
 from repro.workloads.paper_workload import (
@@ -145,11 +147,24 @@ class _Shard:
         self.num_local = init.hi - init.lo
         self.maintenance = init.maintenance
 
+    def apply_controls(self, controls: "tuple[ControlNotice, ...]"
+                       ) -> None:
+        """Apply a message's control notices in order, each run of
+        consecutive joins as one bulk join (:meth:`join`) — the state
+        its joins applied one at a time would leave."""
+        for joining, run in groupby(controls,
+                                    key=lambda notice: notice.kind
+                                    == "join"):
+            if joining:
+                self.join(list(run))
+            else:
+                for notice in run:
+                    self.apply_control(notice)
+
     def snapshot(self, request: SnapshotRequest) -> SnapshotReply:
         for win in request.wins:
             self.fold(win)
-        for control in request.controls:
-            self.apply_control(control)
+        self.apply_controls(request.controls)
         return SnapshotReply(shard=self.shard, state=_shift_capture_ids(
             self.capture(), self.offset))
 
@@ -179,6 +194,12 @@ class _EagerShard(_Shard):
         if self.maintenance == "rebuild":
             self.state.rebuild()
 
+    def join(self, notices: "list[ControlNotice]") -> None:
+        self.state.arrays.grow_rows(*join_rows(notices, self.offset),
+                                    self.step)
+        if self.maintenance == "rebuild":
+            self.state.rebuild()
+
     def capture(self) -> dict:
         return self.state.arrays.capture()
 
@@ -190,8 +211,7 @@ class EagerScanShard(_EagerShard):
         start = time_module.process_time()
         for win in task.wins:
             self.fold(win)
-        for control in task.controls:
-            self.apply_control(control)
+        self.apply_controls(task.controls)
         self.state.evaluate(task.keyword, task.time)
         eval_done = time_module.process_time()
         lists = self.state.scan()
@@ -214,8 +234,7 @@ class GatherShard(_EagerShard):
         start = time_module.process_time()
         for win in task.wins:
             self.fold(win)
-        for control in task.controls:
-            self.apply_control(control)
+        self.apply_controls(task.controls)
         bids = self.state.evaluate(task.keyword, task.time)
         return GatherReply(
             auction_id=task.auction_id,
@@ -249,6 +268,11 @@ class RhtaluShard(_Shard):
         if self.maintenance == "rebuild":
             self.evaluator = self.evaluator.rebuilt()
 
+    def join(self, notices: "list[ControlNotice]") -> None:
+        self.evaluator.join_many(*join_rows(notices, self.offset)[:4])
+        if self.maintenance == "rebuild":
+            self.evaluator = self.evaluator.rebuilt()
+
     def capture(self) -> dict:
         return self.evaluator.state.capture()
 
@@ -256,8 +280,7 @@ class RhtaluShard(_Shard):
         start = time_module.process_time()
         for win in task.wins:
             self.fold(win)
-        for control in task.controls:
-            self.apply_control(control)
+        self.apply_controls(task.controls)
         scan = self.evaluator.scan_auction(task.keyword, task.time)
         lists = scan.slot_lists
         return ScanReply(

@@ -52,23 +52,20 @@ costing one.  Released replies go to a shared outbox, and a
 pending, so whatever accumulates before the loop runs shares one
 self-pipe write, one wake-up and one socket write per connection.
 
-**Windows.**  The apply thread coalesces runs of already-queued events
-of one kind into
-:meth:`~repro.stream.service.OnlineAuctionService.process_window`
-dispatches — adaptive exactly like
-:class:`~repro.stream.batching.MicroBatcher`: it never waits for a
-window to fill, and an event of another kind ends it.  Runs of
-queries coalesce only with ``batch_window > 1``, up to that size.
-Runs of joins always coalesce, bounded only by what the sequencer
-already holds: a window of joins is one bulk state operation (for
-RHTALU one pacer placement and one click-index merge instead of one
-of each per join), while each join keeps its own seq, journal line,
-registry entry, root span and ``ok`` reply.  Two cuts keep a join
-window equal to its joins applied one at a time.  A join for an
-advertiser already in the window ends it and applies after it:
-admission runs against live state, where the first join has not
-applied yet, so only once the window has applied can the duplicate
-be refused as an unwindowed server refuses it.  And under
+**Windows.**  The apply thread forms its dispatch units with
+:func:`~repro.stream.batching.take_unit` — the one rule that
+:class:`~repro.stream.batching.MicroBatcher` and the offline run loop
+(``repro stream``, :func:`~repro.stream.recovery.recover`) form theirs
+with — over the events already queued in the sequencer: it never
+waits for a unit to fill, and an event of another kind ends it.  Runs
+of queries window only with ``batch_window >= 2``, up to that size.
+Runs of joins always window, bounded only by what the sequencer can
+hold (``ingress_capacity``): a window of joins is one bulk state
+operation (for RHTALU one pacer placement and one click-index merge
+instead of one of each per join), while each join keeps its own seq,
+journal line, registry entry, root span and ``ok`` reply.  A join for
+an advertiser already in the window ends it and, once the window has
+applied, is refused as an unwindowed server refuses it; under
 ``--checkpoint-every`` the durable wrapper cuts a join window at each
 checkpoint watermark, so every checkpoint describes exactly its seq.
 A refused event also ends a window, so its ``rejected`` reply never
@@ -92,18 +89,14 @@ import struct
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from time import perf_counter
 
 from repro.serve import protocol
 from repro.serve.sequencer import IngressSequencer, SequencedEvent
-from repro.stream.events import (
-    AdvertiserJoin,
-    Event,
-    EventLog,
-    QueryArrival,
-    event_kind,
-)
+from repro.stream.batching import take_unit
+from repro.stream.events import EventLog, event_kind
 from repro.stream.service import (
     SERVICE_METHODS,
     DurableAuctionService,
@@ -118,6 +111,10 @@ try:
     _OUTQ: int | None = termios.TIOCOUTQ
 except (ImportError, AttributeError):  # no kernel send-queue probe
     _OUTQ = None
+
+
+_event_of = attrgetter("event")
+"""A sequenced envelope's event: what :func:`take_unit` windows by."""
 
 
 @dataclass
@@ -199,9 +196,6 @@ class AuctionWireServer:
     point the CLI and the test harnesses call."""
 
     def __init__(self, config: ServeConfig) -> None:
-        if config.batch_window and config.batch_window < 2:
-            raise ValueError("batch_window is a window size: 0/1 = "
-                             "unbatched, >= 2 = coalesce")
         self.config = config
         self.workload_config = PaperWorkloadConfig(
             num_advertisers=config.advertisers,
@@ -427,12 +421,14 @@ class AuctionWireServer:
                     if item is None:
                         break
                 if self._admit(item):
-                    limit = self._window_limit(item.event)
-                    if limit:
-                        batch, carry = self._take_run(item, limit)
-                        self._apply_window(batch)
+                    unit, carry = take_unit(
+                        item, self.sequencer.try_take,
+                        self.config.batch_window, capacity,
+                        self._service.check, _event_of)
+                    if isinstance(unit, list):
+                        self._apply_window(unit)
                     else:
-                        self._apply_one(item)
+                        self._apply_one(unit)
                 # Without a journal a reply has no barrier to wait
                 # for — unless the ingress queue is at least half
                 # full: then the server is saturated, a reply's
@@ -460,50 +456,6 @@ class AuctionWireServer:
         self._hold(item.conn_id, protocol.error_payload(
             "rejected", error.args[0], item.tag))
         return False
-
-    def _window_limit(self, event: Event) -> int:
-        """How many queued events may share ``event``'s window: a run
-        of joins always windows (up to the ingress capacity, all the
-        sequencer can hold), a run of queries only with
-        ``batch_window >= 2``; 0 = apply ``event`` alone."""
-        if isinstance(event, AdvertiserJoin):
-            return self.config.ingress_capacity
-        if isinstance(event, QueryArrival):
-            return self.config.batch_window
-        return 0
-
-    def _take_run(self, first: SequencedEvent, limit: int
-                  ) -> tuple[list[SequencedEvent], SequencedEvent | None]:
-        """Extend ``first``'s window with the already-queued events
-        behind it — it never waits for a window to fill.  Returns the
-        window and the item that ended it (``None`` if the queue ran
-        dry or the window filled), which the loop admits next.
-
-        An event of another kind ends the window, and so does one the
-        admission rule refuses, so that its ``rejected`` reply follows
-        the window's replies on its connection.  So does a join for an
-        advertiser already joining in this window: live state cannot
-        refuse it yet (the first join has not applied), but once the
-        window has applied, its admission refuses it exactly as an
-        unwindowed server would."""
-        batch = [first]
-        kind = type(first.event)
-        joining = {first.event.advertiser} if kind is AdvertiserJoin \
-            else None
-        while len(batch) < limit:
-            item = self.sequencer.try_take()
-            if item is None:
-                return batch, None  # empty or closed: dispatch now
-            event = item.event
-            if type(event) is not kind \
-                    or self._service.check(event) is not None \
-                    or (joining is not None
-                        and event.advertiser in joining):
-                return batch, item
-            if joining is not None:
-                joining.add(event.advertiser)
-            batch.append(item)
-        return batch, None
 
     def _apply_one(self, item: SequencedEvent) -> None:
         record = self._served.process(item.event, **self._barrier)

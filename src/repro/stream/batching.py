@@ -7,25 +7,26 @@ arrival, which is the throughput gap between the ``stream-churn`` and
 ``batch`` cells of ``BENCH_offline.json``.  This module closes it without
 changing anything observable:
 
-* :class:`MicroBatcher` pulls admitted events into a bounded ingress
-  queue and yields **dispatch units**: a maximal run of *consecutive*
-  :class:`~repro.stream.events.QueryArrival` events (capped at the
-  window size), or a single control event.  Control events — joins,
-  leaves, bid edits, top-ups — never share a unit with queries, so a
-  window is exactly a stretch of the stream over which the advertiser
-  population cannot change from the *input* side (service-originated
-  pauses can still land mid-window; the backends invalidate their
-  window caches when they do).
+* :func:`take_unit` is the one rule that forms **dispatch units**
+  out of what is already queued, for every consumer of an ordered
+  stream: the wire server's apply loop, :class:`MicroBatcher`, and
+  :meth:`~repro.stream.service.OnlineAuctionService.run` (so ``repro
+  stream`` and :func:`~repro.stream.recovery.recover`).  A unit is a
+  run of *consecutive* :class:`~repro.stream.events.AdvertiserJoin`
+  events (one bulk state operation), a run of consecutive
+  :class:`~repro.stream.events.QueryArrival` events, or a single
+  event.  Any other kind of event ends a run, so a query window is a
+  stretch of the stream over which the advertiser population cannot
+  change from the *input* side (service-originated pauses can still
+  land mid-window; the backends invalidate their window caches when
+  they do).  A unit is ``min(run length at the queue head, cap, what
+  has arrived)``: under load units hit their cap, and when the queue
+  is shallow a unit is whatever is present — the rule never idles
+  waiting for a unit to fill, so latency stays arrival-bound.
 
-* The window policy is **adaptive** by construction: a unit is
-  ``min(run length at the queue head, window, what has arrived)``.
-  Under load the ingress queue is deep and units hit the window cap
-  (drain-whatever-is-queued); when the queue is shallow the batcher
-  dispatches whatever is present immediately — it never idles waiting
-  for a window to fill, so latency stays arrival-bound.
-
-* The ingress queue is **bounded** (``ingress_capacity``) with an
-  explicit backpressure policy.  ``delay`` (the default) simply stops
+* :class:`MicroBatcher` forms units over an ingress queue that is
+  **bounded** (``ingress_capacity``, which also caps a join run) with
+  an explicit backpressure policy.  ``delay`` (the default) simply stops
   pulling from the source while the queue is full — arrivals wait
   upstream, nothing is dropped, and the serviced stream is the input
   stream, event for event; every bit-identity oracle runs in this
@@ -51,9 +52,19 @@ import logging
 import time as time_module
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    TypeVar,
+    Union,
+)
 
 from repro.stream.events import (
+    AdvertiserJoin,
     Event,
     EventLog,
     QueryArrival,
@@ -68,12 +79,72 @@ BACKPRESSURE_MODES = ("delay", "shed")
 
 _LOG = logging.getLogger(__name__)
 
-QueryWindow = List[QueryArrival]
-"""One dispatch unit of consecutive query arrivals (len >= 1)."""
+DispatchUnit = Union[List[Event], Event]
+"""What :func:`take_unit` forms and :meth:`MicroBatcher.units`
+yields: a window (a list: a run of joins, or of queries) or a single
+event."""
 
-DispatchUnit = Union[QueryWindow, Event]
-"""What :meth:`MicroBatcher.units` yields: a query window (list) or a
-single control event."""
+Item = TypeVar("Item")
+
+Check = Callable[[Event], Optional[Exception]]
+"""The service's admission rule
+(:meth:`~repro.stream.service.OnlineAuctionService.check`)."""
+
+
+def take_unit(head: Item, pull: Callable[[], Optional[Item]],
+              window: int, cap: int | None = None,
+              check: Check | None = None,
+              event_of: Callable[[Item], Event] = lambda item: item,
+              ) -> tuple[Union[List[Item], Item], Optional[Item]]:
+    """Form the dispatch unit that starts at ``head``: the one rule
+    every consumer of an ordered stream windows by.
+
+    ``head`` is already admitted; ``pull()`` returns the next
+    already-queued item, or ``None`` when nothing is queued — the rule
+    never waits for a unit to fill.  ``event_of`` reads an item's event
+    (the wire server's items are sequenced envelopes).  Returns the
+    unit — a list for a window, the bare ``head`` for an event that
+    applies alone — and the item that ended it (``None`` if the queue
+    ran dry or the unit filled), which the caller admits next.
+
+    A run of queries windows when ``window >= 2``, up to it.  A run of
+    joins windows under an admission rule (``check``), up to ``cap``
+    (``None``: the run itself; below 2, joins apply alone): a window
+    is admitted whole or not at all, so only the rule's cut at the
+    first refused join keeps a bad stream failing where one event at a
+    time fails.  Every other event applies alone.  A run ends at an
+    event of another kind and at one ``check`` refuses, so a refused
+    event's fate follows the window's.  It also ends at a second join
+    for an advertiser already in the unit: admission runs against live
+    state, where the first join has not applied yet, so only once the
+    window has applied can the duplicate be refused, exactly as one
+    event at a time would refuse it.
+    """
+    event = event_of(head)
+    kind = type(event)
+    if kind is QueryArrival:
+        limit = window
+    elif kind is AdvertiserJoin and check is not None:
+        limit = cap
+    else:
+        limit = 1
+    if limit is not None and limit < 2:
+        return head, None
+    joining = {event.advertiser} if kind is AdvertiserJoin else None
+    unit = [head]
+    while limit is None or len(unit) < limit:
+        item = pull()
+        if item is None:
+            return unit, None
+        event = event_of(item)
+        if type(event) is not kind \
+                or (check is not None and check(event) is not None) \
+                or (joining is not None and event.advertiser in joining):
+            return unit, item
+        if joining is not None:
+            joining.add(event.advertiser)
+        unit.append(item)
+    return unit, None
 
 
 @dataclass(frozen=True)
@@ -119,22 +190,31 @@ class BatchingConfig:
 
 
 class MicroBatcher:
-    """Coalesce an event stream into dispatch units.
+    """Coalesce an event stream into dispatch units (:func:`take_unit`
+    over a bounded ingress queue).
 
     One batcher serves one stream consumption; its counters and
-    :attr:`shed` log describe that run.  ``stats``, when given,
+    :attr:`shed` log describe that run.  ``windows``,
+    ``batched_queries``, ``max_window`` and the ``batch.*`` metrics
+    count query windows only (a join window is counted by the
+    service's ``latency.join_window``).  ``stats``, when given,
     receives a :meth:`~repro.bench.stream_stats.EventTimings
     .record_shed` call per dropped query so operators see sheds where
-    they already look for timings.
+    they already look for timings.  ``check`` is the consuming
+    service's admission rule: with it, runs of joins window too (up to
+    ``ingress_capacity``) and a refused event ends a run; without it,
+    joins come out alone.
     """
 
     def __init__(self, config: BatchingConfig,
                  stats: "EventTimings | None" = None,
                  metrics: "MetricsRegistry | None" = None,
-                 track_waits: bool = False):
+                 track_waits: bool = False,
+                 check: Check | None = None):
         self.config = config
         self.stats = stats
         self.metrics = metrics
+        self.check = check
         self.shed = EventLog()
         """Every event dropped by ``shed`` backpressure, in arrival
         order — the operator's audit trail for what the trace will
@@ -195,38 +275,30 @@ class MicroBatcher:
                 exhausted = self._admit(source, arrivals)
 
     def _next_unit(self) -> DispatchUnit:
-        track = self._track
-        now = time_module.monotonic() if track else 0.0
-        if not isinstance(self._queue[0], QueryArrival):
-            event = self._queue.popleft()
-            if track:
-                self.last_waits = [now - self._admit_times.popleft()]
-                self._record_unit(1)
-            return event
-        run: QueryWindow = []
-        while self._queue and len(run) < self.config.window \
-                and isinstance(self._queue[0], QueryArrival):
-            run.append(self._queue.popleft())
-        if track:
+        queue, metrics = self._queue, self.metrics
+        unit, ended = take_unit(
+            queue.popleft(), lambda: queue.popleft() if queue else None,
+            self.config.window, self.config.ingress_capacity, self.check)
+        if ended is not None:
+            queue.appendleft(ended)
+        members = unit if isinstance(unit, list) else [unit]
+        if self._track:
+            now = time_module.monotonic()
             self.last_waits = [now - self._admit_times.popleft()
-                               for _ in run]
-        self.windows += 1
-        self.batched_queries += len(run)
-        self.max_window = max(self.max_window, len(run))
-        if self.metrics is not None:
-            self.metrics.counter("batch.windows").inc()
-            self.metrics.counter("batch.batched_queries").inc(len(run))
-            self._record_unit(len(run))
-        return run
-
-    def _record_unit(self, size: int) -> None:
-        metrics = self.metrics
-        if metrics is None:
-            return
-        metrics.gauge("batch.queue_depth").set(len(self._queue))
-        histogram = metrics.histogram("latency.ingress_wait")
-        for wait in self.last_waits:
-            histogram.observe(wait)
+                               for _ in members]
+        if isinstance(unit, list) and isinstance(unit[0], QueryArrival):
+            self.windows += 1
+            self.batched_queries += len(unit)
+            self.max_window = max(self.max_window, len(unit))
+            if metrics is not None:
+                metrics.counter("batch.windows").inc()
+                metrics.counter("batch.batched_queries").inc(len(unit))
+        if metrics is not None:
+            metrics.gauge("batch.queue_depth").set(len(queue))
+            histogram = metrics.histogram("latency.ingress_wait")
+            for wait in self.last_waits:
+                histogram.observe(wait)
+        return unit
 
     def _admit(self, source: Iterator[Event], count: int) -> bool:
         """Pull up to ``count`` events; True when the source is dry.

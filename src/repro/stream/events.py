@@ -26,7 +26,10 @@ re-derives them deterministically.
 :class:`EventLog` is the materialized form: an ordered, sliceable,
 JSONL-serializable sequence.  Any iterable of events (a generator, a
 socket reader) serves as a :data:`StreamSource` — the service consumes
-events one at a time and never looks ahead.
+events in order.  It reads ahead only to find where a run of joins
+ends (one event past it) and to fill the micro-batcher's bounded
+queue, so over a blocking source a join run applies once the event
+after it has arrived.
 """
 
 from __future__ import annotations

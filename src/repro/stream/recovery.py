@@ -11,7 +11,9 @@ after a process death from exactly two artifacts:
    configuration stored in the journal header;
 2. the **journaled suffix** — every complete journal entry whose seq
    is at or past the checkpoint's applied-event watermark, re-applied
-   through the ordinary event loop.  Entries tagged
+   through the ordinary run loop
+   (:meth:`~repro.stream.service.OnlineAuctionService.run`, which
+   applies each run of joins as one window).  Entries tagged
    ``origin="service"`` are never re-applied (the loop re-derives
    them); instead they are audited against the re-derived emissions,
    which must extend them.
@@ -196,11 +198,10 @@ def recover(journal_path: str | Path,
     journaled_emissions = [entry for entry in suffix
                            if entry.origin == "service"]
 
-    records: list[AuctionRecord] = []
-    for entry in inputs:
-        record = service.process(entry.event)
-        if record is not None:
-            records.append(record)
+    # The recovered service is bare (no journal, no checkpoints), so
+    # its run loop windows join runs whole — a journal-only RHTALU
+    # recovery re-admits its genesis in bulk, as the server did.
+    records = service.run(entry.event for entry in inputs)
 
     verified = 0
     if verify_emissions:

@@ -61,8 +61,9 @@ from __future__ import annotations
 import logging
 import math
 import time as time_module
+from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -80,8 +81,17 @@ from repro.obs import (
     SpanTracer,
 )
 from repro.runtime.executor import ShardedAuctionRuntime
-from repro.runtime.messages import SERVED_METHODS, ControlNotice
-from repro.stream.batching import BatchingConfig, MicroBatcher
+from repro.runtime.messages import (
+    SERVED_METHODS,
+    ControlNotice,
+    join_rows,
+)
+from repro.stream.batching import (
+    BatchingConfig,
+    DispatchUnit,
+    MicroBatcher,
+    take_unit,
+)
 from repro.stream.budget import BudgetRegistry
 from repro.stream.crash import crash_hook
 from repro.stream.events import (
@@ -154,16 +164,6 @@ class _Backend:
         pass
 
 
-def _join_rows(notices: "list[ControlNotice]") -> tuple[np.ndarray, ...]:
-    """A run of join notices as bulk-join rows: ``(advertisers,
-    targets, bids, maxbids, values)``, one row per notice."""
-    return (np.array([notice.advertiser for notice in notices]),
-            np.array([notice.target for notice in notices], dtype=float),
-            np.stack([notice.bids for notice in notices]),
-            np.stack([notice.maxbids for notice in notices]),
-            np.stack([notice.values for notice in notices]))
-
-
 class _EagerBackend(_Backend):
     """Workers=0 serving for the eager methods (rh / lp / hungarian):
     one local leaf, no pipe.
@@ -225,7 +225,7 @@ class _EagerBackend(_Backend):
         self.state.arrays.apply_control(notice, self.step)
 
     def join(self, notices: "list[ControlNotice]") -> None:
-        self.state.arrays.grow_rows(*_join_rows(notices), self.step)
+        self.state.arrays.grow_rows(*join_rows(notices), self.step)
 
     def rebuild(self) -> None:
         self.state.rebuild()
@@ -281,7 +281,7 @@ class _RhtaluBackend(_Backend):
         self.evaluator.apply_control(notice)
 
     def join(self, notices: "list[ControlNotice]") -> None:
-        self.evaluator.join_many(*_join_rows(notices)[:4])
+        self.evaluator.join_many(*join_rows(notices)[:4])
 
     def rebuild(self) -> None:
         self.evaluator = self.evaluator.rebuilt()
@@ -393,8 +393,8 @@ class OnlineAuctionService:
         Under ``delay`` backpressure the serviced stream is the input
         stream event for event, so records, balances, and emissions
         stay bit-identical to the unbatched service — the oracle
-        suites assert exactly this.  ``None`` (the default) keeps the
-        one-event-at-a-time loop.
+        suites assert exactly this.  ``None`` (the default) applies
+        queries one at a time; runs of joins window either way.
     observability:
         An :class:`~repro.obs.ObservabilityConfig` arms the metrics
         registry and (per its paths) the per-event span tracer and the
@@ -896,34 +896,52 @@ class OnlineAuctionService:
     def run(self, events: Iterable[Event]) -> list[AuctionRecord]:
         """Consume a stream, returning the auction records in order.
 
-        With :attr:`batching` armed the stream routes through the
-        micro-batcher: query windows dispatch via
-        :meth:`process_window`, control events via :meth:`process`,
-        in arrival order.
+        The stream applies in dispatch units
+        (:func:`~repro.stream.batching.take_unit`): every run of
+        consecutive joins is one :meth:`process_window` — one bulk
+        state operation — and everything else goes through
+        :meth:`process`, in arrival order.  With :attr:`batching`
+        armed the units come from the micro-batcher's bounded queue,
+        which also windows query runs and caps a join run at its
+        ``ingress_capacity``; without it there is no queue, and a join
+        run windows whole.
         """
         return self._run(events, self)
 
-    def _run(self, events: Iterable[Event], through
-             ) -> list[AuctionRecord]:
+    def _run(self, events: Iterable[Event], through,
+             cap: int | None = None) -> list[AuctionRecord]:
         """The one run loop; ``through`` is what applies each unit —
-        this service, or the journaling wrapper around it."""
+        this service, or the journaling wrapper around it.  ``cap``
+        bounds a join run when there is no batcher (``None``: the run
+        itself)."""
         batcher = None
         if self.batching is not None:
             batcher = self.last_batcher = MicroBatcher(
                 self.batching, stats=self.stats, metrics=self.metrics,
-                track_waits=self.tracer is not None)
-            events = batcher.units(events)
+                track_waits=self.tracer is not None, check=self.check)
+            units = batcher.units(events)
+        else:
+            units = self._units(events, cap)
         records = []
-        for unit in events:
+        for unit in units:
             if batcher is not None:
                 self._stage_ingress(batcher)
-            if isinstance(unit, list):
-                records.extend(through.process_window(unit))
-            else:
-                record = through.process(unit)
-                if record is not None:
-                    records.append(record)
+            results = through.process_window(unit) \
+                if isinstance(unit, list) else [through.process(unit)]
+            records.extend(record for record in results
+                           if record is not None)
         return records
+
+    def _units(self, events: Iterable[Event], cap: int | None
+               ) -> Iterator[DispatchUnit]:
+        """Dispatch units with no ingress queue: the stream itself is
+        what is queued, so a join run ends at its own end or ``cap``."""
+        pull = partial(next, iter(events), None)
+        head = pull()
+        while head is not None:
+            unit, ended = take_unit(head, pull, 0, cap, self.check)
+            yield unit
+            head = ended if ended is not None else pull()
 
     def _stage_ingress(self, batcher: MicroBatcher) -> None:
         """Park each unit member's ingress queue-wait as a staged
@@ -1315,8 +1333,14 @@ class DurableAuctionService:
         """Consume a stream durably, returning records in order: the
         wrapped service's run loop (micro-batcher included, when its
         :attr:`~OnlineAuctionService.batching` is armed), applying
-        through :meth:`process` / :meth:`process_window` here."""
-        return self.service._run(events, self)
+        through :meth:`process` / :meth:`process_window` here.
+
+        Each unit is one commit group.  Without a batcher every event
+        is its own group — one fsync each, as ``--journal`` has always
+        committed offline — so joins apply one at a time; with a
+        batcher, join runs window up to its ``ingress_capacity`` and
+        share one fsync."""
+        return self.service._run(events, self, cap=1)
 
     # Pass-throughs for the introspection surface callers actually
     # use; everything else is reachable through ``.service``.

@@ -353,6 +353,36 @@ class TestParser:
             main([])
 
 
+class TestServiceFlagBounds:
+    """Out-of-range sizes are usage errors on both commands (exit 2),
+    not tracebacks from the config they would build."""
+
+    @pytest.mark.parametrize("command", ["stream", "serve"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch-window", "-1"), ("--ingress-capacity", "0"),
+        ("--ingress-capacity", "-4"), ("--batch-window", "two")])
+    def test_out_of_range_exits_2(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["0", "1", "2"])
+    def test_serve_builds_with_any_window(self, window, monkeypatch):
+        """``--batch-window 1`` used to die in the server's
+        constructor; a window below 2 applies queries one at a time."""
+        import repro.serve
+        from repro.serve import AuctionWireServer
+
+        built = []
+        monkeypatch.setattr(
+            repro.serve, "run_server",
+            lambda config: built.append(AuctionWireServer(config)) or 0)
+        assert main(["serve", "--port", "0", "--batch-window", window,
+                     "--ingress-capacity", "1"]) == 0
+        assert built[0].config.batch_window == int(window)
+
+
 class TestServiceFlagSets:
     """``stream`` and ``serve`` draw their shared flags from one
     helper; these literals are the two subparsers' option strings and
