@@ -183,8 +183,10 @@ class ArrayDeltaList:
             raise KeyError(f"id {item} not in this list")
         position = int(positions[0])
         effective = float(self.stored[position]) + self.adjustment
-        self.ids = np.delete(self.ids, position)
-        self.stored = np.delete(self.stored, position)
+        self.ids = np.concatenate((self.ids[:position],
+                                   self.ids[position + 1:]))
+        self.stored = np.concatenate((self.stored[:position],
+                                      self.stored[position + 1:]))
         return effective
 
     def items(self) -> dict[int, float]:

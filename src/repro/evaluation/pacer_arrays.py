@@ -240,6 +240,8 @@ class LazyPacerArrays:
     def leave(self, advertiser: int) -> None:
         """Retire an advertiser: delta-list removal, trigger cancels.
 
+        Per keyword the row leaves only the one list ``cls`` names.
+
         A budget-paused advertiser can leave too: its retained capture
         is discarded (it holds no live memberships to remove).
         """
@@ -248,12 +250,8 @@ class LazyPacerArrays:
             return
         if not self.active[advertiser]:
             raise KeyError(f"advertiser {advertiser} is not active")
-        mask = self._member_mask
-        mask[advertiser] = True
-        for lists in self.lists:
-            for lst in lists:
-                lst.remove_mask(mask)
-        mask[advertiser] = False
+        for lists, membership in zip(self.lists, self.cls[advertiser]):
+            lists[membership].remove_id(advertiser)
         self.count_deadlines.cancel(advertiser)
         self.time_deadlines.cancel(advertiser)
         self.active[advertiser] = False
@@ -278,11 +276,7 @@ class LazyPacerArrays:
         if not self.active[advertiser]:
             raise KeyError(f"advertiser {advertiser} is not active")
         col = self._column(keyword)
-        mask = self._member_mask
-        mask[advertiser] = True
-        for lst in self.lists[col]:
-            lst.remove_mask(mask)
-        mask[advertiser] = False
+        self.lists[col][self.cls[advertiser, col]].remove_id(advertiser)
         who = np.array([advertiser])
         self.count_deadlines.cancel((who, col))
         self.maxbid[advertiser, col] = maxbid

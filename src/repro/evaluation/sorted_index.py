@@ -10,6 +10,13 @@ Implementation: a bisect-maintained array of ``(key, id)`` pairs plus an
 ``id -> key`` map.  Updates are O(log n) search + O(n) memmove — the
 memmove is C-speed and only the k winners per auction ever move, which
 matches the paper's O(|Y_j| k log n) maintenance budget in spirit.
+
+:class:`ColumnArgsortIndex` is the vectorized path's form of the same
+structure: every slot's click order as one contiguous row of a shared
+argsort over the member ids, so a member joining or leaving costs one
+O(m) copy per slot column.  Its total order (value descending, ties by
+descending id) makes positions comparable by value, so no inverse rank
+map is maintained.
 """
 
 from __future__ import annotations
@@ -82,33 +89,38 @@ class SortedIndex:
 
 
 class ColumnArgsortIndex:
-    """All columns' descending orders as slices of one shared argsort.
+    """All columns' descending orders as rows of one shared argsort.
 
     The vectorized RHTALU path replaces the k per-slot
-    :class:`SortedIndex` objects with this structure: one ``(m, k)``
-    argsort of the click matrix rows that are currently *members*, so
-    every slot's sorted source is a column view of a single allocation
-    instead of its own dict-backed index.  Three aligned arrays:
+    :class:`SortedIndex` objects with this structure: one argsort of
+    the click matrix rows that are currently *members*, so every slot's
+    sorted source is a view of a single allocation instead of its own
+    dict-backed index.  Two aligned arrays, each exposed as an
+    ``(m, k)`` view:
 
     * ``order[r, j]`` — the id at descending rank ``r`` of column ``j``
       (ties between equal values fall to the higher id first, matching
       ``SortedIndex.descending()``);
     * ``sorted_values[r, j]`` — ``matrix[order[r, j], j]``, the value
-      stream a sorted access at rank ``r`` would read;
-    * ``rank[i, j]`` — the inverse permutation: the descending rank of
-      id ``i`` in column ``j`` (non-members hold an out-of-range
-      sentinel).  The threshold kernel uses it to decide in O(1)
-      whether an id surfaced by the other source already lies inside a
-      column's walked prefix.
+      stream a sorted access at rank ``r`` would read.
+
+    Both are held column-major — one contiguous ``(k, m)`` row per
+    column — so a membership change is one contiguous splice per
+    column.  Because the order is total (value descending, then id
+    descending), an id's position needs no inverse map: id ``i`` lies
+    within column ``j``'s first ``d`` entries iff ``(matrix[i, j], i)``
+    is at least the pair at entry ``d - 1``, which is how the threshold
+    kernel tests prefix membership.  :attr:`rank` derives that inverse
+    on access, for inspection only.
 
     ``members`` defaults to every row of the matrix — the static
     full-population index the batch pipeline builds once.  The online
     serving layer (:mod:`repro.stream`) instead maintains the member
     set *incrementally* under advertiser churn: :meth:`insert_many`
     merges a batch of ids (:meth:`insert`, one id) into, and
-    :meth:`remove` splices one id out of, every column's order in
-    O(m) passes, preserving exactly the order a fresh stable argsort
-    of the surviving members would produce (``tests/evaluation/
+    :meth:`remove` compresses one id out of, every column's order in
+    O(m) contiguous passes, preserving exactly the order a fresh stable
+    argsort of the surviving members would produce (``tests/evaluation/
     test_sorted_index.py`` pins the equivalence).
     """
 
@@ -138,37 +150,44 @@ class ColumnArgsortIndex:
         # Stable ascending argsort reversed: descending by value, ties
         # descending by id — the SortedIndex iteration order.  (Member
         # positions ascend with ids, so position ties are id ties.)
-        ascending = np.argsort(sub, axis=0, kind="stable")
-        self.order = np.ascontiguousarray(
-            member_ids[ascending[::-1, :]])
-        self.sorted_values = np.take_along_axis(
-            matrix, self.order, axis=0)
-        self.rank = np.full((universe, num_cols), universe,
-                            dtype=np.int64)
-        self._refresh_rank()
+        ascending = np.argsort(sub.T, axis=1, kind="stable")
+        self._order = member_ids[ascending[:, ::-1]]
+        self._values = matrix[self._order, np.arange(num_cols)[:, None]]
+        self._member = np.zeros(universe, dtype=bool)
+        self._member[member_ids] = True
 
-    def _refresh_rank(self) -> None:
-        """Recompute the inverse permutation from ``order``."""
-        universe, num_cols = self.matrix.shape
-        self.rank.fill(universe)
-        if len(self.order):
-            np.put_along_axis(
-                self.rank, self.order,
-                np.arange(len(self.order))[:, None].repeat(num_cols,
-                                                           axis=1),
-                axis=0)
+    @property
+    def order(self) -> np.ndarray:
+        """``(m, k)`` view: the id at each column's descending rank."""
+        return self._order.T
+
+    @property
+    def sorted_values(self) -> np.ndarray:
+        """``(m, k)`` view: the value at each column's descending rank."""
+        return self._values.T
+
+    @property
+    def rank(self) -> np.ndarray:
+        """``rank[i, j]``: id ``i``'s descending rank in column ``j``
+        (non-members hold the out-of-range sentinel ``len(matrix)``).
+        A fresh array derived from :attr:`order` on every access."""
+        universe = self.matrix.shape[0]
+        num_cols, num_ids = self._order.shape
+        rank = np.full((num_cols, universe), universe, dtype=np.int64)
+        rank[np.arange(num_cols)[:, None], self._order] = \
+            np.arange(num_ids)
+        return rank.T
 
     @property
     def num_ids(self) -> int:
-        return self.order.shape[0]
+        return self._order.shape[1]
 
     @property
     def num_columns(self) -> int:
-        return self.order.shape[1]
+        return self._order.shape[0]
 
     def __contains__(self, item: int) -> bool:
-        return (0 <= item < self.matrix.shape[0]
-                and self.rank[item, 0] < len(self.order))
+        return 0 <= item < len(self._member) and bool(self._member[item])
 
     # -- incremental membership (live advertiser churn) -----------------
 
@@ -184,39 +203,37 @@ class ColumnArgsortIndex:
         descending by id — so merging b ids equals b one-id splices in
         any order.  Per column the newcomers are sorted among
         themselves (O(b log b)) and binary-searched into the members
-        (O(b log m)); then one O(m) pass per column moves the members
-        down past them and re-ranks the displaced suffix.  So one id
-        costs what a splice costs, and a batch of b costs about one
-        splice rather than b of them, never an O(m log m) re-argsort.
+        (O(b log m)); then one O(m) pass per column copies the members
+        around them.  So one id costs what a splice costs, and a batch
+        of b costs about one splice rather than b of them, never an
+        O(m log m) re-argsort.
         """
         items = np.sort(np.asarray(items, dtype=np.int64).reshape(-1))
         if len(items) == 0:
             return
-        universe = self.matrix.shape[0]
-        if items[0] < 0 or items[-1] >= universe:
+        if items[0] < 0 or items[-1] >= len(self._member):
             raise KeyError(f"ids {items.tolist()} outside the matrix's "
                            f"rows")
-        num_ids, num_cols = self.order.shape
-        if np.any(items[1:] == items[:-1]) \
-                or np.any(self.rank[items, 0] < num_ids):
+        if np.any(items[1:] == items[:-1]) or self._member[items].any():
             raise KeyError(f"ids {items.tolist()} already indexed")
+        num_cols, num_ids = self._order.shape
         count = len(items)
         # The newcomers' own descending order, built the way the
         # constructor builds the members' (ids ascend, so the reversed
         # stable argsort breaks value ties by descending id).
-        values = self.matrix[items]
-        ascending = np.argsort(values, axis=0, kind="stable")[::-1]
+        values = self.matrix[items].T
+        ascending = np.argsort(values, axis=1, kind="stable")[:, ::-1]
         new_ids = items[ascending]
-        new_values = np.take_along_axis(values, ascending, axis=0)
+        new_values = np.take_along_axis(values, ascending, axis=1)
         # How many members precede each newcomer: those with a larger
         # value, plus tied members with a larger id.
-        above = np.empty((count, num_cols), dtype=np.int64)
+        above = np.empty((num_cols, count), dtype=np.int64)
         for col in range(num_cols):
-            rising = self.sorted_values[::-1, col]
-            wanted = new_values[:, col]
+            rising = self._values[col, ::-1]
+            wanted = new_values[col]
             at_most = np.searchsorted(rising, wanted, side="right")
             below = np.searchsorted(rising, wanted, side="left")
-            above[:, col] = num_ids - at_most
+            above[col] = num_ids - at_most
             tied = np.flatnonzero(at_most > below)
             if len(tied):
                 # Tie blocks are runs of descending ids; count the
@@ -224,52 +241,40 @@ class ColumnArgsortIndex:
                 starts = num_ids - at_most[tied]
                 lengths = at_most[tied] - below[tied]
                 owner = np.repeat(np.arange(len(tied)), lengths)
-                rows = (np.arange(lengths.sum())
-                        - np.repeat(np.cumsum(lengths) - lengths,
-                                    lengths) + starts[owner])
-                higher = self.order[rows, col] > new_ids[tied[owner], col]
-                above[tied, col] += np.bincount(
+                ranks = (np.arange(lengths.sum())
+                         - np.repeat(np.cumsum(lengths) - lengths,
+                                     lengths) + starts[owner])
+                higher = (self._order[col, ranks]
+                          > new_ids[col, tied[owner]])
+                above[col, tied] += np.bincount(
                     owner, weights=higher,
                     minlength=len(tied)).astype(np.int64)
-        positions = above + np.arange(count)[:, None]
-        columns = np.arange(num_cols)
-        fresh = np.zeros((num_ids + count, num_cols), dtype=bool)
-        fresh[positions, columns] = True
-        order = np.empty((num_ids + count, num_cols), dtype=np.int64)
-        sorted_values = np.empty((num_ids + count, num_cols))
-        order[positions, columns] = new_ids
-        sorted_values[positions, columns] = new_values
-        # Members fill the remaining cells in their own order, column
-        # by column (the transposed views walk columns).
-        kept = ~fresh.T
-        order.T[kept] = self.order.T.ravel()
-        sorted_values.T[kept] = self.sorted_values.T.ravel()
-        self.order = order
-        self.sorted_values = sorted_values
-        # Ranks above the first newcomer of every column are unchanged.
-        first = int(above.min())
-        np.put_along_axis(
-            self.rank, order[first:],
-            np.arange(first, len(order))[:, None].repeat(num_cols,
-                                                         axis=1),
-            axis=0)
+        positions = above + np.arange(count)
+        columns = np.arange(num_cols)[:, None]
+        kept = np.ones((num_cols, num_ids + count), dtype=bool)
+        kept[columns, positions] = False
+        order = np.empty(kept.shape, dtype=np.int64)
+        sorted_values = np.empty(kept.shape)
+        order[columns, positions] = new_ids
+        sorted_values[columns, positions] = new_values
+        # Members fill the remaining cells in their own order, row by
+        # row (one contiguous row per column).
+        order[kept] = self._order.ravel()
+        sorted_values[kept] = self._values.ravel()
+        self._order = order
+        self._values = sorted_values
+        self._member[items] = True
 
     def remove(self, item: int) -> None:
-        """Drop an id from every column's order (one memmove each,
-        plus a rank decrement for the entries that move up)."""
+        """Drop an id from every column's order: one compress over the
+        contiguous rows."""
         if item not in self:
             raise KeyError(f"id {item} not indexed")
-        num_cols = self.order.shape[1]
-        for col in range(num_cols):
-            position = self.rank[item, col]
-            self.rank[self.order[position + 1:, col], col] -= 1
-        self.rank[item, :] = self.matrix.shape[0]
-        keep = self.order != item
-        num_rows = len(self.order) - 1
-        self.order = self.order.T[keep.T].reshape(
-            num_cols, num_rows).T.copy()
-        self.sorted_values = self.sorted_values.T[keep.T].reshape(
-            num_cols, num_rows).T.copy()
+        num_cols, num_ids = self._order.shape
+        keep = self._order != item
+        self._order = self._order[keep].reshape(num_cols, num_ids - 1)
+        self._values = self._values[keep].reshape(num_cols, num_ids - 1)
+        self._member[item] = False
 
     def column(self, col: int) -> "_ColumnView":
         """A per-column :class:`RankedSource`-compatible view."""
@@ -287,7 +292,7 @@ class _ColumnView:
         return self._index.num_ids
 
     def __contains__(self, item: int) -> bool:
-        return 0 <= item < self._index.num_ids
+        return item in self._index
 
     def key(self, item: int) -> float:
         return float(self._index.matrix[item, self._col])

@@ -199,9 +199,12 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
     measurements stay honest.
 
     ``bid_rank`` is the bid walk's inverse permutation
-    (``bid_rank[bid_ids[r]] == r``); together with the click index's
-    ``rank`` it lets the kernel keep exactly one running copy of an id
-    that both walks surface, whichever block each copy arrives in.
+    (``bid_rank[bid_ids[r]] == r``); together with a comparison
+    against the click walk's edge entry (the click index's order is
+    total, so the entry at depth ``d - 1`` decides whether an id lies
+    in the first ``d``) it lets the kernel keep exactly one running
+    copy of an id that both walks surface, whichever block each copy
+    arrives in.
     ``a_scores`` / ``b_scores`` are optional caller-owned ``(n, k)``
     score-history buffers (the evaluator preallocates them once and
     reuses them every auction).
@@ -226,7 +229,6 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
     matrix = click_index.matrix
     order = click_index.order
     sorted_values = click_index.sorted_values
-    click_rank = click_index.rank
 
     live = np.ones(num_slots, dtype=bool)
     stop_depth = np.full(num_slots, num_ids, dtype=np.int64)
@@ -239,8 +241,8 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
         a_block = sorted_values[rounds:upto][:, cols] \
             * effective_bids[a_ids]
         b_ids = bid_ids[rounds:upto]
-        b_block = bid_values[rounds:upto, None] \
-            * matrix[np.ix_(b_ids, cols)]
+        b_clicks = matrix[b_ids][:, cols]
+        b_block = bid_values[rounds:upto, None] * b_clicks
         a_scores[rounds:upto, cols] = a_block
         b_scores[rounds:upto, cols] = b_block
         # Ids surfaced by both walks must occupy exactly one running
@@ -250,16 +252,17 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
         # already delivered the id in an earlier block, and suppress
         # the bid-walk copy whenever the click walk covers the id
         # within this prefix.
+        edge_values = sorted_values[upto - 1, cols]
         a_duplicate = bid_rank[a_ids] < rounds
-        b_duplicate = click_rank[b_ids][:, cols] < upto
+        b_duplicate = _within_click_prefix(b_ids, b_clicks, edge_values,
+                                           order, upto - 1, cols)
         stacked = np.concatenate(
             [running[:, cols],
              np.where(a_duplicate, -np.inf, a_block),
              np.where(b_duplicate, -np.inf, b_block)], axis=0)
         running[:, cols] = np.partition(stacked, -depth, axis=0)[-depth:]
         rounds = upto
-        thresholds = sorted_values[rounds - 1, cols] \
-            * bid_values[rounds - 1]
+        thresholds = edge_values * bid_values[rounds - 1]
         done = running[0, cols] >= thresholds
         if done.any():
             stop_depth[cols[done]] = rounds
@@ -278,25 +281,48 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
         walked = int(walked)
         cols = np.flatnonzero(stop_depth == walked)
         b_prefix = bid_ids[:walked]
-        fresh = click_rank[b_prefix][:, cols] >= walked
+        covered = _within_click_prefix(
+            b_prefix, matrix[b_prefix][:, cols],
+            sorted_values[walked - 1, cols], order, walked - 1, cols)
         ids_all = np.concatenate(
             [order[:walked, :][:, cols],
              np.broadcast_to(b_prefix[:, None],
                              (walked, len(cols)))], axis=0)
         scores_all = np.concatenate(
             [a_scores[:walked, :][:, cols],
-             np.where(fresh, b_scores[:walked, :][:, cols], -np.inf)],
+             np.where(covered, -np.inf, b_scores[:walked, :][:, cols])],
             axis=0)
         best = np.lexsort((ids_all, -scores_all), axis=0)[:depth]
         slot_ids[cols] = np.take_along_axis(ids_all, best, axis=0).T
         slot_values[cols] = np.take_along_axis(scores_all, best,
                                                axis=0).T
         sequential_count += 2 * walked * len(cols)
-        random_count += walked * len(cols) + int(np.count_nonzero(fresh))
+        random_count += 2 * walked * len(cols) \
+            - int(np.count_nonzero(covered))
     return SlotTopKResult(slot_ids=slot_ids, slot_values=slot_values,
                           stop_depth=stop_depth,
                           sequential_count=sequential_count,
                           random_count=random_count)
+
+
+def _within_click_prefix(ids: np.ndarray, clicks: np.ndarray,
+                         edge_values: np.ndarray, order: np.ndarray,
+                         edge: int, cols: np.ndarray) -> np.ndarray:
+    """Whether each id lies within the first ``edge + 1`` entries of
+    each of the click walks ``cols``.
+
+    ``clicks[r, c]`` is id ``ids[r]``'s click value in column
+    ``cols[c]``, whose entry at depth ``edge`` is
+    ``(order[edge, cols[c]], edge_values[c])``.  The click index orders
+    value descending, ties by descending id, so an indexed id is in the
+    prefix iff its (value, id) pair is at least the edge's.  Ties with
+    the edge value are rare, so the edge ids are read only then.
+    """
+    within = clicks > edge_values
+    tied = clicks == edge_values
+    if tied.any():
+        within |= tied & (ids[:, None] >= order[edge, cols])
+    return within
 
 
 def make_index(items: dict[int, float]) -> SortedIndex:

@@ -296,3 +296,52 @@ class TestValidation:
             state.update_bid(0, "kw", 1.0, -2.0)  # negative cap
         with pytest.raises(KeyError):
             state.effective_bid(2, "kw")  # inactive row
+
+
+def _without(lst, advertiser):
+    """Reference removal: one id masked out of a list, order kept."""
+    keep = lst.ids != advertiser
+    return lst.ids[keep], lst.stored[keep]
+
+
+class TestOneListPerKeyword:
+    """A leave or a bid edit takes the row out of exactly the list
+    ``cls`` names per keyword; every list then equals the whole-list
+    mask compression of its pre-event contents."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_leave_and_update_match_mask_removal(self, seed):
+        _, state, keywords, rng = build_states(seed, n=24)
+        for t in range(1, 16):
+            state.begin_auction(keywords[t % len(keywords)], float(t))
+            if rng.random() < 0.6:
+                state.record_win(int(rng.integers(state.num_advertisers)),
+                                 float(rng.uniform(5.0, 60.0)), float(t))
+        state.record_win(0, 1e3, 15.0)  # at least one overspender
+        # Wins and saturation spread rows over all three lists.
+        assert {which for lists in state.lists
+                for which, lst in enumerate(lists) if len(lst)} \
+            == {0, 1, 2}
+        for advertiser in rng.permutation(state.num_advertisers)[:12]:
+            advertiser = int(advertiser)
+            before = [[_without(lst, advertiser) for lst in lists]
+                      for lists in state.lists]
+            if rng.random() < 0.5:
+                state.leave(advertiser)
+                after = [[(lst.ids, lst.stored) for lst in lists]
+                         for lists in state.lists]
+            else:
+                col = int(rng.integers(len(keywords)))
+                maxbid = float(state.maxbid[advertiser, col])
+                state.update_bid(advertiser, keywords[col],
+                                 float(rng.uniform(0.0, maxbid)), maxbid)
+                assert sum(int(np.count_nonzero(lst.ids == advertiser))
+                           for lst in state.lists[col]) == 1
+                after = [[_without(lst, advertiser) for lst in lists]
+                         for lists in state.lists]
+            for want_lists, got_lists in zip(before, after):
+                for (want_ids, want_stored), (got_ids, got_stored) in zip(
+                        want_lists, got_lists):
+                    assert np.array_equal(got_ids, want_ids)
+                    assert np.array_equal(got_stored, want_stored)

@@ -227,6 +227,18 @@ class TestColumnArgsortIndexChurn:
         with pytest.raises(ValueError):
             ColumnArgsortIndex(matrix, members=np.array([5, 9]))
 
+    def test_column_view_membership_on_a_subset(self):
+        # Member ids need not be below the member count: a view answers
+        # membership, not a range check on how many ids it holds.
+        matrix = np.random.default_rng(16).uniform(size=(6, 2))
+        index = ColumnArgsortIndex(matrix, members=np.array([1, 4]))
+        view = index.column(1)
+        assert 4 in view and 1 in view
+        assert 0 not in view and 3 not in view and 6 not in view
+        index.remove(4)
+        index.insert(5)
+        assert 5 in view and 4 not in view
+
     def test_full_membership_matches_default_build(self):
         matrix = np.random.default_rng(14).uniform(size=(15, 4))
         full = ColumnArgsortIndex(matrix)

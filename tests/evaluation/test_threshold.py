@@ -250,8 +250,62 @@ class TestFusedKernel:
             matrix = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9],
                                 size=(48, 2))
             bids = rng.choice([0.0, 1.0, 2.0, 5.0, 10.0], size=48)
+            for block in (1, 2, 5, 16):
+                self._scores_match_scan(matrix, bids, 4, block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 60), st.integers(1, 4), st.integers(1, 6),
+           st.integers(0, 2**31 - 1))
+    def test_churned_subset_index_matches_scan(self, universe, k, depth,
+                                               seed):
+        # A subset index after interleaved merges and removals: member
+        # ids differ from their positions, and discrete click values
+        # put exact ties at the walk's edge entry, whose id decides
+        # whether a bid-walk id is already inside the click prefix.
+        rng = np.random.default_rng(seed)
+        matrix = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9],
+                            size=(universe, k))
+        bids = rng.choice([0.0, 1.0, 2.0, 5.0, 10.0], size=universe)
+        members = set(rng.choice(universe, size=universe // 2,
+                                 replace=False).tolist())
+        index = ColumnArgsortIndex(
+            matrix, members=np.array(sorted(members), dtype=np.int64))
+        for _ in range(6):
+            outside = sorted(set(range(universe)) - members)
+            if outside and rng.random() < 0.5:
+                batch = rng.choice(outside, size=int(rng.integers(
+                    1, len(outside) + 1)), replace=False)
+                index.insert_many(batch)
+                members.update(batch.tolist())
+            for item in rng.permutation(sorted(members))[
+                    :int(rng.integers(0, 3))]:
+                if len(members) > 1:
+                    index.remove(int(item))
+                    members.discard(int(item))
+        member_ids = np.array(sorted(members), dtype=np.int64)
+        walk = member_ids[np.argsort(-bids[member_ids], kind="stable")]
+        rank = np.full(universe, universe, dtype=np.int64)
+        rank[walk] = np.arange(len(walk))
         for block in (1, 2, 5, 16):
-            self._scores_match_scan(matrix, bids, 4, block)
+            result = product_top_k_all_slots(index, walk, bids[walk],
+                                             rank, bids, depth,
+                                             block=block)
+            for col in range(k):
+                scan = full_scan_top_k(
+                    [SortedIndex({i: float(matrix[i, col])
+                                  for i in member_ids}),
+                     SortedIndex({i: float(bids[i])
+                                  for i in member_ids})],
+                    product_aggregate, depth, universe=member_ids)
+                ids = [int(i) for i in result.slot_ids[col]]
+                assert len(set(ids)) == len(ids), (col, block)
+                assert set(ids) <= members, (col, block)
+                got = sorted((float(matrix[i, col] * bids[i])
+                              for i in ids), reverse=True)
+                want = sorted((score for _, score in scan.items),
+                              reverse=True)
+                assert got == pytest.approx(want, abs=1e-12), \
+                    (col, block)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 60), st.integers(1, 4), st.integers(1, 6),
