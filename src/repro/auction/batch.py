@@ -513,10 +513,11 @@ class ShardEvalState:
     def rebuild(self) -> None:
         """Re-materialize the pacer mirror from its own capture.
 
-        The sharded service's ``rebuild`` maintenance strategy calls
-        this after every control event; results must match incremental
-        row edits bit for bit (the arrays are primary state, so this is
-        an identity-by-construction the stream oracle re-asserts).
+        The ``rebuild`` maintenance strategy calls this after every
+        control event, in whichever shard object holds the rows;
+        results must match incremental row edits bit for bit (the
+        arrays are primary state, so this is an identity-by-construction
+        the stream oracle re-asserts).
         """
         self.arrays = PacerArrays.from_capture(self.arrays.capture())
 
@@ -538,11 +539,11 @@ class ShardEvalState:
         return SlotLists(ids=solver.active[lists.ids],
                          values=lists.values)
 
-    def solver(self, method: str = "rh") -> SubsetSolver:
-        """The winner-determination solver over the live rows, kept
-        until a join, leave, pause or resume moves the membership."""
+    def solver(self) -> SubsetSolver:
+        """The ``rh`` solver over the live rows, kept until a join,
+        leave, pause or resume moves the membership."""
         self._solver = SubsetSolver.for_membership(
-            self._solver, self.click_rows, self.arrays.present, method)
+            self._solver, self.click_rows, self.arrays.present)
         return self._solver
 
 

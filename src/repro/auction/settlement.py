@@ -12,8 +12,9 @@ coordinator that reproduces the winner-determination inputs
 necessarily reproduces outcomes, prices, balances, and records,
 because this module is the only place they are computed.
 
-The served paths enter through two tails, shared by the in-process
-backends (one local leaf) and the sharded coordinator (a merge of
+The served paths enter through two tails, which
+:class:`~repro.runtime.executor.MergeTail` calls for the in-process
+service (one local leaf) and the sharded coordinator (a merge of
 many): :meth:`AuctionSettler.settle_slot_lists` for ``rh`` /
 ``rhtalu`` and :meth:`AuctionSettler.settle_subset` for ``lp`` /
 ``hungarian``.

@@ -80,7 +80,14 @@ class KeywordBidSource:
         return float(self.eff[item])
 
     def __contains__(self, item: int) -> bool:
-        return 0 <= item < len(self.eff)
+        """Whether ``item`` bids in this walk.  The dense mirrors are
+        universe-sized and stale off the walk, so a member is an id
+        whose ``rank`` entry points back at it."""
+        if not 0 <= item < len(self.rank):
+            return False
+        position = self.rank[item]
+        return 0 <= position < len(self.ids_desc) \
+            and self.ids_desc[position] == item
 
     def __len__(self) -> int:
         return len(self.ids_desc)

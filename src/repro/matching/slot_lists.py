@@ -116,7 +116,11 @@ def merge_slot_lists(parts: Sequence[SlotLists], depth: int) -> SlotLists:
     shard's local top-``depth`` lists (global ids), and the top
     ``depth`` of their concatenation is the top ``depth`` of the whole
     population, in the same (value, id) order a single scan yields.
+    A lone part no deeper than ``depth`` is returned as it is: a scan
+    already yields that order.
     """
+    if len(parts) == 1 and parts[0].ids.shape[1] <= depth:
+        return parts[0]
     ids = np.concatenate([part.ids for part in parts], axis=1)
     values = np.concatenate([part.values for part in parts], axis=1)
     order = np.lexsort((ids, -values), axis=1)[:, :depth]

@@ -12,13 +12,15 @@ and sequential-identical:
 * winner determination's **merge** of the shards' top lists (methods
   ``rh`` / ``rhtalu``: ``O(w·k²)``; the full-matrix methods
   re-assemble the bid vector instead);
-* **matching, pricing, accounting, settlement** through the very same
-  :class:`~repro.auction.settlement.AuctionSettler` tail the
-  in-process service runs on its single local leaf
+* **matching, pricing, accounting, settlement** through the
+  :class:`~repro.auction.settlement.AuctionSettler` tail
   (:meth:`~repro.auction.settlement.AuctionSettler.settle_slot_lists`
-  / :meth:`~repro.auction.settlement.AuctionSettler.settle_subset`) —
-  ``workers=0`` is this coordinator's merge over one leaf, without the
-  pipe.
+  / :meth:`~repro.auction.settlement.AuctionSettler.settle_subset`).
+
+Merge and tail are one object, :class:`MergeTail`, which the in-process
+service (``workers=0``) also runs: there it settles the reply of one
+local leaf — the shard object a worker runs, spanning the universe —
+built in-process, with no pipe between them.
 
 Each auction is one lockstep round — task out, reply in, per worker —
 because auction *t*'s winners must fold into pacer state before
@@ -87,6 +89,120 @@ _POLL_TICK = 0.05
 _ROUND_REPLIES = (ScanReply, GatherReply)
 
 
+class MergeTail:
+    """The coordinator's half of an auction: merge the leaves' replies,
+    then match, price and settle through the shared settler tail.
+
+    One object for every execution shape: the sharded runtime calls it
+    on its workers' replies, the in-process service on the reply of its
+    one local leaf.  It owns the global pieces no leaf can — the live
+    membership winner determination runs on (departed rows are
+    excluded, not zeroed: zero-weight edges *can* enter a maximum
+    matching), the bid buffer list GSP reads, and the
+    membership-cached :class:`~repro.core.winner_determination
+    .SubsetSolver` of ``lp`` / ``hungarian``.
+
+    ``capture`` seeds the membership: ``None`` is the fixed Section V
+    population (everyone live), otherwise a primary capture's ids
+    (``{}`` = nobody).  ``parallel_stats`` stamps each record with the
+    tree network's work accounting (``wd_stats``); the one-leaf
+    in-process service leaves it off.
+    """
+
+    def __init__(self, settler: AuctionSettler, click_matrix: np.ndarray,
+                 method: str, capture: dict | None,
+                 parallel_stats: bool):
+        self.settler = settler
+        self.click_matrix = click_matrix
+        self.method = method
+        self.depth = settler.num_slots + 1
+        self.parallel_stats = parallel_stats
+        num_advertisers = len(click_matrix)
+        self.active = np.ones(num_advertisers, dtype=bool)
+        if capture is not None:
+            self.active[:] = False
+            self.active[np.asarray(capture.get("ids", ()),
+                                   dtype=np.int64)] = True
+        self._bids = np.zeros(num_advertisers)
+        self._solver: SubsetSolver | None = None
+
+    def track(self, notice: ControlNotice) -> None:
+        """Follow one control notice's membership change."""
+        if notice.kind in ("join", "resume"):
+            self.active[notice.advertiser] = True
+        elif notice.kind in ("leave", "pause"):
+            self.active[notice.advertiser] = False
+
+    def settle(self, auction_id: int, keyword: str, replies: list,
+               notify_fn) -> AuctionRecord:
+        """Settle one auction from every leaf's reply to its task."""
+        if self.method in SCAN_METHODS:
+            return self._settle_scan(auction_id, keyword, replies,
+                                     notify_fn)
+        return self._settle_gather(auction_id, keyword, replies,
+                                   notify_fn)
+
+    def _wd_stats(self, replies: list, merge_work: int) -> dict | None:
+        if not self.parallel_stats:
+            return None
+        leaf_work_max = max(reply.leaf_work for reply in replies)
+        return {
+            "num_leaves": len(replies),
+            "height": 1,
+            "messages": 2 * len(replies),
+            "leaf_work_max": leaf_work_max,
+            "merge_work_total": merge_work,
+            "critical_path_work": leaf_work_max + merge_work,
+        }
+
+    def _settle_scan(self, auction_id: int, keyword: str,
+                     replies: Sequence[ScanReply],
+                     notify_fn) -> AuctionRecord:
+        """Methods ``rh`` / ``rhtalu``: merge the leaves' slot lists
+        and hand them to the shared tail — the slot-list kernel
+        (:mod:`repro.matching.slot_lists`) with its scan distributed."""
+        start = time_module.perf_counter()
+        lists = merge_slot_lists([reply.lists for reply in replies],
+                                 self.depth)
+        bids = self._bids
+        for reply in replies:
+            bids[reply.lists.ids] = reply.slot_bids
+        if self.method == "rhtalu":
+            # TA's candidates: whoever made any slot's list (the
+            # distinct ids, counted without np.unique's overhead).
+            ids = np.sort(lists.ids, axis=None)
+            num_candidates = int(ids.size > 0) + int(
+                np.count_nonzero(ids[1:] != ids[:-1]))
+        else:
+            num_candidates = int(np.count_nonzero(self.active))
+        return self.settler.settle_slot_lists(
+            auction_id, keyword, lists, bids, self.click_matrix,
+            eval_seconds=max(reply.eval_seconds for reply in replies),
+            wd_seconds=(max(reply.scan_seconds for reply in replies)
+                        + time_module.perf_counter() - start),
+            num_candidates=num_candidates, notify_fn=notify_fn,
+            wd_stats=self._wd_stats(
+                replies, sum(reply.lists.ids.size for reply in replies)))
+
+    def _settle_gather(self, auction_id: int, keyword: str,
+                       replies: Sequence[GatherReply],
+                       notify_fn) -> AuctionRecord:
+        """Full-matrix methods: assemble bids, solve on the live
+        population with the membership-cached solver."""
+        start = time_module.perf_counter()
+        bids = np.concatenate([reply.bids for reply in replies])
+        self._solver = SubsetSolver.for_membership(
+            self._solver, self.click_matrix, self.active, self.method)
+        wd = self._solver.solve(bids)
+        return self.settler.settle_subset(
+            auction_id, keyword, wd,
+            eval_seconds=max(reply.eval_seconds for reply in replies),
+            wd_seconds=time_module.perf_counter() - start,
+            notify_fn=notify_fn,
+            wd_stats=self._wd_stats(
+                replies, len(wd.id_map) * self.settler.num_slots))
+
+
 class ShardedAuctionRuntime:
     """A multi-process auction runtime: engine-shaped offline, the
     online service's substrate when fed events.
@@ -113,8 +229,9 @@ class ShardedAuctionRuntime:
       *after* that task's win notices, preserving the sequential
       service's order (settlement of auction *t*, then churn, then
       evaluation of *t+1*);
-    * the coordinator keeps the global active set so winner
-      determination runs on the surviving population only;
+    * the coordinator's :class:`MergeTail` keeps the global active
+      set so winner determination runs on the surviving population
+      only;
     * :meth:`pull_shard_states` flushes pending wins/controls and
       collects every shard's primary-state capture for service
       snapshots.
@@ -190,7 +307,6 @@ class ShardedAuctionRuntime:
                 f"got {max_worker_restarts}")
         self.workload = PaperWorkload(workload_config)
         self.workload_config = workload_config
-        self.click_matrix = self.workload.click_matrix
         self.query_source = self.workload.query_source()
         self.config = EngineConfig(
             num_slots=workload_config.num_slots, method=method,
@@ -209,8 +325,9 @@ class ShardedAuctionRuntime:
         self.start_method = start_method
         self.auction_id = 0
         self.last_batch_stats: BatchStats | None = None
-        self._bids_buf = np.zeros(self.num_advertisers)
-        self._solver: SubsetSolver | None = None
+        self.tail = MergeTail(self.settler, self.workload.click_matrix,
+                              method, restore_capture,
+                              parallel_stats=True)
         self._processes: list[multiprocessing.Process] | None = None
         self._conns: list = []
         self._closed = False
@@ -229,15 +346,8 @@ class ShardedAuctionRuntime:
         self._last_sent = [""] * self.plan.num_shards
         self._join_timeout = 5.0
         self._restore_shards: list[dict] | None = None
-        self._active = np.ones(self.num_advertisers, dtype=bool)
-        """The live population: what winner determination may see
-        (departed rows are excluded, not zeroed — zero-weight edges
-        *can* enter a maximum matching)."""
         if restore_capture is not None:
             self._restore_from(restore_capture)
-            self._active[:] = False
-            self._active[np.asarray(restore_capture.get("ids", ()),
-                                    dtype=np.int64)] = True
         self._in_window = False
 
     def _plan_shards(self, workers: int) -> None:
@@ -542,10 +652,7 @@ class ShardedAuctionRuntime:
         what :meth:`~repro.stream.service.OnlineAuctionService.check`
         admitted.
         """
-        if notice.kind in ("join", "resume"):
-            self._active[notice.advertiser] = True
-        elif notice.kind in ("leave", "pause"):
-            self._active[notice.advertiser] = False
+        self.tail.track(notice)
         shard = self.plan.owner_of(notice.advertiser)
         self._pending_controls[shard].append(notice)
 
@@ -555,9 +662,8 @@ class ShardedAuctionRuntime:
         self.auction_id += 1
         now = float(self.auction_id)
         replies = self._lockstep_round(keyword, now)
-        if self.method in SCAN_METHODS:
-            return self._merge_scan(keyword, now, replies)
-        return self._merge_gather(keyword, now, replies)
+        return self.tail.settle(self.auction_id, keyword, replies,
+                                self._route_notify(keyword, now))
 
     def _lockstep_round(self, keyword: str, now: float) -> list:
         """One auction's task-out/reply-in exchange, retry-safe.
@@ -678,62 +784,6 @@ class ShardedAuctionRuntime:
                 clicked=clicked, charge=charge))
 
         return notify
-
-    def _wd_stats(self, leaf_work_max: int, merge_work: int) -> dict:
-        return {
-            "num_leaves": self.plan.num_shards,
-            "height": 1,
-            "messages": 2 * self.plan.num_shards,
-            "leaf_work_max": leaf_work_max,
-            "merge_work_total": merge_work,
-            "critical_path_work": leaf_work_max + merge_work,
-        }
-
-    def _merge_scan(self, keyword: str, now: float,
-                    replies: Sequence[ScanReply]) -> AuctionRecord:
-        """Methods ``rh`` / ``rhtalu``: merge the leaves' slot lists
-        and hand them to the shared tail — the slot-list kernel
-        (:mod:`repro.matching.slot_lists`) with its scan distributed."""
-        start = time_module.perf_counter()
-        lists = merge_slot_lists([reply.lists for reply in replies],
-                                 self.top_depth)
-        bids = self._bids_buf
-        for reply in replies:
-            bids[reply.lists.ids] = reply.slot_bids
-        if self.method == "rhtalu":
-            # TA's candidates: whoever made any slot's list.
-            num_candidates = len(np.unique(lists.ids))
-        else:
-            num_candidates = int(np.count_nonzero(self._active))
-        leaf_work_max = max(reply.leaf_work for reply in replies)
-        merge_work = sum(reply.lists.ids.size for reply in replies)
-        return self.settler.settle_slot_lists(
-            self.auction_id, keyword, lists, bids, self.click_matrix,
-            eval_seconds=max(reply.eval_seconds for reply in replies),
-            wd_seconds=(max(reply.scan_seconds for reply in replies)
-                        + time_module.perf_counter() - start),
-            num_candidates=num_candidates,
-            notify_fn=self._route_notify(keyword, now),
-            wd_stats=self._wd_stats(leaf_work_max, merge_work))
-
-    def _merge_gather(self, keyword: str, now: float,
-                      replies: Sequence[GatherReply]) -> AuctionRecord:
-        """Full-matrix methods: assemble bids, solve at the coordinator
-        on the live population with the membership-cached solver the
-        in-process service's leaf uses (float-identity across modes)."""
-        start = time_module.perf_counter()
-        bids = np.concatenate([reply.bids for reply in replies])
-        self._solver = SubsetSolver.for_membership(
-            self._solver, self.click_matrix, self._active, self.method)
-        wd = self._solver.solve(bids)
-        leaf_work_max = max(reply.leaf_work for reply in replies)
-        coordinator_scan = len(wd.id_map) * self.num_slots
-        return self.settler.settle_subset(
-            self.auction_id, keyword, wd,
-            eval_seconds=max(reply.eval_seconds for reply in replies),
-            wd_seconds=time_module.perf_counter() - start,
-            notify_fn=self._route_notify(keyword, now),
-            wd_stats=self._wd_stats(leaf_work_max, coordinator_scan))
 
     # -- healing -----------------------------------------------------------
 

@@ -27,12 +27,19 @@ interleaves settlement and the next evaluation — which is half of the
 runtime's bit-identity argument (the other half is the coordinator
 merge; see ``docs/runtime.md``).
 
-Phase timings reported by workers are **per-process CPU seconds**
-(``time.process_time``), not wall-clock: with more runnable workers
-than cores, wall spans would charge a shard for time the scheduler gave
-to its siblings.  CPU seconds measure each shard's actual work, which
-is what the coordinator's critical-path accounting (max over shards)
-models — on a host with >= ``workers`` free cores the two coincide.
+The in-process service (``workers=0``) runs one of these shard objects
+itself, spanning the whole universe (:func:`build_shard` with the
+service's own workload): same handle, same replies, no process.
+
+Phase timings reported by shards are **the calling thread's CPU
+seconds** (``time.thread_time``), not wall-clock: with more runnable
+workers than cores, wall spans would charge a shard for time the
+scheduler gave to its siblings.  CPU seconds measure each shard's
+actual work, which is what the coordinator's critical-path accounting
+(max over shards) models — on a host with >= ``workers`` free cores
+the two coincide.  In a single-threaded worker process the thread's
+clock reads the process's; in the serving front end's apply thread it
+leaves out the reader threads' CPU.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ from repro.runtime.messages import (
     Shutdown,
     SnapshotReply,
     SnapshotRequest,
-    WinNotice,
     WorkerFailure,
     WorkerReady,
     join_rows,
@@ -147,12 +153,15 @@ class _Shard:
         self.num_local = init.hi - init.lo
         self.maintenance = init.maintenance
 
-    def apply_controls(self, controls: "tuple[ControlNotice, ...]"
-                       ) -> None:
-        """Apply a message's control notices in order, each run of
-        consecutive joins as one bulk join (:meth:`join`) — the state
-        its joins applied one at a time would leave."""
-        for joining, run in groupby(controls,
+    def deliver(self, message: "ShardTask | SnapshotRequest") -> None:
+        """Fold a message's wins, then apply its control notices in
+        order, each run of consecutive joins as one bulk join
+        (:meth:`join`) — the state its joins applied one at a time
+        would leave."""
+        for win in message.wins:
+            self.fold(win.advertiser, win.keyword, win.time, win.clicked,
+                      win.charge)
+        for joining, run in groupby(message.controls,
                                     key=lambda notice: notice.kind
                                     == "join"):
             if joining:
@@ -162,9 +171,7 @@ class _Shard:
                     self.apply_control(notice)
 
     def snapshot(self, request: SnapshotRequest) -> SnapshotReply:
-        for win in request.wins:
-            self.fold(win)
-        self.apply_controls(request.controls)
+        self.deliver(request)
         return SnapshotReply(shard=self.shard, state=_shift_capture_ids(
             self.capture(), self.offset))
 
@@ -185,9 +192,12 @@ class _EagerShard(_Shard):
                 *workload.pacer_rows(init.lo, init.hi), self.step)
         self.num_slots = self.state.num_slots
 
-    def fold(self, win: WinNotice) -> None:
-        self.state.fold_win(win.advertiser - self.offset, win.keyword,
-                            win.clicked, win.charge)
+    def fold(self, advertiser: int, keyword: str, time: float,
+             clicked: bool, charge: float) -> None:
+        """One past win (global id), as a :class:`~repro.runtime
+        .messages.WinNotice` carries it."""
+        self.state.fold_win(advertiser - self.offset, keyword, clicked,
+                            charge)
 
     def apply_control(self, notice: ControlNotice) -> None:
         self.state.arrays.apply_control(notice, self.step, self.offset)
@@ -208,14 +218,12 @@ class EagerScanShard(_EagerShard):
     """Method ``rh``: a leaf of the tree network as a process."""
 
     def handle(self, task: ShardTask) -> ScanReply:
-        start = time_module.process_time()
-        for win in task.wins:
-            self.fold(win)
-        self.apply_controls(task.controls)
+        start = time_module.thread_time()
+        self.deliver(task)
         self.state.evaluate(task.keyword, task.time)
-        eval_done = time_module.process_time()
+        eval_done = time_module.thread_time()
         lists = self.state.scan()
-        scan_done = time_module.process_time()
+        scan_done = time_module.thread_time()
         return ScanReply(
             auction_id=task.auction_id,
             lists=SlotLists(ids=lists.ids + self.offset,
@@ -231,15 +239,13 @@ class GatherShard(_EagerShard):
     """Full-matrix methods: evaluate the shard, ship the bid slice."""
 
     def handle(self, task: ShardTask) -> GatherReply:
-        start = time_module.process_time()
-        for win in task.wins:
-            self.fold(win)
-        self.apply_controls(task.controls)
+        start = time_module.thread_time()
+        self.deliver(task)
         bids = self.state.evaluate(task.keyword, task.time)
         return GatherReply(
             auction_id=task.auction_id,
             bids=bids.copy(),
-            eval_seconds=time_module.process_time() - start,
+            eval_seconds=time_module.thread_time() - start,
             leaf_work=self.num_local,
         )
 
@@ -259,9 +265,9 @@ class RhtaluShard(_Shard):
                 np.arange(self.num_local),
                 *workload.pacer_rows(init.lo, init.hi)[:3])
 
-    def fold(self, win: WinNotice) -> None:
-        self.evaluator.record_win(win.advertiser - self.offset,
-                                  win.charge, win.time)
+    def fold(self, advertiser: int, keyword: str, time: float,
+             clicked: bool, charge: float) -> None:
+        self.evaluator.record_win(advertiser - self.offset, charge, time)
 
     def apply_control(self, notice: ControlNotice) -> None:
         self.evaluator.apply_control(notice, self.offset)
@@ -277,10 +283,8 @@ class RhtaluShard(_Shard):
         return self.evaluator.state.capture()
 
     def handle(self, task: ShardTask) -> ScanReply:
-        start = time_module.process_time()
-        for win in task.wins:
-            self.fold(win)
-        self.apply_controls(task.controls)
+        start = time_module.thread_time()
+        self.deliver(task)
         scan = self.evaluator.scan_auction(task.keyword, task.time)
         lists = scan.slot_lists
         return ScanReply(
@@ -290,7 +294,7 @@ class RhtaluShard(_Shard):
             slot_bids=scan.candidate_bids[
                 np.searchsorted(scan.candidates, lists.ids)],
             eval_seconds=0.0,
-            scan_seconds=time_module.process_time() - start,
+            scan_seconds=time_module.thread_time() - start,
             leaf_work=scan.sequential_count + scan.random_count,
         )
 
@@ -307,7 +311,7 @@ class EmptyShard:
         self.num_slots = num_slots
         self.method = method
 
-    def fold(self, win: WinNotice) -> None:  # pragma: no cover - routed
+    def fold(self, *win_fields) -> None:  # pragma: no cover - routed
         raise AssertionError("wins cannot route to an empty shard")
 
     def apply_control(self, notice) -> None:  # pragma: no cover
@@ -329,9 +333,13 @@ class EmptyShard:
                            eval_seconds=0.0, leaf_work=0)
 
 
-def build_shard(init: WorkerInit):
-    """The right shard kind for ``init`` (deterministic reconstruction)."""
-    workload = PaperWorkload(init.workload_config)
+def build_shard(init: WorkerInit, workload: PaperWorkload | None = None):
+    """The right shard kind for ``init`` (deterministic reconstruction).
+
+    ``workload`` is ``init``'s workload when the caller already holds
+    it (the in-process service's leaf); a worker derives its own."""
+    if workload is None:
+        workload = PaperWorkload(init.workload_config)
     if init.hi <= init.lo:
         return EmptyShard(init.workload_config.num_slots, init.method,
                           shard=init.shard)

@@ -25,18 +25,20 @@ population *while queries flow*, by one of two maintenance strategies:
 The service runs in-process (``workers=0``) or on the multi-process
 sharded runtime (``workers>=1``, control events routed to owning shards
 through :class:`~repro.runtime.executor.ShardedAuctionRuntime`).  Both
-are one auction body: leaf state scans into per-slot top lists — the
-classes the shard workers run, :class:`~repro.auction.batch
-.ShardEvalState` for eager rows and :class:`~repro.evaluation.evaluator
-.RhtaluEvaluator` for lazy ones — and one tail
-(:meth:`~repro.auction.settlement.AuctionSettler.settle_slot_lists`)
+are one auction body: a leaf — a shard object of
+:mod:`repro.runtime.worker` — answers each query's
+:class:`~repro.runtime.messages.ShardTask` with its per-slot top lists
+(or its bid slice), and one tail
+(:class:`~repro.runtime.executor.MergeTail`) merges the replies and
 matches, prices and settles from them.  In-process is that body over
-**one local leaf**: no pipe, no task or reply objects; the coordinator
-merges many leaves' lists first and calls the same tail, so both modes
-produce identical records from identical streams.  Identity hinges on
-one rule: **winner determination only ever sees the surviving
-population** (departed rows are excluded from the candidate space, not
-merely zeroed — zero-weight edges can enter a maximum matching).
+**one local shard object** spanning the universe: the task and reply
+objects are built, but there is no pipe, so wins fold into the leaf
+inside settlement and control notices apply to it at once — which is
+also where the ``rebuild`` strategy runs.  Both modes produce identical
+records from identical streams.  Identity hinges on one rule:
+**winner determination only ever sees the surviving population**
+(departed rows are excluded from the candidate space, not merely
+zeroed — zero-weight edges can enter a maximum matching).
 
 Budgets gate participation (:mod:`repro.stream.budget`): the settler
 clamps every winner's final charge to its remaining balance, the
@@ -68,24 +70,22 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.auction.accounts import AccountBook
-from repro.auction.batch import ShardEvalState
 from repro.auction.events import AuctionRecord
 from repro.auction.settlement import AuctionSettler
 from repro.bench.stream_stats import EventTimings
-from repro.evaluation.evaluator import RhtaluEvaluator
-from repro.evaluation.pacer_arrays import LazyPacerArrays
 from repro.obs import (
     MetricsRegistry,
     MetricsWriter,
     ObservabilityConfig,
     SpanTracer,
 )
-from repro.runtime.executor import ShardedAuctionRuntime
+from repro.runtime.executor import MergeTail, ShardedAuctionRuntime
 from repro.runtime.messages import (
     SERVED_METHODS,
     ControlNotice,
-    join_rows,
+    ShardTask,
 )
+from repro.runtime.worker import WorkerInit, build_shard
 from repro.stream.batching import (
     BatchingConfig,
     DispatchUnit,
@@ -125,9 +125,9 @@ _LOG = logging.getLogger(__name__)
 
 
 class _Backend:
-    """What the three serving backends share: the settlement stack is
-    read off :attr:`settler`; nothing window-scoped, nothing to
-    rebuild, no worker fleet to report on or shut down."""
+    """What the two serving backends share: the settlement stack is
+    read off :attr:`settler`; nothing window-scoped, no worker fleet
+    to report on or shut down."""
 
     settler: AuctionSettler
 
@@ -151,9 +151,6 @@ class _Backend:
         for notice in notices:
             self.apply_control(notice)
 
-    def rebuild(self) -> None:
-        pass
-
     def supervision_snapshot(self) -> dict:
         return {}
 
@@ -164,130 +161,61 @@ class _Backend:
         pass
 
 
-class _EagerBackend(_Backend):
-    """Workers=0 serving for the eager methods (rh / lp / hungarian):
-    one local leaf, no pipe.
+class _LocalBackend(_Backend):
+    """Workers=0 serving: one local leaf and the coordinator's tail.
 
-    Owns the leaf state a scan or gather shard owns — a universe-wide
-    :class:`~repro.auction.batch.ShardEvalState` (rows grow and retire
-    under churn) — and a settler.  Method ``rh`` scans the leaf into
-    slot lists and hands them to the shared tail
-    (:meth:`~repro.auction.settlement.AuctionSettler
-    .settle_slot_lists`), exactly what the sharded coordinator does
-    with its merged lists; ``lp`` / ``hungarian`` solve on the leaf's
-    membership-cached subset solver and settle through
-    :meth:`~repro.auction.settlement.AuctionSettler.settle_subset`,
-    as the coordinator's gather path does.
+    The leaf is the shard object a worker process runs
+    (:func:`~repro.runtime.worker.build_shard`) over the whole universe
+    — offset 0, built from the service's own workload — and the tail
+    the sharded coordinator's :class:`~repro.runtime.executor
+    .MergeTail`.  Each query is one :class:`~repro.runtime.messages
+    .ShardTask` the leaf answers in-process and the tail settles.  What
+    the coordinator queues for the next task happens here at once: a
+    win folds into the leaf inside settlement, a control notice or a
+    run of joins applies to it as it arrives.
     """
 
     def __init__(self, workload: PaperWorkload, method: str,
-                 engine_seed: int, restore_capture: dict | None = None):
-        config = workload.config
-        self.method = method
-        self.step = config.step
-        self.state = ShardEvalState(
-            workload.click_matrix, config.num_slots + 1,
-            workload.keywords, capture=restore_capture)
-        self.settler = AuctionSettler.build(
-            workload.click_model(), workload.purchase_model(),
-            config.num_slots, engine_seed)
-        self.auction_id = 0
-
-    def run_query(self, keyword: str) -> AuctionRecord:
-        self.auction_id += 1
-        now = float(self.auction_id)
-        state = self.state
-        start = time_module.perf_counter()
-        bids = state.evaluate(keyword, now)
-        eval_seconds = time_module.perf_counter() - start
-
-        def notify(advertiser: int, slot: int | None, clicked: bool,
-                   purchased: bool, charge: float) -> None:
-            state.fold_win(advertiser, keyword, clicked, charge)
-
-        start = time_module.perf_counter()
-        if self.method == "rh":
-            lists = state.scan()
-            return self.settler.settle_slot_lists(
-                self.auction_id, keyword, lists, bids, state.click_rows,
-                eval_seconds=eval_seconds,
-                wd_seconds=time_module.perf_counter() - start,
-                num_candidates=int(
-                    np.count_nonzero(state.arrays.present)),
-                notify_fn=notify)
-        wd = state.solver(self.method).solve(bids)
-        return self.settler.settle_subset(
-            self.auction_id, keyword, wd, eval_seconds=eval_seconds,
-            wd_seconds=time_module.perf_counter() - start,
-            notify_fn=notify)
-
-    def apply_control(self, notice: ControlNotice) -> None:
-        self.state.arrays.apply_control(notice, self.step)
-
-    def join(self, notices: "list[ControlNotice]") -> None:
-        self.state.arrays.grow_rows(*join_rows(notices), self.step)
-
-    def rebuild(self) -> None:
-        self.state.rebuild()
-
-    def capture_state(self) -> dict:
-        return self.state.arrays.capture()
-
-
-class _RhtaluBackend(_Backend):
-    """Workers=0 RHTALU serving: one local lazy leaf, no pipe.
-
-    Owns what an RHTALU shard owns — a universe-wide
-    :class:`~repro.evaluation.evaluator.RhtaluEvaluator` — and a
-    settler: the evaluator's TA scan yields the slot lists, the shared
-    tail matches, prices and settles from them.
-    """
-
-    def __init__(self, workload: PaperWorkload, engine_seed: int,
+                 maintenance: str, engine_seed: int,
                  restore_capture: dict | None = None):
         config = workload.config
-        self.evaluator = RhtaluEvaluator(
-            workload.click_matrix,
-            LazyPacerArrays.for_universe(
-                config.num_advertisers, workload.keywords, config.step,
-                capture=restore_capture))
+        capture = restore_capture or {}  # {} = born empty (genesis)
+        self.leaf = build_shard(WorkerInit(
+            shard=0, lo=0, hi=config.num_advertisers, method=method,
+            workload_config=config, top_depth=config.num_slots + 1,
+            maintenance=maintenance, restore=capture), workload)
         self.settler = AuctionSettler.build(
             workload.click_model(), workload.purchase_model(),
             config.num_slots, engine_seed)
+        self.tail = MergeTail(self.settler, workload.click_matrix,
+                              method, capture, parallel_stats=False)
         self.auction_id = 0
-        self._bids = np.zeros(config.num_advertisers)
 
     def run_query(self, keyword: str) -> AuctionRecord:
         self.auction_id += 1
         now = float(self.auction_id)
-        evaluator = self.evaluator
-        start = time_module.perf_counter()
-        scan = evaluator.scan_auction(keyword, now)
-        # The tail reads bids by advertiser id; only the candidates'
-        # entries are ever read, so stale ones elsewhere are harmless.
-        self._bids[scan.candidates] = scan.candidate_bids
+        leaf = self.leaf
+        reply = leaf.handle(ShardTask(auction_id=self.auction_id,
+                                      keyword=keyword, time=now))
 
         def notify(advertiser: int, slot: int | None, clicked: bool,
                    purchased: bool, charge: float) -> None:
-            evaluator.record_win(advertiser, charge, now)
+            leaf.fold(advertiser, keyword, now, clicked, charge)
 
-        return self.settler.settle_slot_lists(
-            self.auction_id, keyword, scan.slot_lists, self._bids,
-            evaluator.click_matrix, eval_seconds=0.0,
-            wd_seconds=time_module.perf_counter() - start,
-            num_candidates=len(scan.candidates), notify_fn=notify)
+        return self.tail.settle(self.auction_id, keyword, [reply],
+                                notify)
 
     def apply_control(self, notice: ControlNotice) -> None:
-        self.evaluator.apply_control(notice)
+        self.tail.track(notice)
+        self.leaf.apply_control(notice)
 
     def join(self, notices: "list[ControlNotice]") -> None:
-        self.evaluator.join_many(*join_rows(notices)[:4])
-
-    def rebuild(self) -> None:
-        self.evaluator = self.evaluator.rebuilt()
+        for notice in notices:
+            self.tail.track(notice)
+        self.leaf.join(notices)
 
     def capture_state(self) -> dict:
-        return self.evaluator.state.capture()
+        return self.leaf.capture()
 
 
 class _ShardedBackend(_Backend):
@@ -485,13 +413,9 @@ class OnlineAuctionService:
                 supervise=supervise, round_timeout=round_timeout,
                 max_worker_restarts=max_worker_restarts,
                 metrics=self.metrics)
-        elif method == "rhtalu":
-            self.backend = _RhtaluBackend(
-                self.workload, engine_seed,
-                restore_capture=restore_capture)
         else:
-            self.backend = _EagerBackend(
-                self.workload, method, engine_seed,
+            self.backend = _LocalBackend(
+                self.workload, method, maintenance, engine_seed,
                 restore_capture=restore_capture)
 
         if _restore is not None:
@@ -830,19 +754,18 @@ class OnlineAuctionService:
 
     def _control(self, kind: str, advertiser: int, **payload) -> None:
         """Every population change reaches the evaluation state as one
-        :class:`~repro.runtime.messages.ControlNotice` — in process or
-        routed to a shard, the same currency and the same ladder —
-        followed by the maintenance strategy's rebuild, if any."""
+        :class:`~repro.runtime.messages.ControlNotice` — to the local
+        leaf or routed to a shard, the same currency, applied by the
+        same shard code (which also runs the ``rebuild`` maintenance
+        strategy)."""
         self.backend.apply_control(ControlNotice(
             kind=kind, advertiser=advertiser, **payload))
-        if self.maintenance == "rebuild":
-            self.backend.rebuild()
 
     def _join(self, joins: "list[AdvertiserJoin]") -> None:
         """The state half of a run of joins: one backend call for the
         whole run (the bulk placement routine of the representation —
-        one join is its one-row case), then, under ``rebuild``
-        maintenance, one rebuild."""
+        one join is its one-row case; under ``rebuild`` maintenance,
+        followed by one rebuild)."""
         self.backend.join([ControlNotice(
             kind="join", advertiser=event.advertiser,
             target=event.target,
@@ -850,8 +773,6 @@ class OnlineAuctionService:
             maxbids=np.asarray(event.maxbids, dtype=float),
             values=np.asarray(event.values, dtype=float))
             for event in joins])
-        if self.maintenance == "rebuild":
-            self.backend.rebuild()
 
     def _register(self, event: AdvertiserJoin) -> None:
         """A join's ledger entry, at the join's own seq."""

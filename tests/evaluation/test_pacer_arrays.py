@@ -128,6 +128,16 @@ class TestBidSourceView:
         assert 0 in source
         assert mirror.num_advertisers not in source
 
+    def test_membership_is_the_walk_not_the_id_range(self):
+        keywords = ["kw0", "kw1"]
+        state = LazyPacerArrays.for_universe(6, keywords)
+        state.join_many(np.array([1, 4]), np.ones(2),
+                        np.full((2, 2), 1.0), np.full((2, 2), 3.0))
+        source = state.begin_auction(keywords[0], 1.0)
+        assert len(source) == 2
+        assert [item in source for item in range(-1, 7)] \
+            == [False, False, True, False, False, True, False, False]
+
     def test_view_is_invalidated_by_next_auction(self):
         # Documented lifetime: the eff buffer is per-state scratch.
         _, mirror, keywords, _ = build_states(8, n_keywords=2)

@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.auction.batch import ShardEvalState
 from repro.auction.pricing import (
     GeneralizedSecondPrice,
     SlotListSecondPrice,
 )
 from repro.core.winner_determination import SubsetSolver
+from repro.evaluation.evaluator import RhtaluEvaluator
+from repro.evaluation.pacer_arrays import LazyPacerArrays
 from repro.matching.brute_force import brute_force_matching
 from repro.matching.hungarian import max_weight_matching
 from repro.matching.reduction import top_k_for_slot
@@ -112,6 +115,49 @@ class TestSelection:
         assert merged.values.tolist() == whole.values.tolist()
 
 
+def leaf_lists(seed: int, lazy: bool) -> tuple[SlotLists, int]:
+    """A leaf's scan over a small population on a coarse grid (ties
+    across advertisers are the common case): an eager
+    ``ShardEvalState.scan`` or a lazy ``RhtaluEvaluator.scan_auction``,
+    with the depth it scanned to."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+    keywords = ["kw0", "kw1"]
+    click = rng.integers(1, 4, size=(n, k)) / 4.0
+    joined = np.flatnonzero(rng.random(n) < 0.8)
+    if not len(joined):
+        joined = np.array([0])
+    targets = np.ones(len(joined))
+    maxbids = rng.integers(1, 5, size=(len(joined), 2)).astype(float)
+    bids = np.floor(maxbids * rng.random(maxbids.shape))
+    if lazy:
+        evaluator = RhtaluEvaluator(
+            click, LazyPacerArrays.for_universe(n, keywords))
+        evaluator.join_many(joined, targets, bids, maxbids)
+        return evaluator.scan_auction("kw0", 1.0).slot_lists, k + 1
+    state = ShardEvalState(click, k + 1, keywords)
+    state.arrays.grow_rows(joined, targets, bids, maxbids, maxbids, 1.0)
+    state.evaluate("kw0", 1.0)
+    return state.scan(), k + 1
+
+
+class TestOnePartMerge:
+    """A lone part skips the merge: sound because a leaf's scan
+    already comes out in the merge's (value desc, id asc) order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds, st.booleans())
+    def test_merging_one_leaf_gives_back_that_leaf(self, seed, lazy):
+        part, depth = leaf_lists(seed, lazy)
+        assert merge_slot_lists([part], depth) is part
+        # The full merge path (an empty second part) agrees.
+        empty = SlotLists(ids=np.empty((part.num_slots, 0), np.int64),
+                          values=np.empty((part.num_slots, 0)))
+        merged = merge_slot_lists([part, empty], depth)
+        assert merged.ids.tolist() == part.ids.tolist()
+        assert merged.values.tolist() == part.values.tolist()
+
+
 class TestMatching:
     @settings(max_examples=200, deadline=None)
     @given(seeds)
@@ -163,9 +209,10 @@ class TestMatching:
 
 
 class TestListGspOnEagerInputs:
-    """What ``_EagerBackend.run_query`` hands the settler for ``rh``:
-    subset-local lists, bids and click rows.  Quotes must equal the
-    matrix GSP on the subset weights, float for float."""
+    """List GSP on eager ``rh`` inputs: the subset-local lists, bids
+    and click rows ``SubsetSolver.solve`` derives from the scan an
+    eager leaf runs.  Quotes must equal the matrix GSP on the subset
+    weights, float for float."""
 
     @settings(max_examples=100, deadline=None)
     @given(seeds)

@@ -70,7 +70,7 @@ class TestSupervisedFixedPopulation:
 class TestPopulationSource:
     def test_offline_workers_populate_from_the_recipe(self):
         runtime = ShardedAuctionRuntime(CONFIG, workers=2)
-        assert runtime._active.all()
+        assert runtime.tail.active.all()
         init = runtime._make_worker_init(1)
         assert init.restore is None
         assert (init.lo, init.hi) == runtime.plan.spans()[1]
@@ -83,7 +83,7 @@ class TestPopulationSource:
         runtime = ShardedAuctionRuntime(CONFIG, workers=2,
                                         maintenance="rebuild",
                                         restore_capture={})
-        assert not runtime._active.any()
+        assert not runtime.tail.active.any()
         init = runtime._make_worker_init(0)
         assert init.restore == {} and init.restore is not None
         assert init.maintenance == "rebuild"
@@ -112,7 +112,7 @@ class TestPopulationSource:
                     target=float(targets[advertiser]),
                     bids=bids[advertiser], maxbids=maxbids[advertiser],
                     values=values[advertiser]))
-            assert fed._active.all()
+            assert fed.tail.active.all()
             records = fed.run_batch(25)
         assert records_identical(expected, records)
 

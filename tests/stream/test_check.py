@@ -26,11 +26,7 @@ from repro.stream import (
     OnlineAuctionService,
     QueryArrival,
 )
-from repro.stream.service import (
-    _EagerBackend,
-    _RhtaluBackend,
-    _ShardedBackend,
-)
+from repro.stream.service import _LocalBackend, _ShardedBackend
 from repro.workloads import (
     PaperWorkload,
     PaperWorkloadConfig,
@@ -54,8 +50,8 @@ _STEPS = st.lists(
     min_size=6, max_size=30)
 
 BACKENDS = {
-    "eager": (dict(method="rh"), _EagerBackend),
-    "rhtalu": (dict(method="rhtalu"), _RhtaluBackend),
+    "eager": (dict(method="rh"), _LocalBackend),
+    "rhtalu": (dict(method="rhtalu"), _LocalBackend),
     "sharded": (dict(method="rh", workers=2), _ShardedBackend),
 }
 

@@ -340,15 +340,13 @@ def join_calls(monkeypatch):
     from repro.stream import service as service_module
 
     sizes: list[int] = []
-    for backend in (service_module._EagerBackend,
-                    service_module._RhtaluBackend):
-        original = backend.join
+    original = service_module._LocalBackend.join
 
-        def counting(self, notices, _original=original):
-            sizes.append(len(notices))
-            return _original(self, notices)
+    def counting(self, notices):
+        sizes.append(len(notices))
+        return original(self, notices)
 
-        monkeypatch.setattr(backend, "join", counting)
+    monkeypatch.setattr(service_module._LocalBackend, "join", counting)
     return sizes
 
 
