@@ -41,6 +41,7 @@ from repro.evaluation.evaluator import RhtaluEvaluator
 from repro.lang.bids import BidsTable
 from repro.lang.formula import Atom
 from repro.lang.predicates import ClickPredicate
+from repro.matching.lp import require_scipy
 from repro.matching.types import MatchingResult
 from repro.probability.click_models import ClickModel
 from repro.probability.estimation import InteractionLog
@@ -108,6 +109,8 @@ class AuctionEngine:
         elif not programs:
             raise ValueError(
                 f"method {config.method!r} requires bidding programs")
+        if config.method == "lp":
+            require_scipy()  # fail here, not at the first auction
         self.click_model = click_model
         self.purchase_model = purchase_model
         self.query_source = query_source

@@ -13,19 +13,27 @@ Two backends:
   stand-in for the paper's GLPK simplex);
 * ``simplex`` — the from-scratch dense tableau solver of
   :mod:`repro.matching.simplex`, for validation and the solver ablation.
+
+SciPy is the optional ``lp`` extra (both backends build their
+constraints with :mod:`scipy.sparse`), so this module imports it on
+first use, not at import: a process serving ``rh``, ``rhtalu`` or
+``hungarian`` never loads it.  Whatever is built to run method ``lp``
+calls :func:`require_scipy` at construction, so a missing SciPy fails
+at start-up rather than at the first auction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.matching.simplex import solve_lp_maximize
 from repro.matching.types import MatchingResult
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 LpBackend = Literal["scipy", "simplex"]
 
@@ -34,6 +42,22 @@ _INTEGRALITY_TOL = 1e-6
 
 class LpSolveError(RuntimeError):
     """The LP backend failed to return an optimal solution."""
+
+
+def require_scipy() -> None:
+    """Import the SciPy pieces the LP backends use, or raise
+    :class:`ImportError` naming the ``lp`` extra.
+
+    Later imports inside this module are then dictionary lookups, so
+    the first solve pays no import either.
+    """
+    try:
+        import scipy.optimize  # noqa: F401
+        import scipy.sparse  # noqa: F401
+    except ImportError as error:
+        raise ImportError(
+            "method 'lp' needs SciPy, which is not installed; install "
+            "the 'lp' extra (pip install -e '.[lp]')") from error
 
 
 @dataclass(frozen=True)
@@ -54,6 +78,8 @@ def build_constraints(num_advertisers: int,
     ``num_slots`` per-slot rows.  Variable (i, j) is column
     ``i * num_slots + j``.
     """
+    from scipy import sparse
+
     num_vars = num_advertisers * num_slots
     rows = []
     cols = []
@@ -91,6 +117,8 @@ def lp_matching(weights: Sequence[Sequence[float]] | np.ndarray,
     objective = matrix.reshape(-1)
 
     if backend == "scipy":
+        from scipy.optimize import linprog
+
         result = linprog(-objective, A_ub=a_ub, b_ub=b_ub,
                          bounds=(0.0, 1.0), method="highs-ds")
         if not result.success:

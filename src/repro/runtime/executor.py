@@ -51,6 +51,7 @@ from repro.auction.engine import EngineConfig
 from repro.auction.events import AuctionRecord
 from repro.auction.settlement import AuctionSettler
 from repro.core.winner_determination import SubsetSolver
+from repro.matching.lp import require_scipy
 from repro.matching.slot_lists import merge_slot_lists
 from repro.runtime.messages import (
     SCAN_METHODS,
@@ -107,11 +108,17 @@ class MergeTail:
     (``{}`` = nobody).  ``parallel_stats`` stamps each record with the
     tree network's work accounting (``wd_stats``); the one-leaf
     in-process service leaves it off.
+
+    Built for ``lp``, it imports SciPy up front
+    (:func:`~repro.matching.lp.require_scipy`): a server without it
+    exits before it listens, and the first auction pays no import.
     """
 
     def __init__(self, settler: AuctionSettler, click_matrix: np.ndarray,
                  method: str, capture: dict | None,
                  parallel_stats: bool):
+        if method == "lp":
+            require_scipy()
         self.settler = settler
         self.click_matrix = click_matrix
         self.method = method
@@ -190,7 +197,10 @@ class MergeTail:
         """Full-matrix methods: assemble bids, solve on the live
         population with the membership-cached solver."""
         start = time_module.perf_counter()
-        bids = np.concatenate([reply.bids for reply in replies])
+        # One leaf's slice is already the whole vector; the solver
+        # copies what it reads, so it may alias the leaf's buffer.
+        bids = (replies[0].bids if len(replies) == 1
+                else np.concatenate([reply.bids for reply in replies]))
         self._solver = SubsetSolver.for_membership(
             self._solver, self.click_matrix, self.active, self.method)
         wd = self._solver.solve(bids)

@@ -241,10 +241,14 @@ class GatherShard(_EagerShard):
     def handle(self, task: ShardTask) -> GatherReply:
         start = time_module.thread_time()
         self.deliver(task)
+        # No copy: the reply aliases the state's bid buffer, which only
+        # the next task's evaluation overwrites.  The in-process tail
+        # reads it before then, and a worker resends its cached reply
+        # (pickled afresh) only for a duplicate of this same task.
         bids = self.state.evaluate(task.keyword, task.time)
         return GatherReply(
             auction_id=task.auction_id,
-            bids=bids.copy(),
+            bids=bids,
             eval_seconds=time_module.thread_time() - start,
             leaf_work=self.num_local,
         )
