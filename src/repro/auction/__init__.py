@@ -5,20 +5,15 @@ determination, simulated user actions, pricing (generalised second price
 / VCG / pay-your-bid / the distributed slot-list GSP), and
 provider-side accounting.  Settlement — everything after winner
 determination — is factored into :class:`~repro.auction.settlement
-.AuctionSettler`, shared by the engine, the batched pipeline, and the
-multi-process sharded runtime (:mod:`repro.runtime`); the per-shard
-half of the batch kernels lives in :class:`~repro.auction.batch
-.ShardEvalState`.
+.AuctionSettler`, shared by the engine and the multi-process sharded
+runtime (:mod:`repro.runtime`).  The batch kernels
+(:class:`~repro.auction.batch.PacerArrays`, one leaf's
+:class:`~repro.auction.batch.ShardEvalState`) are what the engine's
+``run_batch`` and every served eager leaf evaluate with.
 """
 
 from repro.auction.accounts import AccountBook, AdvertiserAccount
-from repro.auction.batch import (
-    BatchPlanner,
-    BatchStats,
-    GroupPlan,
-    PacerArrays,
-    ShardEvalState,
-)
+from repro.auction.batch import PacerArrays, ShardEvalState
 from repro.auction.analysis import (
     AdvertiserReport,
     PacingAudit,
@@ -60,10 +55,7 @@ __all__ = [
     "AuctionEngine",
     "AuctionSettler",
     "AuctionRecord",
-    "BatchPlanner",
-    "BatchStats",
     "EngineConfig",
-    "GroupPlan",
     "PacerArrays",
     "GeneralizedSecondPrice",
     "HeavyweightUserModel",

@@ -1,4 +1,4 @@
-"""The batched auction pipeline: amortizing per-auction overhead.
+"""The batch kernels: a pacer population as arrays.
 
 The sequential engine (:meth:`repro.auction.engine.AuctionEngine.run`)
 spends most of its time in pure-Python per-auction loops: ``n`` program
@@ -6,48 +6,38 @@ spends most of its time in pure-Python per-auction loops: ``n`` program
 per notified winner.  For the Section V workload — every bidder a
 :class:`~repro.strategies.roi_equalizer.SimpleROIPacer` bidding a single
 value on ``Click`` — all of that is data-parallel across the population,
-so a batch run can keep the *entire* population's private state in NumPy
-arrays and advance it with a handful of vectorized kernels per auction.
-
-Three pieces cooperate:
+so the population's private state can live in NumPy arrays and advance
+with a handful of vectorized kernels per auction.
 
 * :class:`PacerArrays` — the array mirror of a pacer population.  It
   replays the exact per-auction semantics of ``SimpleROIPacer.bid`` and
-  the notification fold (same IEEE-754 operations in the same order), so
-  batched runs are *bit-identical* to sequential runs under a fixed
-  seed.  State is copied in from the program objects when a batch
-  starts and written back when it ends, so sequential and batched runs
-  can be interleaved freely.
-* :class:`GroupPlan` — preallocated per-signature buffers (bid vector,
-  revenue matrix, adjusted-weight matrix).  Auctions are grouped by
-  their keyword/candidate-set signature; every auction of a group reuses
-  the group's buffers, so the revenue matrix is allocated once per group
-  rather than once per auction.
-* :class:`BatchPlanner` — detects whether an engine's population is
-  vectorizable, owns the arrays and the plan cache, and tracks grouping
-  statistics for the phase profiler.
+  the notification fold (same IEEE-754 operations in the same order),
+  so runs over it are *bit-identical* to sequential runs under a fixed
+  seed.  The offline engine copies state in from the program objects
+  when a batch starts and writes it back when it ends, so sequential
+  and batched runs interleave freely; the online serving layer grows
+  and retires its rows directly.
+* :class:`ShardEvalState` — one leaf's evaluation state: a mirror plus
+  its click rows and the per-slot top-list scan.  Every eager leaf of
+  :mod:`repro.runtime.worker` holds one — a worker's shard, the
+  in-process service's universe-spanning leaf, and the leaf
+  :meth:`~repro.auction.engine.AuctionEngine.run_batch` builds around
+  the engine's own mirror.
 
-RHTALU has no batch pipeline of its own: the lazy evaluator already
-holds its whole state (pacer mirror, argsorted click index, TA score
-histories) in preallocated arrays, so ``run_batch`` runs the sequential
-loop and keeps the same keyword-signature grouping accounting
-(:meth:`BatchStats.observe`).
-
-Engines whose populations are not vectorizable (arbitrary
+There is no batch-only auction body: ``run_batch`` settles each leaf
+reply through the served tail (:class:`~repro.runtime.executor
+.MergeTail`).  Populations the mirror cannot hold (arbitrary
 :class:`~repro.strategies.base.BiddingProgram` mixes, multi-row tables,
-non-``Click`` formulas) simply fall back to the sequential per-auction
-loop inside ``run_batch`` — the batch API is always available, only the
-speedup is conditional.
+non-``Click`` formulas) run the sequential loop instead — the batch API
+is always available, only the speedup is conditional.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.revenue import RevenueMatrix
 from repro.core.winner_determination import SubsetSolver
 from repro.lang.formula import Atom
 from repro.lang.predicates import ClickPredicate
@@ -55,7 +45,6 @@ from repro.matching.slot_lists import SlotLists
 from repro.strategies.roi_equalizer import SimpleROIPacer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.auction.engine import AuctionEngine
     from repro.runtime.messages import ControlNotice
 
 
@@ -486,16 +475,19 @@ class ShardEvalState:
     """
 
     def __init__(self, click_rows: np.ndarray, top_depth: int,
-                 keywords: list[str], capture: dict | None = None):
+                 keywords: list[str], capture: dict | None = None,
+                 arrays: PacerArrays | None = None):
         """Born empty over the shard's rows and the workload's keyword
         columns, or restored from ``capture`` (the shard's local-frame
         slice of a snapshot); rows then arrive through
         :meth:`PacerArrays.grow_rows` / :meth:`PacerArrays
-        .apply_control`."""
+        .apply_control`.  Given ``arrays``, the state holds that mirror
+        instead (the offline engine's, over its own program objects)."""
         self.click_rows = np.asarray(click_rows, dtype=float)
         num_local, self.num_slots = self.click_rows.shape
-        self.arrays = PacerArrays.for_universe(num_local, keywords,
-                                               capture)
+        self.arrays = (arrays if arrays is not None else
+                       PacerArrays.for_universe(num_local, keywords,
+                                                capture))
         self.top_depth = top_depth
         self.bid_out = np.zeros(num_local)
         self._solver: SubsetSolver | None = None
@@ -545,97 +537,3 @@ class ShardEvalState:
         self._solver = SubsetSolver.for_membership(
             self._solver, self.click_rows, self.arrays.present)
         return self._solver
-
-
-@dataclass
-class GroupPlan:
-    """Preallocated buffers for one keyword/candidate-set signature.
-
-    The revenue matrix (and its zero unassigned column) is built *once*
-    per group; each auction of the group refills ``revenue.assigned``
-    and ``adjusted`` in place via the ``out=`` kernels of
-    :mod:`repro.core.revenue`.
-    """
-
-    signature: str
-    bid_out: np.ndarray
-    revenue: RevenueMatrix
-    adjusted: np.ndarray
-    auctions: int = 0
-
-    @classmethod
-    def allocate(cls, signature: str, num_advertisers: int,
-                 num_slots: int) -> "GroupPlan":
-        return cls(
-            signature=signature,
-            bid_out=np.zeros(num_advertisers),
-            revenue=RevenueMatrix(
-                assigned=np.zeros((num_advertisers, num_slots)),
-                unassigned=np.zeros(num_advertisers)),
-            adjusted=np.zeros((num_advertisers, num_slots)),
-        )
-
-
-@dataclass
-class BatchStats:
-    """What the planner saw during one ``run_batch`` call."""
-
-    auctions: int = 0
-    groups: int = 0
-    signatures: int = 0
-    _seen: set = field(default_factory=set, repr=False)
-    _last: str | None = field(default=None, repr=False)
-
-    def observe(self, keyword: str) -> bool:
-        """Count one auction under its keyword signature: a signature
-        is a keyword seen for the first time (returns ``True`` then),
-        a group a maximal run of consecutive same-keyword auctions."""
-        first = keyword not in self._seen
-        if first:
-            self._seen.add(keyword)
-            self.signatures += 1
-        if keyword != self._last:
-            self.groups += 1
-            self._last = keyword
-        self.auctions += 1
-        return first
-
-    @property
-    def mean_group_length(self) -> float:
-        return self.auctions / self.groups if self.groups else 0.0
-
-
-class BatchPlanner:
-    """Plans batched auctions for one engine's population."""
-
-    def __init__(self, arrays: PacerArrays, num_slots: int):
-        self.arrays = arrays
-        self.num_slots = num_slots
-        self._plans: dict[str, GroupPlan] = {}
-        self.stats = BatchStats()
-
-    @classmethod
-    def for_engine(cls, engine: "AuctionEngine") -> "BatchPlanner | None":
-        """A planner for ``engine``, or ``None`` if it must fall back."""
-        if engine.config.method == "rhtalu" or not engine.programs:
-            return None
-        arrays = PacerArrays.from_programs(
-            engine.programs, engine.click_model.num_advertisers)
-        if arrays is None:
-            return None
-        return cls(arrays, engine.config.num_slots)
-
-    def plan_for(self, keyword: str) -> GroupPlan:
-        """The buffer set for this auction's signature.
-
-        The signature is the keyword (which, for keyword-relevance
-        workloads, determines the candidate set); consecutive auctions
-        with the same signature form a group and share buffers that are
-        already warm in cache.
-        """
-        if self.stats.observe(keyword):
-            self._plans[keyword] = GroupPlan.allocate(
-                keyword, self.arrays.num_advertisers, self.num_slots)
-        plan = self._plans[keyword]
-        plan.auctions += 1
-        return plan

@@ -14,7 +14,17 @@ Methods:
   the threshold algorithm's candidates are touched (requires a
   :class:`~repro.evaluation.evaluator.RhtaluEvaluator`).
 
-The engine keeps per-phase wall-clock timings in every
+Apart from that per-program eager loop, the engine settles every
+auction the way the served paths do: one leaf of
+:mod:`repro.runtime.worker` spanning the population answers the
+auction's task, and :class:`~repro.runtime.executor.MergeTail` matches,
+prices and settles its reply.  RHTALU always runs so (a
+:class:`~repro.runtime.worker.RhtaluShard` around the engine's
+evaluator); :meth:`AuctionEngine.run_batch` runs a pacer population so
+(an eager leaf over the engine's own :class:`~repro.auction.batch
+.PacerArrays`).
+
+The engine keeps per-phase timings in every
 :class:`~repro.auction.events.AuctionRecord`; the Figure 12/13 benchmark
 harness is a thin loop over :meth:`AuctionEngine.run_auction`.
 """
@@ -27,8 +37,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro.auction.batch import PacerArrays, ShardEvalState, is_bare_click
 from repro.auction.events import AuctionRecord
-from repro.auction.pricing import PricingRule
+from repro.auction.pricing import GeneralizedSecondPrice, PricingRule
 from repro.auction.settlement import AuctionSettler, NotifyFn
 from repro.core.parallel import solve_parallel
 from repro.core.revenue import (
@@ -39,10 +50,7 @@ from repro.core.revenue import (
 from repro.core.winner_determination import Method, WdResult, solve
 from repro.evaluation.evaluator import RhtaluEvaluator
 from repro.lang.bids import BidsTable
-from repro.lang.formula import Atom
-from repro.lang.predicates import ClickPredicate
 from repro.matching.lp import require_scipy
-from repro.matching.types import MatchingResult
 from repro.probability.click_models import ClickModel
 from repro.probability.estimation import InteractionLog
 from repro.probability.purchase_models import PurchaseModel
@@ -54,6 +62,9 @@ from repro.strategies.base import (
 )
 
 EngineMethod = Method | str  # core methods plus "rhtalu"
+
+LeafAuction = Callable[[str, float], AuctionRecord]
+"""Settles one auction ``(keyword, time)`` on a served leaf."""
 
 
 @dataclass
@@ -124,11 +135,18 @@ class AuctionEngine:
         self.rng = self.settler.rng
         self.accounts = self.settler.accounts
         self.auction_id = 0
-        self.last_batch_stats = None
         self.interaction_log = (
             InteractionLog(click_model.num_advertisers,
                            click_model.num_slots)
             if config.record_log else None)
+        self._tail = None
+        self._rhtalu_leaf: LeafAuction | None = None
+        if config.method == "rhtalu":
+            if type(self.pricing) is not GeneralizedSecondPrice:
+                raise ValueError(
+                    "method 'rhtalu' prices from its slot lists, by "
+                    f"GSP only; got {type(self.pricing).__name__}")
+            self._rhtalu_leaf = self._on_leaf(rhtalu)
 
     # -- main loop ------------------------------------------------------------
 
@@ -137,99 +155,120 @@ class AuctionEngine:
         return [self.run_auction() for _ in range(count)]
 
     def run_batch(self, count: int) -> list[AuctionRecord]:
-        """Run ``count`` auctions through the batched pipeline.
+        """Run ``count`` auctions, a pacer population on the served leaf.
 
         Produces records bit-identical to :meth:`run` from the same
         engine state and seed (the equivalence the batch tests assert),
-        but amortizes per-auction overhead across the stream: program
-        evaluation and notification folding run as vectorized kernels
-        over the whole population (:class:`~repro.auction.batch
-        .PacerArrays`), and revenue/weight buffers are allocated once
-        per keyword/candidate-set group and refilled in place.
+        but replaces the per-program loop with the leaf the served paths
+        run: program evaluation and notification folding are vectorized
+        kernels over the whole population (the engine's own
+        :class:`~repro.auction.batch.PacerArrays`, written back to the
+        program objects at the end), and winner determination, pricing
+        and settlement are the served tail.
 
-        RHTALU engines (whose evaluator state is array-backed on every
-        path) and populations the planner cannot vectorize (non-pacer
-        programs, multi-row or non-``Click`` bids) run the sequential
-        per-auction loop.  Grouping statistics of the last call are
-        kept in :attr:`last_batch_stats` (``None`` after a
-        non-vectorizable fallback).
+        Everything else — RHTALU (already on its leaf in :meth:`run`),
+        populations the mirror cannot hold, the methods and pricing
+        rules the tail does not run, ``wd_leaves`` — runs :meth:`run`.
         """
-        from repro.auction.batch import BatchPlanner, BatchStats
-
-        planner = BatchPlanner.for_engine(self)
-        records = []
-        if planner is None:
-            # The lazy evaluator's array state is live for run() too,
-            # so an RHTALU batch is the sequential loop plus the
-            # grouping accounting; a population the planner cannot
-            # vectorize runs the same loop without it.
-            stats = (BatchStats() if self.config.method == "rhtalu"
-                     else None)
-            self.last_batch_stats = stats
-            for _ in range(count):
-                record = self.run_auction()
-                if stats is not None:
-                    stats.observe(record.keyword)
-                records.append(record)
-            return records
-        self.last_batch_stats = planner.stats
+        arrays = self._batch_arrays()
+        if arrays is None:
+            return self.run(count)
+        leaf = self._on_leaf(ShardEvalState(
+            self.click_model.as_matrix(), self.config.num_slots + 1,
+            arrays.keywords, arrays=arrays))
         try:
-            for _ in range(count):
-                record = self._run_batched_auction(planner)
-                if self.interaction_log is not None:
-                    self.interaction_log.record_outcome(record.outcome)
-                records.append(record)
+            return [self._auction(leaf) for _ in range(count)]
         finally:
             # Keep program objects authoritative even on mid-batch
             # errors, so sequential runs can always resume.
-            planner.arrays.sync_to_programs()
-        return records
+            arrays.sync_to_programs()
 
-    def _run_batched_auction(self, planner) -> AuctionRecord:
-        """One auction through the vectorized eager pipeline."""
-        self.auction_id += 1
-        now = float(self.auction_id)
-        query = self.query_source(self.rng)
-        plan = planner.plan_for(query.text)
+    def batches_on_leaf(self) -> bool:
+        """Whether :meth:`run_batch` settles every auction as a leaf's
+        reply through the served tail (``False``: it is :meth:`run`'s
+        per-program loop)."""
+        return (self.config.method == "rhtalu"
+                or self._batch_arrays() is not None)
 
-        start = time_module.perf_counter()
-        bids = planner.arrays.evaluate(query.text, now, out=plan.bid_out)
-        eval_seconds = time_module.perf_counter() - start
+    def _batch_arrays(self) -> PacerArrays | None:
+        """The mirror :meth:`run_batch`'s eager leaf holds, or ``None``.
 
-        start = time_module.perf_counter()
-        revenue = click_bid_revenue_matrix(bids, self.click_model,
-                                           out=plan.revenue)
-        weights = revenue.adjusted(out=plan.adjusted)
-        result, wd_stats = self._solve_eager(revenue, weights)
-        wd_seconds = time_module.perf_counter() - start
-
-        arrays = planner.arrays
-
-        def notify(advertiser: int, slot: int | None, clicked: bool,
-                   purchased: bool, charge: float) -> None:
-            arrays.fold_notification(advertiser, query.text, clicked,
-                                     charge)
-
-        return self.settler.settle(
-            self.auction_id, query, result.allocation.slot_of,
-            result.matching, result.expected_revenue, weights, bids,
-            eval_seconds, wd_seconds, num_candidates=weights.shape[0],
-            notify_fn=notify, wd_stats=wd_stats)
+        The tail solves ``rh`` / ``lp`` / ``hungarian`` over every
+        advertiser id and prices by GSP, without the tree network's
+        accounting (``wd_leaves``); the mirror holds a
+        ``SimpleROIPacer`` population with one program per id."""
+        num_advertisers = self.click_model.num_advertisers
+        if (self.config.method not in ("rh", "lp", "hungarian")
+                or self.config.wd_leaves is not None
+                or type(self.pricing) is not GeneralizedSecondPrice
+                or len(self.programs) != num_advertisers):
+            return None
+        return PacerArrays.from_programs(self.programs, num_advertisers)
 
     def run_auction(self) -> AuctionRecord:
         """One full pass through the six-step protocol."""
+        return self._auction(self._rhtalu_leaf)
+
+    def _auction(self, leaf: "LeafAuction | None") -> AuctionRecord:
+        """One auction: draw the query, settle it — on ``leaf`` through
+        the served tail, or by the per-program eager loop when ``leaf``
+        is ``None`` — and log the outcome."""
         self.auction_id += 1
         now = float(self.auction_id)
         query = self.query_source(self.rng)
-
-        if self.config.method == "rhtalu":
-            record = self._run_rhtalu(query, now)
-        else:
+        if leaf is None:
             record = self._run_eager(query, now)
-
+        else:
+            record = leaf(query.text, now)
         if self.interaction_log is not None:
             self.interaction_log.record_outcome(record.outcome)
         return record
+
+    # -- the served leaf and tail ----------------------------------------------
+
+    def _on_leaf(self, state: "ShardEvalState | RhtaluEvaluator"
+                 ) -> "LeafAuction":
+        """Settle auctions on the served leaf kind around ``state``.
+
+        The leaf spans the whole population; the engine's one
+        :class:`~repro.runtime.executor.MergeTail` (fixed population:
+        everyone live; no tree accounting) settles its reply to each
+        auction's task, and each win folds straight back into the leaf
+        — what the in-process service does per query.
+        """
+        # Deferred: the runtime package imports this module.
+        from repro.runtime.executor import MergeTail
+        from repro.runtime.messages import ShardTask
+        from repro.runtime.worker import (
+            EagerScanShard,
+            GatherShard,
+            RhtaluShard,
+        )
+
+        if isinstance(state, RhtaluEvaluator):
+            leaf, click_matrix = RhtaluShard(state), state.click_matrix
+        else:
+            kind = EagerScanShard if self.config.method == "rh" \
+                else GatherShard
+            leaf, click_matrix = kind(state), state.click_rows
+        if self._tail is None:
+            self._tail = MergeTail(self.settler, click_matrix,
+                                   self.config.method, capture=None,
+                                   parallel_stats=False)
+        tail = self._tail
+
+        def settle(keyword: str, now: float) -> AuctionRecord:
+            auction_id = self.auction_id
+            reply = leaf.handle(ShardTask(auction_id=auction_id,
+                                          keyword=keyword, time=now))
+
+            def notify(advertiser: int, slot: int | None, clicked: bool,
+                       purchased: bool, charge: float) -> None:
+                leaf.fold(advertiser, keyword, now, clicked, charge)
+
+            return tail.settle(auction_id, keyword, [reply], notify)
+
+        return settle
 
     # -- eager path ------------------------------------------------------------
 
@@ -277,45 +316,16 @@ class AuctionEngine:
             self.auction_id, query, result.allocation.slot_of,
             result.matching, result.expected_revenue, weights, bids,
             eval_seconds, wd_seconds, num_candidates=weights.shape[0],
-            notify_fn=self._notifier(query, now), wd_stats=wd_stats)
-
-    # -- RHTALU path -------------------------------------------------------------
-
-    def _run_rhtalu(self, query: Query, now: float) -> AuctionRecord:
-        assert self.rhtalu is not None
-        start = time_module.perf_counter()
-        result = self.rhtalu.run_auction(query.text, now)
-        wd_seconds = time_module.perf_counter() - start
-
-        # The evaluator hands back its candidate-aligned buffers (bids,
-        # click rows, weights) — nothing is recomputed per candidate.
-        candidates = list(result.candidates)
-        local_index = {advertiser: row
-                       for row, advertiser in enumerate(candidates)}
-        local_pairs = tuple((local_index[a], col)
-                            for a, col in result.matching.pairs)
-        local_matching = MatchingResult(
-            pairs=local_pairs, total_weight=result.matching.total_weight)
-
-        return self.settler.settle(
-            self.auction_id, query, result.allocation.slot_of,
-            local_matching, result.expected_revenue, result.weights,
-            result.candidate_bids, eval_seconds=0.0,
-            wd_seconds=wd_seconds, num_candidates=len(candidates),
-            notify_fn=self._notifier(query, now), id_map=candidates,
-            click_rows=result.candidate_clicks)
+            notify_fn=self._notifier(query), wd_stats=wd_stats)
 
     # -- notification ------------------------------------------------------------
 
-    def _notifier(self, query: Query, now: float) -> NotifyFn:
-        """The engine's own settlement callback: fold each win back
-        into the lazy evaluator, or notify the winner's program."""
+    def _notifier(self, query: Query) -> NotifyFn:
+        """The eager loop's settlement callback: notify the winner's
+        program."""
 
         def notify(advertiser: int, slot: int | None, clicked: bool,
                    purchased: bool, charge: float) -> None:
-            if self.config.method == "rhtalu":
-                self.rhtalu.record_win(advertiser, charge, now)
-                return
             notification = ProgramNotification(
                 auction_id=self.auction_id,
                 keyword=query.text,
@@ -343,11 +353,7 @@ def extract_click_bids(tables: dict[int, BidsTable],
     bids = np.zeros(num_advertisers)
     for advertiser, table in tables.items():
         for row in table:
-            formula = row.formula
-            if (isinstance(formula, Atom)
-                    and isinstance(formula.predicate, ClickPredicate)
-                    and formula.predicate.advertiser is None):
-                bids[advertiser] += row.value
-            else:
+            if not is_bare_click(row.formula):
                 return None
+            bids[advertiser] += row.value
     return bids

@@ -75,9 +75,9 @@ class GeneralizedSecondPrice(PricingRule):
     Each instance keeps scratch buffers (the exclusion mask and the
     rival-score column) sized to the largest population quoted so far,
     handing out per-call views — quoting a stream of auctions (the
-    batch pipeline quotes thousands against one rule instance, and the
-    RHTALU path varies the candidate count per auction) allocates
-    nothing per winner.
+    engine's eager loop quotes thousands against one rule instance, and
+    the served ``lp`` / ``hungarian`` tail varies the live-subset size
+    per auction) allocates nothing per winner.
     """
 
     def __init__(self) -> None:

@@ -4,20 +4,23 @@ Winner determination fixes *who won*; settlement is everything that
 happens after: the simulated user acts, the pricing rule quotes, the
 provider's accounts are charged, and winning programs are notified.
 :class:`AuctionSettler` packages that tail of the pipeline behind one
-object so every execution strategy — the sequential engine, the batched
-pipeline, and the multi-process sharded runtime
-(:mod:`repro.runtime`) — settles auctions through the *same* code.
+object so every execution strategy — the engine's per-program eager
+loop, and everything that runs a leaf of :mod:`repro.runtime.worker`
+(the engine's batch and RHTALU runs, the in-process service, the
+multi-process sharded runtime) — settles auctions through the *same*
+code.
 That sharing is what makes the bit-identity invariants structural: a
 coordinator that reproduces the winner-determination inputs
 necessarily reproduces outcomes, prices, balances, and records,
 because this module is the only place they are computed.
 
-The served paths enter through two tails, which
-:class:`~repro.runtime.executor.MergeTail` calls for the in-process
-service (one local leaf) and the sharded coordinator (a merge of
-many): :meth:`AuctionSettler.settle_slot_lists` for ``rh`` /
-``rhtalu`` and :meth:`AuctionSettler.settle_subset` for ``lp`` /
-``hungarian``.
+The leaf paths enter through two tails, which
+:class:`~repro.runtime.executor.MergeTail` calls for the offline engine
+and the in-process service (one local leaf) and the sharded
+coordinator (a merge of many): :meth:`AuctionSettler.settle_slot_lists`
+for ``rh`` / ``rhtalu`` and :meth:`AuctionSettler.settle_subset` for
+``lp`` / ``hungarian``; the eager loop calls :meth:`AuctionSettler
+.settle` itself.
 
 The settler deliberately owns **no per-advertiser evaluation state**
 (programs, pacer arrays, lazy evaluators); those are per-shard concerns
@@ -58,9 +61,8 @@ from repro.strategies.base import Query
 NotifyFn = Callable[[int, int | None, bool, bool, float], None]
 """Per-winner callback ``(advertiser, slot, clicked, purchased, charge)``.
 
-``slot`` is 1-based (``None`` if the winner somehow has no slot); the
-batched pipeline's notification fold ignores it, program notification
-forwards it."""
+``slot`` is 1-based (``None`` if the winner somehow has no slot); a
+leaf's win fold ignores it, program notification forwards it."""
 
 
 class AuctionSettler:
@@ -176,12 +178,12 @@ class AuctionSettler:
         """One settlement: sample the user, price, charge, notify.
 
         ``matching`` pairs (and ``weights``/``bids``/``click_rows``
-        rows) may be candidate-local when ``id_map`` translates rows to
-        advertiser ids — the RHTALU and sharded leaf-scan paths — or
-        global when ``id_map`` is ``None``.  ``quote_fn``, when given,
-        replaces ``self.pricing.quote`` (the served ``rh`` paths price
-        from per-slot rival lists instead of a full matrix, and the
-        sharded coordinator holds no ``weights`` at all); it must
+        rows) may be subset-local when ``id_map`` translates rows to
+        advertiser ids — the live-subset solve of :meth:`settle_subset`
+        — or global when ``id_map`` is ``None``.  ``quote_fn``, when
+        given, replaces ``self.pricing.quote`` (the ``rh`` / ``rhtalu``
+        leaf paths price from per-slot rival lists instead of a full
+        matrix, and hold no ``weights`` at all); it must
         produce quotes equal to the pricing rule's.  ``wd_stats``
         is stamped on the record for the phase profiler (parallel
         winner-determination accounting).

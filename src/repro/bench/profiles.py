@@ -37,7 +37,6 @@ class PhaseProfile:
     price_seconds: float
     settle_seconds: float
     batched: bool = False
-    groups: int | None = None
     extra: dict = field(default_factory=dict)
 
     @property
@@ -111,7 +110,6 @@ def aggregate_wd_stats(records: Sequence[AuctionRecord]
 def profile_from_records(label: str, method: str,
                          records: Sequence[AuctionRecord],
                          wall_seconds: float, batched: bool = False,
-                         groups: int | None = None,
                          **extra) -> PhaseProfile:
     """Fold a run's records into a :class:`PhaseProfile`.
 
@@ -132,7 +130,6 @@ def profile_from_records(label: str, method: str,
         price_seconds=sum(r.price_seconds for r in records),
         settle_seconds=sum(r.settle_seconds for r in records),
         batched=batched,
-        groups=groups,
         extra=dict(extra),
     )
 
@@ -144,25 +141,23 @@ def profile_run(engine: "AuctionEngine", auctions: int,
 
     ``batch`` selects :meth:`~repro.auction.engine.AuctionEngine
     .run_batch` over the sequential loop; the profile notes which path
-    ran and, for batched runs, how many signature groups the planner
-    formed.
+    ran.
     """
     runner = engine.run_batch if batch else engine.run
     start = time.perf_counter()
     records = runner(auctions)
     wall = time.perf_counter() - start
-    stats = engine.last_batch_stats if batch else None
-    # ``batched`` reports what actually ran: run_batch falls back to
-    # the sequential loop for populations the planner can't vectorize
-    # (then last_batch_stats is None), and claiming "batched" for that
-    # would misattribute the resulting ~1x speedup.
-    if batch and stats is None:
+    # ``batched`` reports what actually ran — the predicate run_batch
+    # itself reads: it runs the per-program loop for populations the
+    # leaf cannot hold, and claiming "batched" for that would
+    # misattribute the resulting ~1x speedup.
+    batched = batch and engine.batches_on_leaf()
+    if batch and not batched:
         extra.setdefault("batch_fallback", True)
     profile = profile_from_records(
         label or ("batched" if batch else "sequential"),
-        str(engine.config.method), records, wall,
-        batched=batch and stats is not None,
-        groups=stats.groups if stats else None, **extra)
+        str(engine.config.method), records, wall, batched=batched,
+        **extra)
     return records, profile
 
 

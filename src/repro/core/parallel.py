@@ -43,7 +43,7 @@ def solve_parallel(revenue: RevenueMatrix,
     Equivalent to ``solve(revenue, method="rh")`` in outcome; differs in
     how the candidate scan is organised (sharded leaves + O(k) merges).
     ``adjusted``, when given, must equal ``revenue.adjusted()`` (the
-    engine's batched pipeline already holds it in a group buffer);
+    engine's eager loop already holds it for pricing);
     solvers treat it as read-only.
     """
     if adjusted is None:

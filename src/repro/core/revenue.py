@@ -68,16 +68,8 @@ class RevenueMatrix:
     def num_slots(self) -> int:
         return self.assigned.shape[1]
 
-    def adjusted(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Edge weights for the matching: gain over staying unassigned.
-
-        ``out``, when given, receives the result in place (it must have
-        the matrix's shape and must not alias ``assigned``) — the batch
-        pipeline reuses one buffer per auction group this way.
-        """
-        if out is not None:
-            return np.subtract(self.assigned, self.unassigned[:, None],
-                               out=out)
+    def adjusted(self) -> np.ndarray:
+        """Edge weights for the matching: gain over staying unassigned."""
         return self.assigned - self.unassigned[:, None]
 
     def baseline(self) -> float:
@@ -128,20 +120,12 @@ def build_revenue_matrix(tables: Mapping[AdvertiserId, BidsTable],
 
 
 def click_bid_revenue_matrix(bids: Sequence[float] | np.ndarray,
-                             click_model: ClickModel,
-                             out: RevenueMatrix | None = None
-                             ) -> RevenueMatrix:
+                             click_model: ClickModel) -> RevenueMatrix:
     """Vectorised builder for single-value ``Click`` bids.
 
     ``bids[i]`` is advertiser *i*'s bid per click (the Section V workload
     after program evaluation).  The expected revenue of (i, j) is
     ``p_click[i, j] * bids[i]`` and unassigned advertisers pay nothing.
-
-    ``out``, when given, is an existing matrix of the right shape whose
-    ``assigned`` buffer is refilled in place and returned (its
-    ``unassigned`` column must already be zero) — this is how the batch
-    pipeline builds one matrix per auction group instead of one per
-    auction.
     """
     bid_vector = np.asarray(bids, dtype=float)
     if bid_vector.ndim != 1:
@@ -150,10 +134,6 @@ def click_bid_revenue_matrix(bids: Sequence[float] | np.ndarray,
         raise ValueError(
             f"{len(bid_vector)} bids for {click_model.num_advertisers} "
             "advertisers")
-    if out is not None:
-        np.multiply(click_model.as_matrix(), bid_vector[:, None],
-                    out=out.assigned)
-        return out
     matrix = click_model.as_matrix() * bid_vector[:, None]
     return RevenueMatrix(assigned=matrix,
                          unassigned=np.zeros(len(bid_vector)))

@@ -74,9 +74,9 @@ def solve(revenue: RevenueMatrix, method: Method = "rh",
     """Run one winner-determination method on a revenue matrix.
 
     ``adjusted``, when given, must equal ``revenue.adjusted()`` — callers
-    that already hold the adjusted weights (the batch pipeline keeps them
-    in a per-group buffer) pass them in to skip recomputing the n-by-k
-    subtraction.  Solvers treat it as read-only.
+    that already hold the adjusted weights (the engine's eager loop
+    prices from the same matrix) pass them in to skip recomputing the
+    n-by-k subtraction.  Solvers treat it as read-only.
     """
     if adjusted is None:
         adjusted = revenue.adjusted()

@@ -9,11 +9,13 @@ and the array-backed kernels the vectorized evaluator actually runs —
 ``ColumnArgsortIndex``, ``ArrayDeltaList``, ``DeadlineArray``,
 ``LazyPacerArrays``, and the fused ``product_top_k_all_slots``.
 
-The evaluator's auction splits into a shardable TA scan
+The evaluator's part of an auction is the shardable TA scan
 (:meth:`~repro.evaluation.evaluator.RhtaluEvaluator.scan_auction`,
-returning a :class:`~repro.evaluation.evaluator.RhtaluScanResult`) and
-the reduced matching; the multi-process runtime runs one scan per
-advertiser shard and merges at its coordinator.
+returning a :class:`~repro.evaluation.evaluator.RhtaluScanResult`); the
+reduced matching and pricing over its slot lists are the served tail's
+(:class:`~repro.runtime.executor.MergeTail`), fed by one scan over the
+whole population or, in the multi-process runtime, one per advertiser
+shard.
 """
 
 from repro.evaluation.delta_list import (
@@ -23,7 +25,6 @@ from repro.evaluation.delta_list import (
     merged_descending,
 )
 from repro.evaluation.evaluator import (
-    RhtaluAuctionResult,
     RhtaluEvaluator,
     RhtaluScanResult,
 )
@@ -48,7 +49,6 @@ __all__ = [
     "KeywordBidSource",
     "LazyPacerArrays",
     "MergedDeltaSource",
-    "RhtaluAuctionResult",
     "RhtaluEvaluator",
     "RhtaluScanResult",
     "SlotTopKResult",

@@ -13,10 +13,11 @@ n·k expected revenues (method RH), RHTALU:
    keyword's merged bid walk — touching only a prefix of each, all
    slots fused into one block kernel
    (:func:`~repro.evaluation.threshold.product_top_k_all_slots`);
-3. runs the list-driven Hungarian on the per-slot top-k lists — the
-   same :mod:`repro.matching.slot_lists` kernel method RH uses; the
-   candidate-aligned bid/click/weight rows pricing reads are refilled
-   in preallocated buffers.
+3. hands the per-slot top lists, with the bids the walk read, to the
+   tail every served method shares (:class:`~repro.runtime.executor
+   .MergeTail`): the list-driven Hungarian of
+   :mod:`repro.matching.slot_lists` — the kernel method RH uses — and
+   GSP priced from the same lists.
 
 The result is equivalent to RH on eagerly-evaluated programs (same
 expected revenue; tests verify), at a per-auction cost that barely grows
@@ -31,13 +32,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.winner_determination import allocation_from_matching
 from repro.evaluation.pacer_arrays import LazyPacerArrays
 from repro.evaluation.sorted_index import ColumnArgsortIndex
 from repro.evaluation.threshold import product_top_k_all_slots
-from repro.lang.outcome import Allocation
-from repro.matching.slot_lists import SlotLists, match_slot_lists
-from repro.matching.types import MatchingResult
+from repro.matching.slot_lists import SlotLists
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.messages import ControlNotice
@@ -48,12 +46,11 @@ class RhtaluScanResult:
     """The candidate-selection half of an RHTALU auction.
 
     What the threshold algorithm alone determines: the per-slot top
-    lists, the candidate union with its effective bids, and the access
+    lists, the effective bids of the ids they hold, and the access
     accounting — *before* any matching is solved.  This is the unit of
-    work a shard worker performs in the multi-process runtime
-    (:mod:`repro.runtime`): shards scan, the coordinator merges slot
-    lists and matches.  ``candidate_bids`` aliases an evaluator-owned
-    buffer valid until the next scan.
+    work every RHTALU leaf performs (:class:`~repro.runtime.worker
+    .RhtaluShard`): leaves scan, :class:`~repro.runtime.executor
+    .MergeTail` merges slot lists, matches and prices.
     """
 
     keyword: str
@@ -61,33 +58,11 @@ class RhtaluScanResult:
     slot_lists: SlotLists
     """Per slot, the top-``top_depth`` advertiser ids by bid x click
     score (ties toward the lower id), with those scores."""
-    candidates: np.ndarray
-    """Ascending union of the per-slot lists."""
-    candidate_bids: np.ndarray
+    slot_bids: np.ndarray
+    """The effective bid of each id in ``slot_lists`` (same shape), as
+    the walk read it."""
     sequential_count: int
     random_count: int
-
-
-@dataclass(frozen=True)
-class RhtaluAuctionResult:
-    """One auction's outcome under RHTALU, with work accounting.
-
-    ``candidate_bids`` / ``candidate_clicks`` / ``weights`` are the
-    candidate-aligned arrays pricing reads (rows follow
-    ``candidates``); they alias evaluator-owned buffers and are
-    valid until the next ``run_auction`` call — callers that need them
-    longer must copy.
-    """
-
-    allocation: Allocation
-    matching: MatchingResult  # pairs are (advertiser, slot_col)
-    expected_revenue: float
-    candidates: tuple[int, ...]
-    sequential_count: int
-    random_count: int
-    candidate_bids: np.ndarray
-    candidate_clicks: np.ndarray
-    weights: np.ndarray
 
 
 class RhtaluEvaluator:
@@ -137,75 +112,31 @@ class RhtaluEvaluator:
         # lockstep.
         self.slot_index = ColumnArgsortIndex(matrix,
                                              members=state.active_ids())
-        # Preallocated per-auction buffers: TA score histories, the
-        # candidate mask, and the candidate-aligned pricing inputs.
-        n, k = matrix.shape
-        capacity = max(1, min(n, k * self.top_depth))
-        self._a_scores = np.empty((n, k))
-        self._b_scores = np.empty((n, k))
-        self._candidate_mask = np.zeros(n, dtype=bool)
-        self._clicks = np.empty((capacity, k))
-        self._bids = np.empty(capacity)
-        self._weights = np.empty((capacity, k))
+        # Preallocated TA score histories, reused by every scan.
+        self._a_scores = np.empty(matrix.shape)
+        self._b_scores = np.empty(matrix.shape)
 
     def scan_auction(self, keyword: str, time: float) -> RhtaluScanResult:
-        """Advance state and select candidates by TA (no matching).
+        """Advance state and select every slot's top list by TA.
 
-        The shardable half of :meth:`run_auction`: everything that
-        depends only on this evaluator's advertiser population.  The
-        sharded runtime runs one of these per shard per auction and
-        merges the slot lists at the coordinator; :meth:`run_auction`
-        composes it with the reduced matching for the single-process
-        path.
+        Everything that depends only on this evaluator's advertiser
+        population; the matching and pricing over the lists are the
+        tail's (:class:`~repro.runtime.executor.MergeTail`), whether
+        one leaf feeds it or many.
         """
         source = self.state.begin_auction(keyword, time)
         selection = product_top_k_all_slots(
             self.slot_index, source.ids_desc, source.values_desc,
             source.rank, source.eff, self.top_depth, self.block_size,
             self._a_scores, self._b_scores)
-
-        mask = self._candidate_mask
-        mask[selection.slot_ids.ravel()] = True
-        ordered = np.flatnonzero(mask)
-        mask[ordered] = False
-
-        bids = self._bids[:len(ordered)]
-        np.take(source.eff, ordered, out=bids)
         return RhtaluScanResult(
             keyword=keyword,
             time=time,
             slot_lists=SlotLists(ids=selection.slot_ids,
                                  values=selection.slot_values),
-            candidates=ordered,
-            candidate_bids=bids,
+            slot_bids=source.eff[selection.slot_ids],
             sequential_count=selection.sequential_count,
             random_count=selection.random_count,
-        )
-
-    def run_auction(self, keyword: str, time: float) -> RhtaluAuctionResult:
-        """Advance state, select candidates by TA, and match."""
-        scan = self.scan_auction(keyword, time)
-        ordered = scan.candidates
-        count = len(ordered)
-
-        clicks = self._clicks[:count]
-        np.take(self.click_matrix, ordered, axis=0, out=clicks)
-        bids = scan.candidate_bids
-        weights = self._weights[:count]
-        np.multiply(clicks, bids[:, None], out=weights)
-
-        matching = match_slot_lists(scan.slot_lists, self.num_slots)
-        allocation = allocation_from_matching(matching, self.num_slots)
-        return RhtaluAuctionResult(
-            allocation=allocation,
-            matching=matching,
-            expected_revenue=matching.total_weight,
-            candidates=tuple(ordered.tolist()),
-            sequential_count=scan.sequential_count,
-            random_count=scan.random_count,
-            candidate_bids=bids,
-            candidate_clicks=clicks,
-            weights=weights,
         )
 
     def record_win(self, advertiser: int, price: float,
@@ -272,7 +203,7 @@ class RhtaluEvaluator:
 
         Captures the pacer state's primary scalars and re-derives every
         sorted structure — delta-list orders, the argsort index, the
-        preallocated TA and matching buffers.  The online service's
+        preallocated TA buffers.  The online service's
         ``rebuild`` maintenance strategy calls this after every control
         event; the incremental strategy must match its auction outcomes
         bit for bit (the stream test suite's oracle).

@@ -114,7 +114,7 @@ class ColumnArgsortIndex:
     on access, for inspection only.
 
     ``members`` defaults to every row of the matrix — the static
-    full-population index the batch pipeline builds once.  The online
+    full-population index an offline evaluator builds once.  The online
     serving layer (:mod:`repro.stream`) instead maintains the member
     set *incrementally* under advertiser churn: :meth:`insert_many`
     merges a batch of ids (:meth:`insert`, one id) into, and

@@ -5,8 +5,9 @@ across advertiser shards arranged in a tree of machines;
 :mod:`repro.core.parallel` *simulates* that network, and this package
 makes it real: :class:`ShardedAuctionRuntime` partitions the pacer
 population over ``workers`` OS processes (:class:`ShardPlan`), runs
-each shard's evaluation/scan through the same vectorized kernels the
-batched pipeline uses, and merges top lists, records, phase timings,
+each shard's evaluation/scan as one leaf of :mod:`repro.runtime.worker`
+— the leaf kinds the in-process service and the engine's batch runs
+use over the whole population — and merges top lists, records, phase timings,
 and account balances at a coordinator whose output is bit-identical to
 the single-process engine under a fixed seed.
 

@@ -18,9 +18,9 @@ and sequential-identical:
   / :meth:`~repro.auction.settlement.AuctionSettler.settle_subset`).
 
 Merge and tail are one object, :class:`MergeTail`, which the in-process
-service (``workers=0``) also runs: there it settles the reply of one
-local leaf — the shard object a worker runs, spanning the universe —
-built in-process, with no pipe between them.
+service (``workers=0``) and the offline engine also run: there it
+settles the reply of one local leaf — the shard object a worker runs,
+spanning the universe — built in-process, with no pipe between them.
 
 Each auction is one lockstep round — task out, reply in, per worker —
 because auction *t*'s winners must fold into pacer state before
@@ -46,7 +46,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.auction.batch import BatchStats
 from repro.auction.engine import EngineConfig
 from repro.auction.events import AuctionRecord
 from repro.auction.settlement import AuctionSettler
@@ -95,8 +94,9 @@ class MergeTail:
     then match, price and settle through the shared settler tail.
 
     One object for every execution shape: the sharded runtime calls it
-    on its workers' replies, the in-process service on the reply of its
-    one local leaf.  It owns the global pieces no leaf can — the live
+    on its workers' replies, the in-process service and the offline
+    engine (:class:`~repro.auction.engine.AuctionEngine`'s batch and
+    RHTALU runs) on the reply of their one local leaf.  It owns the global pieces no leaf can — the live
     membership winner determination runs on (departed rows are
     excluded, not zeroed: zero-weight edges *can* enter a maximum
     matching), the bid buffer list GSP reads, and the
@@ -223,8 +223,9 @@ class ShardedAuctionRuntime:
     bulk-join the fixed Section V population, ``run_batch(count)`` /
     ``run(count)`` draw each query from the decision RNG and return
     :class:`~repro.auction.events.AuctionRecord` lists, ``accounts``
-    holds the merged (coordinator-settled) balances, ``config`` /
-    ``last_batch_stats`` feed :func:`repro.bench.profiles.profile_run`.
+    holds the merged (coordinator-settled) balances, ``config`` and
+    :meth:`batches_on_leaf` feed :func:`repro.bench.profiles
+    .profile_run`.
     The online serving layer (:mod:`repro.stream`) drives the same
     object event by event:
 
@@ -334,7 +335,6 @@ class ShardedAuctionRuntime:
         self._plan_shards(workers)
         self.start_method = start_method
         self.auction_id = 0
-        self.last_batch_stats: BatchStats | None = None
         self.tail = MergeTail(self.settler, self.workload.click_matrix,
                               method, restore_capture,
                               parallel_stats=True)
@@ -598,14 +598,13 @@ class ShardedAuctionRuntime:
     def run_batch(self, count: int) -> list[AuctionRecord]:
         """Run ``count`` auctions on queries drawn from the decision
         RNG — the offline, engine-shaped entry: a query-only stream."""
-        stats = BatchStats()
-        records = []
-        for _ in range(count):
-            record = self.submit_query(self._draw_query().text)
-            stats.observe(record.keyword)
-            records.append(record)
-        self.last_batch_stats = stats
-        return records
+        return [self.submit_query(self._draw_query().text)
+                for _ in range(count)]
+
+    def batches_on_leaf(self) -> bool:
+        """Always: every auction is the leaves' replies settled by the
+        tail (the engine's predicate of the same name)."""
+        return True
 
     def run(self, count: int) -> list[AuctionRecord]:
         """Alias of :meth:`run_batch` (the runtime is always sharded)."""

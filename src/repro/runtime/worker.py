@@ -144,14 +144,19 @@ def _shift_capture_ids(capture: dict, delta: int) -> dict:
 
 
 class _Shard:
-    """What every populated shard kind shares: its span, and the
-    snapshot flush — fold, apply, dump the state's capture."""
+    """What every populated shard kind shares: its place in the plan,
+    and the snapshot flush — fold, apply, dump the state's capture.
 
-    def __init__(self, init: WorkerInit):
-        self.shard = init.shard
-        self.offset = init.lo
-        self.num_local = init.hi - init.lo
-        self.maintenance = init.maintenance
+    Shards take their state built (:func:`build_shard` derives it from
+    a :class:`WorkerInit` and the workload); the defaults are one leaf
+    over a whole population that never churns — the offline engine's
+    (:class:`~repro.auction.engine.AuctionEngine`)."""
+
+    def __init__(self, shard: int = 0, offset: int = 0,
+                 maintenance: str = "incremental"):
+        self.shard = shard
+        self.offset = offset
+        self.maintenance = maintenance
 
     def deliver(self, message: "ShardTask | SnapshotRequest") -> None:
         """Fold a message's wins, then apply its control notices in
@@ -180,17 +185,13 @@ class _EagerShard(_Shard):
     """The two eager shard kinds' evaluation state and its lifecycle:
     born, populated, changed by control notices, captured."""
 
-    def __init__(self, workload: PaperWorkload, init: WorkerInit):
-        super().__init__(init)
-        self.step = workload.config.step
-        self.state = ShardEvalState(
-            workload.click_matrix[init.lo:init.hi], init.top_depth,
-            workload.keywords, capture=init.restore)
-        if init.restore is None:
-            self.state.arrays.grow_rows(
-                np.arange(self.num_local),
-                *workload.pacer_rows(init.lo, init.hi), self.step)
-        self.num_slots = self.state.num_slots
+    def __init__(self, state: ShardEvalState, step: float = 0.0,
+                 **placement):
+        """``step`` is the pacing step a joining row starts with."""
+        super().__init__(**placement)
+        self.state = state
+        self.step = step
+        self.num_local, self.num_slots = state.click_rows.shape
 
     def fold(self, advertiser: int, keyword: str, time: float,
              clicked: bool, charge: float) -> None:
@@ -257,17 +258,9 @@ class GatherShard(_EagerShard):
 class RhtaluShard(_Shard):
     """Method ``rhtalu``: a shard-sized lazy evaluator."""
 
-    def __init__(self, workload: PaperWorkload, init: WorkerInit):
-        super().__init__(init)
-        self.evaluator = RhtaluEvaluator(
-            workload.click_matrix[init.lo:init.hi],
-            LazyPacerArrays.for_universe(
-                self.num_local, workload.keywords, workload.config.step,
-                capture=init.restore))
-        if init.restore is None:
-            self.evaluator.join_many(
-                np.arange(self.num_local),
-                *workload.pacer_rows(init.lo, init.hi)[:3])
+    def __init__(self, evaluator: RhtaluEvaluator, **placement):
+        super().__init__(**placement)
+        self.evaluator = evaluator
 
     def fold(self, advertiser: int, keyword: str, time: float,
              clicked: bool, charge: float) -> None:
@@ -295,8 +288,7 @@ class RhtaluShard(_Shard):
             auction_id=task.auction_id,
             lists=SlotLists(ids=lists.ids + self.offset,
                             values=lists.values),
-            slot_bids=scan.candidate_bids[
-                np.searchsorted(scan.candidates, lists.ids)],
+            slot_bids=scan.slot_bids,
             eval_seconds=0.0,
             scan_seconds=time_module.thread_time() - start,
             leaf_work=scan.sequential_count + scan.random_count,
@@ -338,7 +330,10 @@ class EmptyShard:
 
 
 def build_shard(init: WorkerInit, workload: PaperWorkload | None = None):
-    """The right shard kind for ``init`` (deterministic reconstruction).
+    """The right shard kind for ``init`` (deterministic reconstruction):
+    the one place shard state is derived from a recipe — born empty
+    over the span, restored from ``init.restore``, or bulk-joined from
+    the workload's rows.
 
     ``workload`` is ``init``'s workload when the caller already holds
     it (the in-process service's leaf); a worker derives its own."""
@@ -347,11 +342,25 @@ def build_shard(init: WorkerInit, workload: PaperWorkload | None = None):
     if init.hi <= init.lo:
         return EmptyShard(init.workload_config.num_slots, init.method,
                           shard=init.shard)
-    if init.method == "rh":
-        return EagerScanShard(workload, init)
+    num_local = init.hi - init.lo
+    click_rows = workload.click_matrix[init.lo:init.hi]
+    step = workload.config.step
+    placement = dict(shard=init.shard, offset=init.lo,
+                     maintenance=init.maintenance)
     if init.method == "rhtalu":
-        return RhtaluShard(workload, init)
-    return GatherShard(workload, init)
+        evaluator = RhtaluEvaluator(click_rows, LazyPacerArrays.for_universe(
+            num_local, workload.keywords, step, capture=init.restore))
+        if init.restore is None:
+            evaluator.join_many(np.arange(num_local),
+                                *workload.pacer_rows(init.lo, init.hi)[:3])
+        return RhtaluShard(evaluator, **placement)
+    state = ShardEvalState(click_rows, init.top_depth, workload.keywords,
+                           capture=init.restore)
+    if init.restore is None:
+        state.arrays.grow_rows(np.arange(num_local),
+                               *workload.pacer_rows(init.lo, init.hi), step)
+    kind = EagerScanShard if init.method == "rh" else GatherShard
+    return kind(state, step, **placement)
 
 
 _ORPHAN_POLL_SECONDS = 1.0

@@ -1,11 +1,13 @@
-"""The batched pipeline's contract: bit-identical to sequential runs.
+"""The batch run's contract: bit-identical to sequential runs.
 
 ``AuctionEngine.run_batch`` promises that, from identical engine state
 and seeds, a batched run produces *exactly* the records a sequential
 run would — same allocations, same outcomes, same prices, same account
 balances, down to float equality — and leaves the programs in the same
-state, so sequential and batched runs interleave freely.  These tests
-hold it to that across the eager methods and the planned RHTALU path.
+state, so sequential and batched runs interleave freely.  A pacer
+population batches on the served leaf and tail, which the per-program
+loop of ``run`` does not use; RHTALU runs on its leaf on both paths.
+These tests hold all of it to that across the methods.
 """
 
 from __future__ import annotations
@@ -13,8 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.auction import AuctionEngine, EngineConfig
-from repro.auction.batch import BatchPlanner, PacerArrays
+from repro.auction import (
+    AuctionEngine,
+    EngineConfig,
+    PayYourBid,
+    VickreyPricing,
+)
+from repro.auction.batch import PacerArrays
+from repro.runtime.worker import EagerScanShard, RhtaluShard
 from repro.strategies.roi_equalizer import (
     ROIEqualizerProgram,
     SimpleROIPacer,
@@ -28,7 +36,9 @@ NUM_KEYWORDS = 4
 AUCTIONS = 60
 
 
-def build_engine(method: str, record_log: bool = False) -> AuctionEngine:
+def build_engine(method: str, record_log: bool = False,
+                 wd_leaves: int | None = None,
+                 pricing=None) -> AuctionEngine:
     workload = PaperWorkload(PaperWorkloadConfig(
         num_advertisers=NUM_ADVERTISERS, num_slots=NUM_SLOTS,
         num_keywords=NUM_KEYWORDS, seed=7))
@@ -37,7 +47,8 @@ def build_engine(method: str, record_log: bool = False) -> AuctionEngine:
         purchase_model=workload.purchase_model(),
         query_source=workload.query_source(),
         config=EngineConfig(num_slots=NUM_SLOTS, method=method, seed=11,
-                            record_log=record_log))
+                            record_log=record_log, wd_leaves=wd_leaves),
+        pricing=pricing)
     if method == "rhtalu":
         return AuctionEngine(rhtalu=workload.build_rhtalu(), **kwargs)
     return AuctionEngine(programs=workload.build_programs(), **kwargs)
@@ -100,16 +111,44 @@ def test_batch_then_sequential_continuation(method):
     assert account_state(sequential) == account_state(batched)
 
 
-def test_batch_uses_vectorized_planner_for_pacers():
+def test_batch_runs_pacers_on_the_leaf(monkeypatch):
+    calls = []
+    handle = EagerScanShard.handle
+
+    def spy(leaf, task):
+        calls.append(task.auction_id)
+        return handle(leaf, task)
+
+    monkeypatch.setattr(EagerScanShard, "handle", spy)
     engine = build_engine("rh")
+    assert engine.batches_on_leaf()
+    engine.run(5)
+    assert calls == []  # run() is the per-program loop
     engine.run_batch(AUCTIONS)
-    stats = engine.last_batch_stats
-    assert stats is not None
-    assert stats.auctions == AUCTIONS
-    assert 1 <= stats.groups <= AUCTIONS
-    assert stats.signatures <= NUM_KEYWORDS
-    assert stats.mean_group_length == pytest.approx(
-        AUCTIONS / stats.groups)
+    assert calls == list(range(6, 6 + AUCTIONS))
+
+
+@pytest.mark.parametrize("options", [
+    {"pricing": VickreyPricing()},
+    {"pricing": PayYourBid()},
+    {"wd_leaves": 4},
+], ids=["vickrey", "pay-your-bid", "wd-leaves"])
+def test_batch_off_the_leaf_equals_run(options):
+    """What the tail does not run — a pricing rule other than GSP, the
+    tree network's accounting — batches as run() does."""
+    sequential = build_engine("rh", **options)
+    batched = build_engine("rh", **options)
+    assert not batched.batches_on_leaf()
+    seq_records = sequential.run(AUCTIONS)
+    batch_records = batched.run_batch(AUCTIONS)
+    assert snapshot(seq_records) == snapshot(batch_records)
+    assert account_state(sequential) == account_state(batched)
+    assert program_state(sequential) == program_state(batched)
+    if "wd_leaves" in options:
+        assert all(record.wd_stats is not None
+                   for record in batch_records)
+        assert [r.wd_stats for r in seq_records] == \
+            [r.wd_stats for r in batch_records]
 
 
 def test_batch_records_interaction_log_identically():
@@ -123,36 +162,45 @@ def test_batch_records_interaction_log_identically():
                                   batched.interaction_log.clicks)
 
 
-def test_rhtalu_batches_with_planner_stats():
-    """RHTALU no longer falls back: the planner groups by keyword."""
-    engine = build_engine("rhtalu")
-    engine.run_batch(AUCTIONS)
-    stats = engine.last_batch_stats
-    assert stats is not None
-    assert stats.auctions == AUCTIONS
-    assert 1 <= stats.groups <= AUCTIONS
-    assert stats.signatures <= NUM_KEYWORDS
+def test_rhtalu_access_counts_identical_across_paths(monkeypatch):
+    """Sequential and batched RHTALU both settle the leaf's TA scan —
+    one scan per auction, access for access the same work."""
+    handled = []
+    handle = RhtaluShard.handle
 
+    def leaf_spy(leaf, task):
+        handled.append(task.auction_id)
+        return handle(leaf, task)
 
-def test_rhtalu_access_counts_identical_across_paths():
-    """Sequential and batched RHTALU do the same TA work, access for
-    access — the kernel is shared, so the counts must agree exactly."""
+    monkeypatch.setattr(RhtaluShard, "handle", leaf_spy)
+
     def access_trace(engine, batched):
         trace = []
-        original = engine.rhtalu.run_auction
+        original = engine.rhtalu.scan_auction
 
         def spy(keyword, time):
-            result = original(keyword, time)
-            trace.append((result.sequential_count, result.random_count,
-                          result.candidates))
-            return result
+            scan = original(keyword, time)
+            trace.append((keyword, time, scan.sequential_count,
+                          scan.random_count, scan.slot_lists.ids.tolist()))
+            return scan
 
-        engine.rhtalu.run_auction = spy
+        monkeypatch.setattr(engine.rhtalu, "scan_auction", spy)
+        handled.clear()
         (engine.run_batch if batched else engine.run)(AUCTIONS)
+        assert handled == list(range(1, AUCTIONS + 1))  # via the leaf
         return trace
 
-    assert access_trace(build_engine("rhtalu"), False) == \
-        access_trace(build_engine("rhtalu"), True)
+    sequential = access_trace(build_engine("rhtalu"), False)
+    assert len(sequential) == AUCTIONS
+    assert all(entry[2] > 0 for entry in sequential)
+    assert [entry[1] for entry in sequential] == \
+        [float(t) for t in range(1, AUCTIONS + 1)]
+    assert sequential == access_trace(build_engine("rhtalu"), True)
+
+
+def test_rhtalu_refuses_pricing_the_tail_does_not_run():
+    with pytest.raises(ValueError, match="GSP"):
+        build_engine("rhtalu", pricing=PayYourBid())
 
 
 def test_rhtalu_batch_then_sequential_continuation():
@@ -194,14 +242,14 @@ def test_non_pacer_population_falls_back_and_matches():
     batched = _equalizer_engine()
     seq_records = sequential.run(30)
     batch_records = batched.run_batch(30)
-    assert batched.last_batch_stats is None
+    assert not batched.batches_on_leaf()
     assert snapshot(seq_records) == snapshot(batch_records)
     assert account_state(sequential) == account_state(batched)
 
 
 def test_planner_rejects_non_pacer_programs():
     engine = _equalizer_engine()
-    assert BatchPlanner.for_engine(engine) is None
+    assert not engine.batches_on_leaf()
     assert PacerArrays.from_programs(engine.programs, 8) is None
 
 

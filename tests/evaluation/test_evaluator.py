@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import click_bid_revenue_matrix, solve
+from repro.matching.slot_lists import match_slot_lists
 from repro.probability.click_models import TabularClickModel
 from repro.workloads import PaperWorkload, PaperWorkloadConfig
 
@@ -39,10 +40,11 @@ def _run_paired(n, num_slots, num_keywords, seed, auctions,
             bids[i] = sum(row.value for row in program.bid(ctx))
         eager = solve(click_bid_revenue_matrix(bids, click_model),
                       method="rh")
-        lazy = evaluator.run_auction(keyword, float(t))
-        assert lazy.expected_revenue == pytest.approx(
+        scan = evaluator.scan_auction(keyword, float(t))
+        lazy = match_slot_lists(scan.slot_lists, num_slots)
+        assert lazy.total_weight == pytest.approx(
             eager.expected_revenue, abs=1e-6), t
-        revenues.append(lazy.expected_revenue)
+        revenues.append(lazy.total_weight)
 
         for advertiser, col in eager.matching.pairs:
             if rng.random() < win_probability:
@@ -76,10 +78,10 @@ class TestWorkAccounting:
         workload = PaperWorkload(PaperWorkloadConfig(
             num_advertisers=300, num_slots=5, num_keywords=3, seed=7))
         evaluator = workload.build_rhtalu()
-        result = evaluator.run_auction(workload.keywords[0], 1.0)
+        scan = evaluator.scan_auction(workload.keywords[0], 1.0)
         # Union of per-slot top-(k+1) lists: at most k * (k+1).
-        assert len(result.candidates) <= 5 * 6
-        assert result.sequential_count < 2 * 300 * 5
+        assert len(np.unique(scan.slot_lists.ids)) <= 5 * 6
+        assert scan.sequential_count < 2 * 300 * 5
 
     def test_accesses_shrink_relative_to_population(self):
         small = PaperWorkload(PaperWorkloadConfig(
@@ -92,8 +94,8 @@ class TestWorkAccounting:
             total = 0
             for t in range(1, 20):
                 keyword = workload.keywords[t % 2]
-                result = evaluator.run_auction(keyword, float(t))
-                total += result.sequential_count
+                scan = evaluator.scan_auction(keyword, float(t))
+                total += scan.sequential_count
             accesses[name] = total
         # 20x the advertisers must NOT cost 20x the accesses.
         assert accesses["large"] < 8 * accesses["small"]
@@ -111,30 +113,21 @@ class TestValidation:
 class TestScanAuction:
     """The scan/match split the sharded runtime builds on."""
 
-    def test_scan_then_match_equals_run_auction(self):
+    def test_slot_bids_are_the_walks_effective_bids(self):
         workload = PaperWorkload(PaperWorkloadConfig(
             num_advertisers=25, num_slots=4, num_keywords=3, seed=5))
-        scanning = workload.build_rhtalu()
-        running = workload.build_rhtalu()
+        evaluator = workload.build_rhtalu()
         for auction in range(1, 31):
             keyword = f"kw{auction % 3}"
-            scan = scanning.scan_auction(keyword, float(auction))
-            full = running.run_auction(keyword, float(auction))
-            assert tuple(int(a) for a in scan.candidates) \
-                == full.candidates
-            np.testing.assert_array_equal(scan.candidate_bids,
-                                          full.candidate_bids)
-            assert scan.sequential_count == full.sequential_count
-            assert scan.random_count == full.random_count
-            # Union of the slot lists is exactly the candidate set.
-            union = set()
-            for per_slot in scan.slot_lists.ids:
-                union.update(int(a) for a in per_slot)
-            assert union == set(full.candidates)
-            for advertiser, _ in full.matching.pairs:
-                if full.allocation.slot_of:
-                    running.record_win(advertiser, 0.5, float(auction))
-                    scanning.record_win(advertiser, 0.5, float(auction))
+            scan = evaluator.scan_auction(keyword, float(auction))
+            ids = scan.slot_lists.ids
+            assert scan.slot_bids.shape == ids.shape
+            np.testing.assert_array_equal(scan.slot_bids, [
+                [evaluator.state.effective_bid(int(a), keyword)
+                 for a in per_slot] for per_slot in ids])
+            matching = match_slot_lists(scan.slot_lists, 4)
+            for advertiser, _ in matching.pairs:
+                evaluator.record_win(advertiser, 0.5, float(auction))
 
     def test_slot_lists_are_top_depth_by_score(self):
         workload = PaperWorkload(PaperWorkloadConfig(

@@ -25,7 +25,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.auction.batch import BatchStats, PacerArrays
+from repro.auction.batch import PacerArrays
 from repro.bench import records_identical
 from repro.evaluation.evaluator import RhtaluEvaluator
 from repro.evaluation.pacer_arrays import LazyPacerArrays
@@ -137,11 +137,3 @@ class TestLadders:
                              step=0.5, offset=10)
         assert list(arrays.paused) == [2]
 
-
-def test_batch_stats_observe_counts_signatures_and_groups():
-    stats = BatchStats()
-    firsts = [stats.observe(keyword)
-              for keyword in ("a", "a", "b", "a", "a", "c")]
-    assert firsts == [True, False, True, False, False, True]
-    assert (stats.auctions, stats.groups, stats.signatures) == (6, 4, 3)
-    assert stats.mean_group_length == 1.5

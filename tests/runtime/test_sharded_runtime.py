@@ -136,17 +136,6 @@ class TestRuntimeBehaviour:
             accounts = runtime.accounts
         assert_equivalent(reference, (records, accounts))
 
-    def test_batch_stats_track_keyword_groups(self):
-        config = workload_config(num_advertisers=12)
-        with ShardedAuctionRuntime(config, method="rh", workers=2,
-                                   engine_seed=5) as runtime:
-            runtime.run_batch(30)
-            stats = runtime.last_batch_stats
-        assert stats is not None
-        assert stats.auctions == 30
-        assert 1 <= stats.signatures <= NUM_KEYWORDS
-        assert stats.groups >= stats.signatures
-
     def test_close_is_idempotent_and_final(self):
         config = workload_config(num_advertisers=12)
         runtime = ShardedAuctionRuntime(config, method="rh", workers=2,

@@ -15,7 +15,6 @@ class TestPhaseProfiles:
         assert len(records) == 12
         assert profile.auctions == 12
         assert profile.batched
-        assert profile.groups is not None
         assert profile.auctions_per_second > 0
         phases = profile.phase_ms()
         assert set(phases) == set(PHASES)
