@@ -31,6 +31,7 @@ from repro.evaluation.evaluator import (
 from repro.evaluation.pacer_arrays import KeywordBidSource, LazyPacerArrays
 from repro.evaluation.sorted_index import ColumnArgsortIndex, SortedIndex
 from repro.evaluation.threshold import (
+    ScoreBuffers,
     SlotTopKResult,
     TopKResult,
     full_scan_top_k,
@@ -51,6 +52,7 @@ __all__ = [
     "MergedDeltaSource",
     "RhtaluEvaluator",
     "RhtaluScanResult",
+    "ScoreBuffers",
     "SlotTopKResult",
     "SortedIndex",
     "TopKResult",

@@ -34,7 +34,10 @@ import numpy as np
 
 from repro.evaluation.pacer_arrays import LazyPacerArrays
 from repro.evaluation.sorted_index import ColumnArgsortIndex
-from repro.evaluation.threshold import product_top_k_all_slots
+from repro.evaluation.threshold import (
+    ScoreBuffers,
+    product_top_k_all_slots,
+)
 from repro.matching.slot_lists import SlotLists
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -112,9 +115,9 @@ class RhtaluEvaluator:
         # lockstep.
         self.slot_index = ColumnArgsortIndex(matrix,
                                              members=state.active_ids())
-        # Preallocated TA score histories, reused by every scan.
-        self._a_scores = np.empty(matrix.shape)
-        self._b_scores = np.empty(matrix.shape)
+        # TA score histories, reused by every scan: one block deep at
+        # first, grown by the kernel to the deepest walk it has made.
+        self._scores = ScoreBuffers(block_size, self.num_slots)
 
     def scan_auction(self, keyword: str, time: float) -> RhtaluScanResult:
         """Advance state and select every slot's top list by TA.
@@ -128,7 +131,7 @@ class RhtaluEvaluator:
         selection = product_top_k_all_slots(
             self.slot_index, source.ids_desc, source.values_desc,
             source.rank, source.eff, self.top_depth, self.block_size,
-            self._a_scores, self._b_scores)
+            self._scores)
         return RhtaluScanResult(
             keyword=keyword,
             time=time,
@@ -203,7 +206,7 @@ class RhtaluEvaluator:
 
         Captures the pacer state's primary scalars and re-derives every
         sorted structure — delta-list orders, the argsort index, the
-        preallocated TA buffers.  The online service's
+        TA score buffers.  The online service's
         ``rebuild`` maintenance strategy calls this after every control
         event; the incremental strategy must match its auction outcomes
         bit for bit (the stream test suite's oracle).

@@ -165,6 +165,33 @@ class SlotTopKResult:
     random_count: int
 
 
+class ScoreBuffers:
+    """Caller-owned score histories for :func:`product_top_k_all_slots`.
+
+    Row ``r`` of :attr:`a` holds every slot's score of the click walk's
+    entry at depth ``r``, row ``r`` of :attr:`b` the bid walk's.  The
+    kernel writes only the prefix it walks, so the buffers start
+    ``rows`` deep and double whenever a walk goes deeper; a caller that
+    keeps one across calls (the evaluator does) allocates only while
+    its deepest walk grows.
+    """
+
+    def __init__(self, rows: int, num_slots: int):
+        self.a = np.empty((rows, num_slots))
+        self.b = np.empty((rows, num_slots))
+
+    def reserve(self, rows: int, keep: int) -> None:
+        """Hold at least ``rows`` rows, preserving the first ``keep``."""
+        if rows <= len(self.a):
+            return
+        size = max(rows, 2 * len(self.a))
+        for name in ("a", "b"):
+            old = getattr(self, name)
+            grown = np.empty((size, old.shape[1]))
+            grown[:keep] = old[:keep]
+            setattr(self, name, grown)
+
+
 def product_top_k_all_slots(click_index: ColumnArgsortIndex,
                             bid_ids: np.ndarray,
                             bid_values: np.ndarray,
@@ -172,8 +199,7 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
                             effective_bids: np.ndarray,
                             k: int,
                             block: int = 64,
-                            a_scores: np.ndarray | None = None,
-                            b_scores: np.ndarray | None = None
+                            buffers: ScoreBuffers | None = None
                             ) -> SlotTopKResult:
     """TA over (click index, bid list) for *every* slot in one sweep.
 
@@ -186,14 +212,19 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
     the dense random-access mirrors (``effective_bids`` for ids
     surfaced by the click walk, the click matrix for ids surfaced by
     the bid walk), fold them into each slot's running top-k, and retire
-    slots whose k-th best score has reached the TA threshold.
+    slots whose k-th best score has reached the TA threshold.  Once
+    every slot has stopped, one partition finds each slot's k-th best
+    score over its walked prefix, and one small sort of the entries at
+    or above it — about k per slot — orders every slot's winners.
 
     Semantics: identical to per-round TA except that the stop rule is
     checked every ``block`` rounds, so a slot may walk up to
     ``block - 1`` rounds past its exact stopping point.  By TA's
     guarantee the extra rounds cannot change the top-k *scores*; among
     equal scores the kernel resolves ties toward the lower id (the
-    full-scan convention).  Access counts report the pulls actually
+    full-scan convention) over the ids the walks reached — an unreached
+    id that ties the k-th score exactly at the stop threshold stays
+    unreached, whatever its id.  Access counts report the pulls actually
     performed — sequential accesses at block granularity, one random
     access per distinct id scored — so the ablation's sublinearity
     measurements stay honest.
@@ -205,9 +236,8 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
     in the first ``d``) it lets the kernel keep exactly one running
     copy of an id that both walks surface, whichever block each copy
     arrives in.
-    ``a_scores`` / ``b_scores`` are optional caller-owned ``(n, k)``
-    score-history buffers (the evaluator preallocates them once and
-    reuses them every auction).
+    ``buffers`` are optional caller-owned score histories, grown here
+    to the deepest walk (the evaluator keeps one across auctions).
     """
     num_ids, num_slots = click_index.order.shape
     if len(bid_ids) != num_ids:
@@ -215,36 +245,35 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
             f"bid walk covers {len(bid_ids)} ids, click index {num_ids}; "
             "the threshold algorithm needs every id in every source")
     depth = max(min(k, num_ids), 0)
-    slot_ids = np.empty((num_slots, depth), dtype=np.int64)
-    slot_values = np.empty((num_slots, depth))
-    if depth == 0:
-        return SlotTopKResult(slot_ids, slot_values,
+    if depth == 0 or num_slots == 0:
+        return SlotTopKResult(np.empty((num_slots, depth), dtype=np.int64),
+                              np.empty((num_slots, depth)),
                               np.zeros(num_slots, dtype=np.int64), 0, 0)
     block = max(block, depth)
-    if a_scores is None:
-        a_scores = np.empty((num_ids, num_slots))
-    if b_scores is None:
-        b_scores = np.empty((num_ids, num_slots))
+    if buffers is None:
+        buffers = ScoreBuffers(block, num_slots)
 
     matrix = click_index.matrix
     order = click_index.order
     sorted_values = click_index.sorted_values
 
-    live = np.ones(num_slots, dtype=bool)
+    # While every slot is live, ``cols`` is a plain slice (views, not
+    # copies); once one retires it becomes the live slots' indices.
+    cols: slice | np.ndarray = slice(None)
+    live = np.arange(num_slots)
     stop_depth = np.full(num_slots, num_ids, dtype=np.int64)
     running = np.full((depth, num_slots), -np.inf)
     rounds = 0
-    while rounds < num_ids and live.any():
+    while rounds < num_ids:
         upto = min(rounds + block, num_ids)
-        cols = np.flatnonzero(live)
-        a_ids = order[rounds:upto][:, cols]
-        a_block = sorted_values[rounds:upto][:, cols] \
-            * effective_bids[a_ids]
+        buffers.reserve(upto, rounds)
+        a_ids = order[rounds:upto, cols]
+        a_block = sorted_values[rounds:upto, cols] * effective_bids[a_ids]
         b_ids = bid_ids[rounds:upto]
         b_clicks = matrix[b_ids][:, cols]
         b_block = bid_values[rounds:upto, None] * b_clicks
-        a_scores[rounds:upto, cols] = a_block
-        b_scores[rounds:upto, cols] = b_block
+        buffers.a[rounds:upto, cols] = a_block
+        buffers.b[rounds:upto, cols] = b_block
         # Ids surfaced by both walks must occupy exactly one running
         # slot — a duplicated high score would inflate the k-th best
         # and fire the stop check *early*, dropping a qualifying
@@ -255,7 +284,7 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
         edge_values = sorted_values[upto - 1, cols]
         a_duplicate = bid_rank[a_ids] < rounds
         b_duplicate = _within_click_prefix(b_ids, b_clicks, edge_values,
-                                           order, upto - 1, cols)
+                                           order[upto - 1, cols])
         stacked = np.concatenate(
             [running[:, cols],
              np.where(a_duplicate, -np.inf, a_block),
@@ -265,63 +294,67 @@ def product_top_k_all_slots(click_index: ColumnArgsortIndex,
         thresholds = edge_values * bid_values[rounds - 1]
         done = running[0, cols] >= thresholds
         if done.any():
-            stop_depth[cols[done]] = rounds
-            live[cols[done]] = False
+            stop_depth[live[done]] = rounds
+            live = live[~done]
+            if not len(live):
+                break
+            cols = live
 
-    # Final selection, vectorized across slots that stopped at the same
-    # depth (the block-granular stop rule quantizes depths, so most
-    # slots share one): stack each group's click-walk and bid-walk
-    # prefixes, mask bid-walk duplicates to -inf, and take every
-    # column's top ids with one lexsort over (score desc, id asc).  At
-    # least ``walked >= depth`` click-walk scores are finite, so the
-    # masked duplicates never surface.
-    sequential_count = 0
-    random_count = 0
-    for walked in np.unique(stop_depth):
-        walked = int(walked)
-        cols = np.flatnonzero(stop_depth == walked)
-        b_prefix = bid_ids[:walked]
-        covered = _within_click_prefix(
-            b_prefix, matrix[b_prefix][:, cols],
-            sorted_values[walked - 1, cols], order, walked - 1, cols)
-        ids_all = np.concatenate(
-            [order[:walked, :][:, cols],
-             np.broadcast_to(b_prefix[:, None],
-                             (walked, len(cols)))], axis=0)
-        scores_all = np.concatenate(
-            [a_scores[:walked, :][:, cols],
-             np.where(covered, -np.inf, b_scores[:walked, :][:, cols])],
-            axis=0)
-        best = np.lexsort((ids_all, -scores_all), axis=0)[:depth]
-        slot_ids[cols] = np.take_along_axis(ids_all, best, axis=0).T
-        slot_values[cols] = np.take_along_axis(scores_all, best,
-                                               axis=0).T
-        sequential_count += 2 * walked * len(cols)
-        random_count += 2 * walked * len(cols) \
-            - int(np.count_nonzero(covered))
-    return SlotTopKResult(slot_ids=slot_ids, slot_values=slot_values,
-                          stop_depth=stop_depth,
-                          sequential_count=sequential_count,
-                          random_count=random_count)
+    # Final selection over every slot at once, slot-major: each row
+    # holds one slot's click-walk then bid-walk prefix (``walked``
+    # entries each), with entries past the slot's own stop and bid-walk
+    # copies of ids its click prefix holds masked to -inf.  One
+    # partition finds each row's ``depth``-th best score; only entries
+    # at or above it can win — about ``depth`` per slot, more only on
+    # ties at that score — so one lexsort of those survivors over
+    # (slot, score desc, id asc) orders every slot's winners.  At least
+    # ``stop_depth >= depth`` click-walk scores per slot are finite, so
+    # masked entries never survive.
+    walked = int(stop_depth.max())
+    slots = np.arange(num_slots)
+    edges = stop_depth - 1
+    b_prefix = bid_ids[:walked]
+    inside = np.arange(walked)[:, None] < stop_depth
+    covered = inside & _within_click_prefix(
+        b_prefix, matrix[b_prefix], sorted_values[edges, slots],
+        order[edges, slots])
+    scores = np.concatenate(
+        [np.where(inside, buffers.a[:walked], -np.inf).T,
+         np.where(inside & ~covered, buffers.b[:walked], -np.inf).T],
+        axis=1)
+    cut = 2 * walked - depth
+    kth = np.partition(scores, cut, axis=1)[:, cut]
+    survivors = np.flatnonzero(scores >= kth[:, None])
+    slot, row = np.divmod(survivors, 2 * walked)
+    prefix_row = row % walked
+    ids = np.where(row < walked, order[prefix_row, slot],
+                   b_prefix[prefix_row])
+    values = scores.ravel()[survivors]
+    best = np.lexsort((ids, -values, slot))
+    counts = np.bincount(slot, minlength=num_slots)
+    take = best[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)]
+    sequential_count = 2 * int(stop_depth.sum())
+    return SlotTopKResult(
+        slot_ids=ids[take], slot_values=values[take],
+        stop_depth=stop_depth, sequential_count=sequential_count,
+        random_count=sequential_count - int(np.count_nonzero(covered)))
 
 
 def _within_click_prefix(ids: np.ndarray, clicks: np.ndarray,
-                         edge_values: np.ndarray, order: np.ndarray,
-                         edge: int, cols: np.ndarray) -> np.ndarray:
-    """Whether each id lies within the first ``edge + 1`` entries of
-    each of the click walks ``cols``.
+                         edge_values: np.ndarray,
+                         edge_ids: np.ndarray) -> np.ndarray:
+    """Whether each id lies within each click walk's prefix.
 
-    ``clicks[r, c]`` is id ``ids[r]``'s click value in column
-    ``cols[c]``, whose entry at depth ``edge`` is
-    ``(order[edge, cols[c]], edge_values[c])``.  The click index orders
-    value descending, ties by descending id, so an indexed id is in the
-    prefix iff its (value, id) pair is at least the edge's.  Ties with
-    the edge value are rare, so the edge ids are read only then.
+    ``clicks[r, c]`` is id ``ids[r]``'s click value in walk ``c``,
+    whose prefix ends at the entry ``(edge_ids[c], edge_values[c])``.
+    The click index orders value descending, ties by descending id, so
+    an indexed id is in the prefix iff its (value, id) pair is at least
+    the edge's.
     """
     within = clicks > edge_values
     tied = clicks == edge_values
     if tied.any():
-        within |= tied & (ids[:, None] >= order[edge, cols])
+        within |= tied & (ids[:, None] >= edge_ids)
     return within
 
 

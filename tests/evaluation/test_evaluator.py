@@ -100,6 +100,20 @@ class TestWorkAccounting:
         # 20x the advertisers must NOT cost 20x the accesses.
         assert accesses["large"] < 8 * accesses["small"]
 
+    def test_score_buffers_grow_only_to_the_walk(self):
+        # The TA score histories hold the walked prefix, not one row
+        # per advertiser: after a scan of every keyword at n = 20 000
+        # they are far shallower than the population.
+        n = 20_000
+        workload = PaperWorkload(PaperWorkloadConfig(
+            num_advertisers=n, num_slots=15, num_keywords=4, seed=3))
+        evaluator = workload.build_rhtalu()
+        for t, keyword in enumerate(workload.keywords, start=1):
+            evaluator.scan_auction(keyword, float(t))
+        buffers = evaluator._scores
+        assert buffers.a.shape == buffers.b.shape
+        assert evaluator.block_size <= len(buffers.a) < n
+
 
 class TestValidation:
     def test_bad_matrix_rejected(self):

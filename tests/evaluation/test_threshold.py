@@ -326,3 +326,128 @@ class TestFusedKernel:
         result = self._run(matrix, values.copy(), depth=4, block=16)
         assert result.sequential_count <= 3 * 2 * 16
         assert result.random_count < 3 * 2 * 16
+
+
+class TestFusedKernelOrder:
+    """The kernel's winners in order, bit for bit.
+
+    Per slot: the scores are the first ``depth`` scores of a full sort
+    of the population by (score desc, id asc) — TA's guarantee — and
+    the ids are the first ``depth`` entries of that sort over the ids
+    the two walks reached.  (An unwalked id tied with the depth-th
+    score at the stop threshold is not reached, whatever its id.)
+    """
+
+    VALUES = {"click": [0.1, 0.3, 0.5, 0.7, 0.9],
+              "bid": [0.0, 1.0, 2.0, 5.0, 10.0]}
+
+    @staticmethod
+    def _churned_members(index, universe, members, rng):
+        # Interleaved merges and removals: member ids stop matching
+        # their positions, as they do in a served index.
+        for _ in range(6):
+            outside = sorted(set(range(universe)) - members)
+            if outside and rng.random() < 0.5:
+                batch = rng.choice(outside, size=int(rng.integers(
+                    1, len(outside) + 1)), replace=False)
+                index.insert_many(batch)
+                members.update(batch.tolist())
+            for item in rng.permutation(sorted(members))[
+                    :int(rng.integers(0, 3))]:
+                if len(members) > 1:
+                    index.remove(int(item))
+                    members.discard(int(item))
+        return np.array(sorted(members), dtype=np.int64)
+
+    @staticmethod
+    def _reference(matrix, bids, ids, col):
+        """``ids`` sorted by (score desc, id asc), with their scores."""
+        scores = matrix[ids, col] * bids[ids]
+        order = np.lexsort((ids, -scores))
+        return ids[order], scores[order]
+
+    def _check(self, matrix, bids, depth, block, churn, rng):
+        """Run the kernel against the reference sorts; return how many
+        slots had a tie group straddling the depth-th score among the
+        walked ids (the case the id tie-break decides)."""
+        universe, num_slots = matrix.shape
+        if churn:
+            members = set(rng.choice(universe, size=max(universe // 2, 1),
+                                     replace=False).tolist())
+            index = ColumnArgsortIndex(
+                matrix, members=np.array(sorted(members), dtype=np.int64))
+            member_ids = self._churned_members(index, universe, members,
+                                               rng)
+        else:
+            index = ColumnArgsortIndex(matrix)
+            member_ids = np.arange(universe, dtype=np.int64)
+        walk = member_ids[np.argsort(-bids[member_ids], kind="stable")]
+        rank = np.full(universe, universe, dtype=np.int64)
+        rank[walk] = np.arange(len(walk))
+        result = product_top_k_all_slots(index, walk, bids[walk], rank,
+                                         bids, depth, block=block)
+
+        kept = min(depth, len(member_ids))
+        straddles = 0
+        random_count = 0
+        for col in range(num_slots):
+            walked = int(result.stop_depth[col])
+            assert kept <= walked <= len(member_ids)
+            assert walked == len(member_ids) \
+                or walked % max(block, kept) == 0
+            click_prefix = index.order[:walked, col]
+            reached = np.union1d(click_prefix, walk[:walked])
+            random_count += 2 * walked \
+                - len(np.intersect1d(click_prefix, walk[:walked]))
+            _, scores = self._reference(matrix, bids, member_ids, col)
+            ids, reached_scores = self._reference(matrix, bids, reached,
+                                                  col)
+            np.testing.assert_array_equal(result.slot_ids[col],
+                                          ids[:kept])
+            assert result.slot_values[col].tobytes() \
+                == scores[:kept].tobytes()
+            straddles += bool(len(reached) > kept and
+                              reached_scores[kept - 1]
+                              == reached_scores[kept])
+        assert result.sequential_count == 2 * int(result.stop_depth.sum())
+        assert result.random_count == random_count
+        return straddles
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 80), st.integers(1, 5), st.integers(1, 9),
+           st.sampled_from([1, 2, 5, 16, 96]), st.booleans(),
+           st.integers(0, 2**31 - 1))
+    def test_slot_lists_equal_reference_sort(self, universe, num_slots,
+                                             depth, block, churn, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.choice(self.VALUES["click"],
+                            size=(universe, num_slots))
+        bids = rng.choice(self.VALUES["bid"], size=universe)
+        if depth < universe:
+            # Force a tie group across slot 0's depth-th score: give
+            # the id ranked just below it the (click, bid) pair of the
+            # id ranked at it, so both score exactly alike.
+            everyone = np.arange(universe)
+            ids, _ = self._reference(matrix, bids, everyone, 0)
+            above, below = ids[depth - 1], ids[depth]
+            matrix[below, 0] = matrix[above, 0]
+            bids[below] = bids[above]
+            _, scores = self._reference(matrix, bids, everyone, 0)
+            assert scores[depth - 1] == scores[depth]
+        self._check(matrix, bids, depth, block, churn, rng)
+
+    def test_straddling_ties_are_drawn(self):
+        # The cases above must include tie groups across the depth-th
+        # score among the walked ids — where more than ``depth``
+        # entries survive the cut and the id order decides — or the
+        # order check would pass without meeting them.
+        rng = np.random.default_rng(11)
+        straddled = 0
+        for case in range(40):
+            universe = int(rng.integers(8, 60))
+            matrix = rng.choice(self.VALUES["click"], size=(universe, 3))
+            bids = rng.choice(self.VALUES["bid"], size=universe)
+            block = [1, 2, 5, 16, 96][case % 5]
+            straddled += self._check(matrix, bids, 4, block,
+                                     churn=case % 2 == 1, rng=rng)
+        assert straddled > 0
